@@ -65,13 +65,20 @@ sweep-check:
 		/tmp/sweep-shard-2.json /tmp/sweep-shard-0.json /tmp/sweep-shard-1.json > /tmp/sweep-merged.csv
 	cmp /tmp/sweep-p1.csv /tmp/sweep-merged.csv
 
-# Backend parity (mirrors the CI backend-parity job): sim backend
-# byte-identical to the committed golden, replay backend deterministic
-# across -parallel and -shard/-merge, real backend smoke run.
+# Backend parity (mirrors the CI backend-parity job): sim backend,
+# every figure and the pressure and cluster grids byte-identical to the
+# committed 20-rep goldens, replay backend deterministic across
+# -parallel and -shard/-merge, real backend smoke run.
 backend-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
+	$(GO) build -o /tmp/preemptbench-ci ./cmd/preemptbench
 	/tmp/hadoopsim-ci -backend sim -sweep twojob -reps 20 -seed 1 -format csv \
 		| cmp goldens/grid_twojob_reps20.csv -
+	/tmp/preemptbench-ci -fig all -reps 20 -seed 1 -format json \
+		| cmp goldens/figures_reps20.json -
+	for s in pressure cluster; do \
+		/tmp/hadoopsim-ci -sweep $$s -reps 20 -seed 1 -format csv \
+			| cmp goldens/grid_$${s}_reps20.csv - || exit 1; done
 	/tmp/hadoopsim-ci -backend replay -trace goldens/swim_sample.tsv \
 		-reps 3 -seed 1 -parallel 1 -format csv > /tmp/replay-p1.csv
 	/tmp/hadoopsim-ci -backend replay -trace goldens/swim_sample.tsv \

@@ -60,9 +60,6 @@ type JobConfig = mapreduce.JobConf
 // Job is a submitted job handle.
 type Job = mapreduce.Job
 
-// TaskID identifies a task.
-type TaskID = mapreduce.TaskID
-
 // SchedulerKind selects the cluster scheduler.
 type SchedulerKind int
 

@@ -1,10 +1,9 @@
 // Package advisor is the serving-path form of the paper's §V-A
 // preemption cost model: one allocation-free call that answers both
 // questions a scheduler asks at every preemption decision — which task
-// to evict (the victim-selection policies of core.EvictionPolicy) and
-// which primitive to evict it with (kill freshly started tasks, wait
-// for nearly-done ones, suspend the rest), optionally modulated by
-// memory pressure.
+// to evict (§V-A's victim-selection policies) and which primitive to
+// evict it with (kill freshly started tasks, wait for nearly-done ones,
+// suspend the rest), optionally modulated by memory pressure.
 //
 // The package exists so the exact code path a simulated scheduler runs
 // is the one the benchmarks measure. It is engineered for a scheduler's
@@ -18,30 +17,39 @@
 //   - Advisor is an immutable value after New: no locks, no maps, safe
 //     to share across any number of concurrent goroutines.
 //
-// The semantics are bit-compatible with the reference implementation in
-// internal/core: for every policy, Decide picks the candidate
-// core.EvictionPolicy.SelectVictim would pick (including the
+// The semantics are bit-compatible with the naive interface-based
+// reference model kept in reference_test.go: for every policy, Decide
+// picks the candidate the reference policy would pick (including the
 // deterministic ID tie-break), and with threshold configuration it
-// chooses the primitive core.Advisor.Choose would choose. A
+// chooses the primitive the reference advisor would choose. A
 // differential test over randomized candidate sets pins this, which is
-// what keeps the simulation goldens byte-identical after the rewire.
+// what keeps the simulation goldens byte-identical.
 package advisor
 
 import (
 	"fmt"
+	"time"
 
 	"hadooppreempt/internal/core"
 )
 
-// Candidate describes one preemptable task. It is an alias of the
-// reference type so callers, the simulators and the differential tests
-// all share one scratch representation.
-type Candidate = core.Candidate
+// Candidate describes one preemptable task.
+type Candidate struct {
+	// ID is the task (a stringified mapreduce.TaskID); policies treat it
+	// as opaque except as the deterministic tie-break.
+	ID string
+	// Progress is the completed fraction in [0,1].
+	Progress float64
+	// ResidentBytes is the task's resident memory.
+	ResidentBytes int64
+	// StartedAt is when the current attempt launched.
+	StartedAt time.Duration
+}
 
 // Policy selects the victim-ordering rule. The kinds mirror the
-// core.EvictionPolicy constructors one to one; being an enum rather
-// than an interface keeps Decide free of dynamic dispatch and heap
-// traffic.
+// reference model's policy constructors one to one; being an enum
+// rather than an interface keeps Decide free of dynamic dispatch and
+// heap traffic.
 type Policy uint8
 
 // Victim-selection policies (§V-A's design space).
@@ -64,8 +72,7 @@ const (
 	Youngest
 )
 
-// String returns the policy's report label (same labels as
-// core.EvictionPolicy.Name).
+// String returns the policy's report label.
 func (p Policy) String() string {
 	switch p {
 	case MostProgress:
@@ -85,8 +92,7 @@ func (p Policy) String() string {
 	}
 }
 
-// PolicyByName resolves a policy label (the same labels
-// core.PolicyByName accepts).
+// PolicyByName resolves a policy label (see String).
 func PolicyByName(name string) (Policy, error) {
 	switch name {
 	case "most-progress":
@@ -135,8 +141,8 @@ type Config struct {
 	PressureKillBelow float64
 }
 
-// DefaultConfig returns the paper's qualitative thresholds (the same
-// ones core.DefaultAdvisor uses) with the most-progress policy and no
+// DefaultConfig returns the paper's qualitative thresholds (kill below
+// 5% progress, wait above 95%) with the most-progress policy and no
 // pressure override.
 func DefaultConfig() Config {
 	return Config{Policy: MostProgress, KillBelow: 0.05, WaitAbove: 0.95}
@@ -255,7 +261,7 @@ func (a Advisor) Decide(req Request) Decision {
 }
 
 // better reports whether x is preferred over y under the configured
-// policy — the same orderings the core.EvictionPolicy constructors
+// policy — the same orderings the reference model's policies
 // implement. Pointer receivers on the candidates avoid copying the
 // (string-bearing) struct per comparison.
 func (a Advisor) better(x, y *Candidate) bool {

@@ -36,16 +36,16 @@ func randomCandidates(rng *sim.RNG, n int) []advisor.Candidate {
 
 // TestDecideMatchesCorePolicies is the golden-compat proof: on
 // randomized candidate sets, Decide's victim is byte-for-byte the one
-// the reference core.EvictionPolicy picks, and with the default
-// thresholds its primitive is core.DefaultAdvisor().Choose's verdict.
+// the reference policy (reference_test.go) picks, and with the default
+// thresholds its primitive is the reference advisor's verdict.
 // This is what licenses rewiring the simulators through the advisor
 // without touching the committed goldens.
 func TestDecideMatchesCorePolicies(t *testing.T) {
 	rng := sim.NewRNG(7)
 	for _, p := range allPolicies {
-		ref, err := core.PolicyByName(p.String())
+		ref, err := refPolicyByName(p.String())
 		if err != nil {
-			t.Fatalf("core.PolicyByName(%q): %v", p, err)
+			t.Fatalf("refPolicyByName(%q): %v", p, err)
 		}
 		adv, err := advisor.New(advisor.Config{
 			Policy: p, KillBelow: 0.05, WaitAbove: 0.95,
@@ -53,7 +53,7 @@ func TestDecideMatchesCorePolicies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%v): %v", p, err)
 		}
-		coreAdv := core.DefaultAdvisor()
+		refAdv := defaultRefAdvisor()
 		for trial := 0; trial < 500; trial++ {
 			cs := randomCandidates(rng, 1+rng.Intn(12))
 			d := adv.Decide(advisor.Request{Candidates: cs})
@@ -62,11 +62,11 @@ func TestDecideMatchesCorePolicies(t *testing.T) {
 				t.Fatalf("%v: reference rejected a non-empty set", p)
 			}
 			if d.Victim < 0 || d.Victim >= len(cs) || cs[d.Victim] != want {
-				t.Fatalf("%v trial %d: Decide picked %+v (index %d), core picked %+v\ncandidates: %+v",
+				t.Fatalf("%v trial %d: Decide picked %+v (index %d), reference picked %+v\ncandidates: %+v",
 					p, trial, cs[d.Victim], d.Victim, want, cs)
 			}
-			if got, wantP := d.Primitive, coreAdv.Choose(want.Progress); got != wantP {
-				t.Fatalf("%v trial %d: Decide primitive %v, core.Advisor.Choose(%v) = %v",
+			if got, wantP := d.Primitive, refAdv.Choose(want.Progress); got != wantP {
+				t.Fatalf("%v trial %d: Decide primitive %v, reference Choose(%v) = %v",
 					p, trial, got, want.Progress, wantP)
 			}
 			if d.Pressured {
@@ -187,7 +187,7 @@ func TestDecideConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := core.MostProgress()
+	ref := mostProgress()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -241,15 +241,16 @@ func TestNewValidation(t *testing.T) {
 	zero.Decide(advisor.Request{Candidates: []advisor.Candidate{{ID: "x"}}})
 }
 
-// TestPolicyNamesRoundTrip keeps the label set in lockstep with core's.
+// TestPolicyNamesRoundTrip keeps the label set in lockstep with the
+// reference's.
 func TestPolicyNamesRoundTrip(t *testing.T) {
 	for _, p := range allPolicies {
 		got, err := advisor.PolicyByName(p.String())
 		if err != nil || got != p {
 			t.Errorf("PolicyByName(%q) = %v, %v", p.String(), got, err)
 		}
-		if _, err := core.PolicyByName(p.String()); err != nil {
-			t.Errorf("core does not know label %q", p.String())
+		if _, err := refPolicyByName(p.String()); err != nil {
+			t.Errorf("the reference does not know label %q", p.String())
 		}
 	}
 	if _, err := advisor.PolicyByName("round-robin"); err == nil {

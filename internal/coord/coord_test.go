@@ -368,7 +368,8 @@ func TestWorkerCellErrorAbortsSweep(t *testing.T) {
 }
 
 // TestDispatchBackendViaCoordinator drives the coordinator through the
-// same sweep.DispatchBackend entry point the facade uses.
+// Start/Wait/Drain sequence the facade's DistributedSweep uses and
+// checks the served sweep is byte-identical to RunBackend.
 func TestDispatchBackendViaCoordinator(t *testing.T) {
 	g := sweep.NewGrid(sweep.Strings("a", "x", "y", "z"), sweep.Reps(2))
 	b := &testBackend{g: g}
@@ -376,35 +377,30 @@ func TestDispatchBackendViaCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listening := make(chan string, 1)
+	workerErr := make(chan error, 1)
 	c := New(Config{
 		Addr: "127.0.0.1:0", LeaseCells: 2, LeaseTTL: time.Minute,
 		DoneGrace: 200 * time.Millisecond,
-		OnListen:  func(addr string) { listening <- addr },
+		// OnListen delivers the bound address; no polling needed.
+		OnListen: func(addr string) {
+			go func() {
+				workerErr <- RunWorker(context.Background(), WorkerConfig{Addr: addr, Backend: &testBackend{g: g}, Parallel: 2})
+			}()
+		},
 	})
-	var got *sweep.Collapsed
-	var dispatchErr error
-	donec := make(chan struct{})
-	go func() {
-		defer close(donec)
-		got, dispatchErr = sweep.DispatchBackend(b, c, 3, "rep")
-	}()
-	// OnListen delivers the bound address; no polling needed.
-	var addr string
-	select {
-	case addr = <-listening:
-	case <-time.After(5 * time.Second):
-		t.Fatal("coordinator never bound")
-	}
-	if err := RunWorker(context.Background(), WorkerConfig{Addr: addr, Backend: &testBackend{g: g}, Parallel: 2}); err != nil {
+	if err := c.Start(g, 3, "rep"); err != nil {
 		t.Fatal(err)
 	}
-	<-donec
-	if dispatchErr != nil {
-		t.Fatal(dispatchErr)
+	got, err := c.Wait(context.Background())
+	c.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-workerErr; err != nil {
+		t.Fatal(err)
 	}
 	if encodeAll(t, got) != encodeAll(t, want) {
-		t.Fatal("DispatchBackend output differs from RunBackend")
+		t.Fatal("served sweep output differs from RunBackend")
 	}
 }
 

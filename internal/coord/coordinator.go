@@ -60,7 +60,9 @@ type Config struct {
 	// accepted stay done, and the final output is byte-identical to an
 	// uninterrupted run.
 	Resume bool
-	// Context, when set, cancels Dispatch (default context.Background).
+	// Context is not consulted: Wait and WaitSweep take their own.
+	//
+	// Deprecated: pass the context to Wait or WaitSweep.
 	Context context.Context
 	// Middleware, when set, wraps the coordinator's HTTP handler —
 	// the hook the chaos harness uses to drop, duplicate, truncate or
@@ -204,8 +206,8 @@ type workerInfo struct {
 
 // Coordinator serves lease-based work units for a queue of sweeps and
 // folds the results as they arrive. Create with New, then either call
-// Dispatch (it implements sweep.Dispatcher) for a single sweep or
-// Enqueue/Serve/WaitSweep/Drain separately for a long-lived service.
+// Start/Wait/Drain for a single sweep or Enqueue/Serve/WaitSweep/Drain
+// for a long-lived service.
 type Coordinator struct {
 	cfg Config
 	// now is the scheduling clock (lease TTLs, worker liveness); tests
@@ -225,8 +227,8 @@ type Coordinator struct {
 	srv      *http.Server
 }
 
-// New builds a coordinator; Enqueue and Serve (or Start, or Dispatch)
-// bind it to its sweeps.
+// New builds a coordinator; Enqueue and Serve (or Start) bind it to its
+// sweeps.
 func New(cfg Config) *Coordinator {
 	if cfg.LeaseCells < 1 {
 		cfg.LeaseCells = 8
@@ -495,25 +497,6 @@ func (c *Coordinator) Close() {
 	if srv != nil {
 		srv.Close()
 	}
-}
-
-// Dispatch implements sweep.Dispatcher: it serves the grid to workers
-// and blocks until their merged result is ready. The run function is
-// deliberately unused — cells execute on workers, which construct the
-// same backend locally — but the signature lets distributed runs drive
-// the exact facade path local and sharded runs use.
-func (c *Coordinator) Dispatch(g sweep.Grid, run sweep.CellFunc, seed uint64, collapse ...string) (*sweep.Collapsed, error) {
-	_ = run
-	if err := c.Start(g, seed, collapse...); err != nil {
-		return nil, err
-	}
-	ctx := c.cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	col, err := c.Wait(ctx)
-	c.Drain()
-	return col, err
 }
 
 // fail stops every unfinished sweep with the given error.

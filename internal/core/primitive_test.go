@@ -120,3 +120,35 @@ func TestNewPreemptorValidation(t *testing.T) {
 		t.Fatal("checkpoint without device resolver should fail")
 	}
 }
+
+func TestPrimitiveStrings(t *testing.T) {
+	for p, want := range map[core.Primitive]string{
+		core.Wait: "wait", core.Kill: "kill", core.Suspend: "susp", core.Checkpoint: "checkpoint",
+	} {
+		if p.String() != want {
+			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
+		}
+	}
+}
+
+func TestParsePrimitive(t *testing.T) {
+	for s, want := range map[string]core.Primitive{
+		"wait": core.Wait, "kill": core.Kill, "susp": core.Suspend, "suspend": core.Suspend,
+		"checkpoint": core.Checkpoint, "natjam": core.Checkpoint,
+	} {
+		got, err := core.ParsePrimitive(s)
+		if err != nil || got != want {
+			t.Errorf("ParsePrimitive(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := core.ParsePrimitive("bogus"); err == nil {
+		t.Fatal("bogus primitive should fail")
+	}
+}
+
+func TestPrimitivesList(t *testing.T) {
+	ps := core.Primitives()
+	if len(ps) != 3 || ps[0] != core.Wait || ps[1] != core.Kill || ps[2] != core.Suspend {
+		t.Fatalf("Primitives() = %v", ps)
+	}
+}

@@ -76,22 +76,21 @@ func TwoJobGrid(reps int) sweep.Grid {
 	).Pair("prim")
 }
 
-// twoJobParams builds the run parameters for one two-job cell — the
-// point must carry the "prim" and "r" axes of TwoJobGrid.
-func twoJobParams(pt sweep.Point, tlMem, thMem int64) TwoJobParams {
+// TwoJobCellInto runs one two-job scenario cell — the point must carry
+// the "prim" and "r" axes of TwoJobGrid — and records the standard
+// outcome values ("paged_mb" is tl's swap-out volume, Figure 4's
+// y-axis; the swap totals cover both jobs).
+func TwoJobCellInto(pt sweep.Point, tlMem, thMem int64, rec *sweep.Recorder) error {
 	p := DefaultTwoJobParams()
 	p.Primitive = pt.Value("prim").(core.Primitive)
 	p.PreemptAt = pt.Float("r") / 100
 	p.TLExtraMemory = tlMem
 	p.THExtraMemory = thMem
 	p.Seed = pt.Seed
-	return p
-}
-
-// recordTwoJob reports the standard two-job outcome values ("paged_mb"
-// is tl's swap-out volume, Figure 4's y-axis; the swap totals cover
-// both jobs).
-func recordTwoJob(rec *sweep.Recorder, out *TwoJobResult) {
+	out, err := RunTwoJob(p)
+	if err != nil {
+		return err
+	}
 	rec.Observe("sojourn_th_s", out.SojournTH.Seconds())
 	rec.Observe("makespan_s", out.Makespan.Seconds())
 	rec.Observe("paged_mb", float64(out.SwapOutTL)/float64(1<<20))
@@ -100,31 +99,7 @@ func recordTwoJob(rec *sweep.Recorder, out *TwoJobResult) {
 	rec.Observe("tl_suspensions", float64(out.TLSuspensions))
 	rec.Observe("tl_attempts", float64(out.TLAttempts))
 	rec.Observe("wasted_cpu_s", out.WastedWork.Seconds())
-}
-
-// TwoJobCellInto runs one two-job scenario cell on the streaming path,
-// recording the standard outcome values without per-cell maps.
-func TwoJobCellInto(pt sweep.Point, tlMem, thMem int64, rec *sweep.Recorder) error {
-	out, err := RunTwoJob(twoJobParams(pt, tlMem, thMem))
-	if err != nil {
-		return err
-	}
-	recordTwoJob(rec, out)
 	return nil
-}
-
-// TwoJobCell is the materializing form of TwoJobCellInto, for harness
-// paths that retain per-cell outcomes; Extra carries the raw result.
-func TwoJobCell(pt sweep.Point, tlMem, thMem int64) (sweep.Outcome, error) {
-	out, err := RunTwoJob(twoJobParams(pt, tlMem, thMem))
-	if err != nil {
-		return sweep.Outcome{}, err
-	}
-	var rec sweep.Recorder
-	recordTwoJob(&rec, out)
-	o := rec.Outcome()
-	o.Extra = out
-	return o, nil
 }
 
 // runComparison sweeps r for every primitive with the given memory
@@ -273,24 +248,27 @@ type Figure1Result struct {
 // Figure1 renders the task execution schedules for the three primitives
 // at r=50%.
 func Figure1(cfg Config) (*Figure1Result, error) {
-	g := sweep.NewGrid(sweep.Stringers("prim", core.Primitives()...)).Pair("prim")
-	res, err := sweep.Run(g, func(pt sweep.Point) (sweep.Outcome, error) {
+	prims := core.Primitives()
+	g := sweep.NewGrid(sweep.Stringers("prim", prims...)).Pair("prim")
+	charts := make([]string, g.Size())
+	_, err := sweep.RunCollapsed(g, func(pt sweep.Point, _ *sweep.Recorder) error {
 		p := DefaultTwoJobParams()
 		p.Primitive = pt.Value("prim").(core.Primitive)
 		p.PreemptAt = 0.5
 		p.Seed = pt.Seed
 		out, err := RunTwoJob(p)
 		if err != nil {
-			return sweep.Outcome{}, err
+			return err
 		}
-		return sweep.Outcome{Extra: out.Trace.Gantt(72)}, nil
+		charts[pt.Index] = out.Trace.Gantt(72)
+		return nil
 	}, cfg.options())
 	if err != nil {
 		return nil, err
 	}
 	out := &Figure1Result{Gantt: make(map[string]string)}
-	for _, pr := range res.Points {
-		out.Gantt[pr.Point.Label("prim")] = pr.Outcome.Extra.(string)
+	for i, prim := range prims {
+		out.Gantt[prim.String()] = charts[i]
 	}
 	return out, nil
 }

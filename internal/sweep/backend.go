@@ -47,24 +47,19 @@ func (b FuncBackend) Cell(p Point, rec *Recorder) error { return b.Run(p, rec) }
 // (see BackendFingerprint) — and skipped entirely for volatile
 // backends (see Volatile), whose measurements are not reproducible.
 func RunBackend(b Backend, opts Options, collapse ...string) (*Collapsed, error) {
-	d := opts.dispatcher()
-	if opts.Cache != nil {
-		cb := CacheBinding{
-			Cache:   opts.Cache,
-			Backend: b.Name(),
-			FP:      BackendFingerprint(b),
-			Bypass:  IsVolatile(b),
-		}
-		switch dd := d.(type) {
-		case PoolDispatcher:
-			dd.Cache = cb
-			d = dd
-		case ShardDispatcher:
-			dd.Cache = cb
-			d = dd
-		}
+	g, err := b.Grid()
+	if err != nil {
+		return nil, err
 	}
-	return DispatchBackend(b, d, opts.Seed, collapse...)
+	var sc *SweepCache
+	switch {
+	case opts.Cache == nil:
+	case IsVolatile(b):
+		sc = opts.Cache.BypassSweep()
+	default:
+		sc = opts.Cache.Sweep(b.Name(), BackendFingerprint(b), g, opts.Seed)
+	}
+	return runLocal(g, b.Cell, sc, opts, collapse)
 }
 
 // BackendFingerprint returns the backend's content fingerprint — the
@@ -79,16 +74,4 @@ func BackendFingerprint(b Backend) string {
 		return f.Fingerprint()
 	}
 	return ""
-}
-
-// DispatchBackend executes the backend's grid through an arbitrary
-// dispatcher — the in-process pool, the static shard slicer, or the
-// distributed coordinator — collapsing the named axes. It is the one
-// entry point behind local, sharded and multi-machine sweeps.
-func DispatchBackend(b Backend, d Dispatcher, seed uint64, collapse ...string) (*Collapsed, error) {
-	g, err := b.Grid()
-	if err != nil {
-		return nil, err
-	}
-	return d.Dispatch(g, b.Cell, seed, collapse...)
 }

@@ -6,109 +6,40 @@ import (
 	"sync"
 )
 
-// One dispatch abstraction drives every execution mode of the harness.
-// A Dispatcher owns placement and parallelism — which process runs
-// which cells, and when — while the collapse engine owns measurement
-// semantics (coordinate-derived seeds, streaming group folds, exact
-// merges). The in-process worker pool, the static -shard slicer, and
-// the distributed coordinator (internal/coord) are three dispatchers
-// behind one entry point, so local, sharded and multi-machine sweeps
-// share every determinism guarantee.
+// In-process execution. Every local entry point — RunCollapsed,
+// RunBackend, a -shard slice, a distributed worker's leased batch —
+// ends in RunCells: one bounded worker pool that runs the chosen cells
+// with their coordinate-derived seeds and streams each result into the
+// collapse engine. Placement (which process runs which cells) is the
+// caller's business; the distributed coordinator (internal/coord)
+// merely hands workers cell lists to pass here, so local, sharded and
+// multi-machine sweeps share every determinism guarantee.
 
-// Dispatcher executes a scenario grid through a cell function and
-// returns the result collapsed over the named axes. Implementations
-// must preserve the harness contract: every cell they claim to cover
-// runs exactly once with its coordinate-derived seed, so output is
-// byte-identical no matter how execution was placed.
-type Dispatcher interface {
-	Dispatch(g Grid, run CellFunc, seed uint64, collapse ...string) (*Collapsed, error)
-}
-
-// CacheBinding names the backend identity a dispatcher keys cell-result
-// cache lookups under. The grid and seed complete the key at dispatch
-// time — binding there rather than at construction means a dispatcher
-// can never consult entries of a different grid than the one it was
-// handed. The zero value disables caching.
-type CacheBinding struct {
-	// Cache is the store; nil disables caching.
-	Cache *Cache
-	// Backend and FP are the backend's name and content fingerprint.
-	Backend string
-	FP      string
-	// Bypass runs every cell and counts it as bypassed (volatile
-	// backends; see Volatile).
-	Bypass bool
-}
-
-// bind resolves the binding against the dispatched grid and seed.
-func (cb CacheBinding) bind(g Grid, seed uint64) *SweepCache {
-	if cb.Cache == nil {
-		return nil
-	}
-	if cb.Bypass {
-		return cb.Cache.BypassSweep()
-	}
-	return cb.Cache.Sweep(cb.Backend, cb.FP, g, seed)
-}
-
-// PoolDispatcher runs every cell of the grid through an in-process
-// worker pool of Parallel goroutines (values below 1 run serially),
-// consulting the bound cell-result cache — when one is configured —
-// before executing each cell.
-type PoolDispatcher struct {
-	Parallel int
-	Cache    CacheBinding
-}
-
-// Dispatch implements Dispatcher.
-func (d PoolDispatcher) Dispatch(g Grid, run CellFunc, seed uint64, collapse ...string) (*Collapsed, error) {
-	return RunCells(g, d.Cache.bind(g, seed).WrapCell(run), seed, d.Parallel, nil, collapse...)
-}
-
-// ShardDispatcher runs the seed-stable slice of the grid selected by
-// Shard through an in-process worker pool, producing a partial result
-// that merges with its sibling shards (see Merge) into output
-// byte-identical to an unsharded run.
-type ShardDispatcher struct {
-	Shard    Shard
-	Parallel int
-	Cache    CacheBinding
-}
-
-// Dispatch implements Dispatcher.
-func (d ShardDispatcher) Dispatch(g Grid, run CellFunc, seed uint64, collapse ...string) (*Collapsed, error) {
-	if err := d.Shard.validate(); err != nil {
-		return nil, err
-	}
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	size := g.Size()
-	cells := make([]int, 0, size/max(d.Shard.Count, 1)+1)
-	for i := 0; i < size; i++ {
-		if d.Shard.owns(i) {
-			cells = append(cells, i)
+// runLocal executes the grid in this process: the cells opts.Shard
+// selects (every cell when it is unset) run through RunCells, each
+// answered from sc — the cell cache bound to the sweep's identity, or
+// nil — when it holds a verified entry. The result carries the shard,
+// so it merges with its siblings (see Merge).
+func runLocal(g Grid, run CellFunc, sc *SweepCache, opts Options, collapse []string) (*Collapsed, error) {
+	var cells []int
+	if opts.Shard != (Shard{}) {
+		if err := opts.Shard.validate(); err != nil {
+			return nil, err
+		}
+		size := g.Size()
+		cells = make([]int, 0, size/max(opts.Shard.Count, 1)+1)
+		for i := 0; i < size; i++ {
+			if opts.Shard.owns(i) {
+				cells = append(cells, i)
+			}
 		}
 	}
-	c, err := RunCells(g, d.Cache.bind(g, seed).WrapCell(run), seed, d.Parallel, cells, collapse...)
+	c, err := RunCells(g, sc.WrapCell(run), opts.Seed, opts.Parallel, cells, collapse...)
 	if err != nil {
 		return nil, err
 	}
-	c.Shard = d.Shard
+	c.Shard = opts.Shard
 	return c, nil
-}
-
-// dispatcher resolves the options to the in-process dispatcher they
-// describe: the static shard slicer when a shard is set, the plain
-// worker pool otherwise. The cache binding carries the store only; the
-// backend identity is filled in by RunBackend, which knows the backend
-// (grid-level entry points cache under an empty backend name).
-func (o Options) dispatcher() Dispatcher {
-	cb := CacheBinding{Cache: o.Cache}
-	if o.Shard != (Shard{}) {
-		return ShardDispatcher{Shard: o.Shard, Parallel: o.Parallel, Cache: cb}
-	}
-	return PoolDispatcher{Parallel: o.Parallel, Cache: cb}
 }
 
 // RunCells executes the given grid cell indices through a worker pool
@@ -118,6 +49,10 @@ func (o Options) dispatcher() Dispatcher {
 // distributed worker executes a leased batch. Every group of the grid
 // is present in the result even if none of its cells ran, so partial
 // results align for merging (see Merge and MergeSubsets).
+//
+// Each worker goroutine owns one reusable Recorder. The first error in
+// grid order — not completion order — wins; remaining in-flight cells
+// still finish.
 func RunCells(g Grid, run CellFunc, seed uint64, parallel int, cells []int, collapse ...string) (*Collapsed, error) {
 	points, err := g.Points(seed)
 	if err != nil {
@@ -141,54 +76,24 @@ func RunCells(g Grid, run CellFunc, seed uint64, parallel int, cells []int, coll
 		}
 	}
 	c := newCollapsed(&g, seed, collapse)
-	var mu sync.Mutex
-	err = runPool(points, cells, parallel, func() func(int) error {
-		rec := &Recorder{}
-		return func(i int) error {
-			rec.reset()
-			if err := run(points[i], rec); err != nil {
-				return err
-			}
-			mu.Lock()
-			c.fold(points[i], rec)
-			mu.Unlock()
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.finalize()
-	return c, nil
-}
-
-// runPool is the worker-pool loop shared by every in-process execution
-// path (Run, RunCells and therefore every dispatcher). It fans the
-// given cell indices out across a bounded pool; newWorker is called
-// once per goroutine so each worker can own reusable state (a
-// Recorder), and the returned function executes one cell. The first
-// error in grid order — not completion order — wins; remaining
-// in-flight cells still finish.
-func runPool(points []Point, cells []int, parallel int, newWorker func() func(int) error) error {
-	workers := parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
 	errs := make([]error, len(points))
 	next := make(chan int)
+	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(max(parallel, 1), len(cells)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn := newWorker()
+			rec := &Recorder{}
 			for i := range next {
-				if err := runCell(fn, i); err != nil {
+				rec.reset()
+				if err := runCell(run, points[i], rec); err != nil {
 					errs[i] = fmt.Errorf("sweep: cell %q: %w", points[i].Key(), err)
+					continue
 				}
+				mu.Lock()
+				c.fold(points[i], rec)
+				mu.Unlock()
 			}
 		}()
 	}
@@ -199,10 +104,11 @@ func runPool(points []Point, cells []int, parallel int, newWorker func() func(in
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	c.finalize()
+	return c, nil
 }
 
 // runCell executes one cell, converting a panic in the cell function
@@ -210,13 +116,13 @@ func runPool(points []Point, cells []int, parallel int, newWorker func() func(in
 // parsers, process supervisors — or injected chaos), and a panicking
 // cell must surface as that cell's failure, not kill the whole worker
 // process mid-lease.
-func runCell(fn func(int) error, i int) (err error) {
+func runCell(run CellFunc, p Point, rec *Recorder) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return fn(i)
+	return run(p, rec)
 }
 
 // Skeleton returns the empty collapsed-result skeleton of the grid —

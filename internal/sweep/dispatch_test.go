@@ -35,47 +35,6 @@ func TestRunCellsRecoversPanic(t *testing.T) {
 	}
 }
 
-// TestDispatchersMatchRunCollapsed checks, over random grids, that the
-// pool and shard dispatchers used directly produce output byte-identical
-// to the Options-driven entry points they back.
-func TestDispatchersMatchRunCollapsed(t *testing.T) {
-	rng := sim.NewRNG(7)
-	for trial := 0; trial < 20; trial++ {
-		g := randomGrid(rng)
-		collapse := randomCollapse(rng, g)
-		seed := rng.Uint64()
-		want, err := RunCollapsed(g, propertyCell, Options{Parallel: 3, Seed: seed}, collapse...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool, err := PoolDispatcher{Parallel: 3}.Dispatch(g, propertyCell, seed, collapse...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if encodeAll(t, pool) != encodeAll(t, want) {
-			t.Fatalf("trial %d: PoolDispatcher output differs from RunCollapsed", trial)
-		}
-		n := 1 + rng.Intn(3)
-		for i := 0; i < n; i++ {
-			sh := Shard{Index: i, Count: n}
-			viaOpts, err := RunCollapsed(g, propertyCell, Options{Parallel: 2, Seed: seed, Shard: sh}, collapse...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaDispatch, err := ShardDispatcher{Shard: sh, Parallel: 2}.Dispatch(g, propertyCell, seed, collapse...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if encodeAll(t, viaDispatch) != encodeAll(t, viaOpts) {
-				t.Fatalf("trial %d shard %s: ShardDispatcher output differs from Options.Shard", trial, sh)
-			}
-			if viaDispatch.Shard != sh {
-				t.Fatalf("trial %d: ShardDispatcher result carries shard %s, want %s", trial, viaDispatch.Shard, sh)
-			}
-		}
-	}
-}
-
 // TestRunCellsSubsetsMerge is the distributed-execution contract with
 // the network removed: any partition of the grid's cells into RunCells
 // batches merges (via MergeSubsets, in any batch order) into output

@@ -76,10 +76,13 @@ func TestShardMergePropertyByteIdentical(t *testing.T) {
 		want := encodeAll(t, full)
 		shards := make([]*Collapsed, n)
 		for i := 0; i < n; i++ {
-			col, err := RunCollapsed(g, propertyCell,
-				Options{Parallel: 2, Seed: seed, Shard: Shard{Index: i, Count: n}}, collapse...)
+			sh := Shard{Index: i, Count: n}
+			col, err := RunCollapsed(g, propertyCell, Options{Parallel: 2, Seed: seed, Shard: sh}, collapse...)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if col.Shard != sh {
+				t.Fatalf("trial %d: shard result carries shard %s, want %s", trial, col.Shard, sh)
 			}
 			var file bytes.Buffer
 			if err := col.WriteShard(&file); err != nil {

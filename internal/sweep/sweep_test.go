@@ -19,17 +19,6 @@ func testGrid(reps int) Grid {
 	).Pair("prim")
 }
 
-// synthRun is a deterministic stand-in for a simulation: it derives its
-// outcome purely from the cell seed and coordinates.
-func synthRun(pt Point) (Outcome, error) {
-	rng := pt.RNG()
-	base := pt.Float("r") + 100*float64(len(pt.Label("prim")))
-	return Outcome{Values: map[string]float64{
-		"sojourn_s":  base + rng.Float64(),
-		"makespan_s": 2*base + rng.Float64(),
-	}}, nil
-}
-
 func TestGridEnumeration(t *testing.T) {
 	g := testGrid(2)
 	if g.Size() != 3*3*2 {
@@ -129,15 +118,15 @@ func TestSeedsIgnoreAxisOrderOfOtherCells(t *testing.T) {
 func TestDeterministicAcrossParallelism(t *testing.T) {
 	outputs := make(map[int]string)
 	for _, parallel := range []int{1, 4, 16} {
-		res, err := Run(testGrid(3), synthRun, Options{Parallel: parallel, Seed: 7})
+		col, err := RunCollapsed(testGrid(3), synthCell, Options{Parallel: parallel, Seed: 7}, RepAxis)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var csv, js bytes.Buffer
-		if err := WriteCSV(&csv, res, RepAxis); err != nil {
+		if err := col.WriteCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteJSON(&js, res, RepAxis); err != nil {
+		if err := col.WriteJSON(&js); err != nil {
 			t.Fatal(err)
 		}
 		outputs[parallel] = csv.String() + js.String()
@@ -151,7 +140,7 @@ func TestWorkerPoolBounds(t *testing.T) {
 	const parallel = 3
 	var active, peak, total int64
 	var mu sync.Mutex
-	run := func(pt Point) (Outcome, error) {
+	cell := func(pt Point, rec *Recorder) error {
 		n := atomic.AddInt64(&active, 1)
 		defer atomic.AddInt64(&active, -1)
 		atomic.AddInt64(&total, 1)
@@ -161,9 +150,9 @@ func TestWorkerPoolBounds(t *testing.T) {
 		}
 		mu.Unlock()
 		time.Sleep(time.Millisecond)
-		return Outcome{}, nil
+		return nil
 	}
-	if _, err := Run(testGrid(2), run, Options{Parallel: parallel, Seed: 1}); err != nil {
+	if _, err := RunCollapsed(testGrid(2), cell, Options{Parallel: parallel, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if total != 18 {
@@ -177,42 +166,45 @@ func TestWorkerPoolBounds(t *testing.T) {
 	}
 }
 
+// TestRunErrorNamesFirstFailingCell: a shard reports the first failing
+// cell it owns, in grid order rather than completion order.
 func TestRunErrorNamesFirstFailingCell(t *testing.T) {
-	run := func(pt Point) (Outcome, error) {
+	cell := func(pt Point, rec *Recorder) error {
 		if pt.Label("prim") == "kill" {
-			return Outcome{}, fmt.Errorf("boom at r=%v", pt.Float("r"))
+			return fmt.Errorf("boom at r=%v", pt.Float("r"))
 		}
-		return Outcome{}, nil
+		return nil
 	}
-	_, err := Run(testGrid(1), run, Options{Parallel: 4, Seed: 1})
+	b := FuncBackend{G: testGrid(2), Run: cell}
+	// The kill cells are 6..11; shard 1/2 owns the odd ones, 7, 9 and 11.
+	_, err := RunBackend(b, Options{Parallel: 4, Seed: 1, Shard: Shard{Index: 1, Count: 2}}, RepAxis)
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	// Grid order: the first kill cell is kill/r=10/rep=0.
-	if !strings.Contains(err.Error(), `cell "prim=kill r=10 rep=0"`) {
-		t.Fatalf("error %q does not name the first failing cell", err)
+	if !strings.Contains(err.Error(), `cell "prim=kill r=10 rep=1"`) {
+		t.Fatalf("error %q does not name the shard's first failing cell", err)
 	}
 }
 
 func TestCollapseAggregates(t *testing.T) {
 	g := NewGrid(Strings("variant", "a", "b"), Reps(4))
-	run := func(pt Point) (Outcome, error) {
+	cell := func(pt Point, rec *Recorder) error {
 		// variant a reports its rep index, variant b twice that.
 		v := float64(pt.Int(RepAxis))
 		if pt.Label("variant") == "b" {
 			v *= 2
 		}
-		return Outcome{Values: map[string]float64{"x": v}}, nil
+		rec.Observe("x", v)
+		return nil
 	}
-	res, err := Run(g, run, Options{Parallel: 2, Seed: 1})
+	col, err := RunCollapsed(g, cell, Options{Parallel: 2, Seed: 1}, RepAxis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs := res.Collapse(RepAxis)
-	if len(aggs) != 2 {
-		t.Fatalf("groups = %d, want 2", len(aggs))
+	if len(col.Groups) != 2 {
+		t.Fatalf("groups = %d, want 2", len(col.Groups))
 	}
-	a, b := aggs[0], aggs[1]
+	a, b := col.Groups[0], col.Groups[1]
 	if a.Key != "variant=a" || b.Key != "variant=b" {
 		t.Fatalf("group keys = %q, %q", a.Key, b.Key)
 	}
@@ -232,23 +224,28 @@ func TestCollapseAggregates(t *testing.T) {
 }
 
 func TestCollapseNothingYieldsOneGroupPerCell(t *testing.T) {
-	res, err := Run(testGrid(1), synthRun, Options{Seed: 1})
+	g := testGrid(1)
+	col, err := RunCollapsed(g, synthCell, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs := res.Collapse()
-	if len(aggs) != len(res.Points) {
-		t.Fatalf("groups = %d, want %d", len(aggs), len(res.Points))
+	if len(col.Groups) != g.Size() {
+		t.Fatalf("groups = %d, want %d", len(col.Groups), g.Size())
+	}
+	for i, grp := range col.Groups {
+		if grp.Count != 1 || grp.First.Index != i {
+			t.Fatalf("group %d holds %d cells, first %d; want exactly cell %d", i, grp.Count, grp.First.Index, i)
+		}
 	}
 }
 
 func TestWriteCSVShape(t *testing.T) {
-	res, err := Run(testGrid(2), synthRun, Options{Seed: 1})
+	col, err := RunCollapsed(testGrid(2), synthCell, Options{Seed: 1}, RepAxis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, res, RepAxis); err != nil {
+	if err := col.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -266,18 +263,17 @@ func TestWriteCSVShape(t *testing.T) {
 
 func TestWriteJSONIncludesOutcomeLabels(t *testing.T) {
 	g := NewGrid(Strings("policy", "small", "large"))
-	run := func(pt Point) (Outcome, error) {
-		return Outcome{
-			Values: map[string]float64{"x": 1},
-			Labels: map[string]string{"victim": "victim-of-" + pt.Label("policy")},
-		}, nil
+	cell := func(pt Point, rec *Recorder) error {
+		rec.Observe("x", 1)
+		rec.Label("victim", "victim-of-"+pt.Label("policy"))
+		return nil
 	}
-	res, err := Run(g, run, Options{Seed: 1})
+	col, err := RunCollapsed(g, cell, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, res); err != nil {
+	if err := col.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"victim": "victim-of-small"`, `"policy": "large"`, `"seed": 1`} {
@@ -288,12 +284,12 @@ func TestWriteJSONIncludesOutcomeLabels(t *testing.T) {
 }
 
 func TestWriteTableAligned(t *testing.T) {
-	res, err := Run(testGrid(1), synthRun, Options{Seed: 1})
+	col, err := RunCollapsed(testGrid(1), synthCell, Options{Seed: 1}, RepAxis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, res, RepAxis); err != nil {
+	if err := col.WriteTable(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

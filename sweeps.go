@@ -31,17 +31,8 @@ type SweepAxis = sweep.Axis
 // SweepPoint is one grid cell handed to a run function.
 type SweepPoint = sweep.Point
 
-// SweepOutcome is what one run reports back.
-type SweepOutcome = sweep.Outcome
-
 // SweepOptions tunes execution (worker pool size, base seed).
 type SweepOptions = sweep.Options
-
-// SweepResult is a completed sweep in grid order.
-type SweepResult = sweep.Result
-
-// SweepRunFunc executes one cell, materializing its outcome.
-type SweepRunFunc = sweep.RunFunc
 
 // SweepCellFunc executes one cell on the streaming-collapse path,
 // reporting measurements through a reusable recorder.
@@ -66,9 +57,6 @@ type SweepShard = sweep.Shard
 // misses, never errors. A nil *CellCache caches nothing.
 type CellCache = sweep.Cache
 
-// CellCacheCounters snapshots a cache's hit/miss/bypass/write counters.
-type CellCacheCounters = sweep.CacheCounters
-
 // NewCellCache opens (creating if needed) the cell-result cache rooted
 // at dir. One cache may serve many sweeps and many processes at once.
 func NewCellCache(dir string) (*CellCache, error) {
@@ -82,11 +70,6 @@ func NewCellCache(dir string) (*CellCache, error) {
 // the one documented exception to determinism).
 type SweepBackend = sweep.Backend
 
-// RunSweep executes every cell of the grid through the parallel harness.
-func RunSweep(g SweepGrid, run SweepRunFunc, opts SweepOptions) (*SweepResult, error) {
-	return sweep.Run(g, run, opts)
-}
-
 // RunSweepCollapsed executes the grid — or the shard of it selected by
 // opts.Shard — on the streaming path, folding outcomes into aggregates
 // collapsed over the named axes as cells complete.
@@ -94,24 +77,11 @@ func RunSweepCollapsed(g SweepGrid, run SweepCellFunc, opts SweepOptions, collap
 	return sweep.RunCollapsed(g, run, opts, collapse...)
 }
 
-// SweepDispatcher abstracts execution placement for a sweep: the
-// in-process worker pool, the static -shard slicer, and the
-// distributed coordinator are three implementations behind one
-// dispatch entry point (see DispatchSweepBackend), so local, sharded
-// and multi-machine runs share every determinism guarantee.
-type SweepDispatcher = sweep.Dispatcher
-
 // RunSweepBackend executes the backend's grid — or the shard of it
 // selected by opts.Shard — on the streaming path, collapsing the named
 // axes as cells complete.
 func RunSweepBackend(b SweepBackend, opts SweepOptions, collapse ...string) (*SweepCollapsed, error) {
 	return sweep.RunBackend(b, opts, collapse...)
-}
-
-// DispatchSweepBackend executes the backend's grid through an
-// arbitrary dispatcher, collapsing the named axes.
-func DispatchSweepBackend(b SweepBackend, d SweepDispatcher, seed uint64, collapse ...string) (*SweepCollapsed, error) {
-	return sweep.DispatchBackend(b, d, seed, collapse...)
 }
 
 // ParseSweepShard parses an "i/n" shard specification.
@@ -131,31 +101,6 @@ func MergeSweepShards(shards ...*SweepCollapsed) (*SweepCollapsed, error) {
 	return sweep.Merge(shards...)
 }
 
-// WriteSweepCSV renders a sweep collapsed over its repetition axis as
-// long-form CSV (one row per cell and metric).
-func WriteSweepCSV(w io.Writer, r *SweepResult) error {
-	return sweep.WriteCSV(w, r, sweep.RepAxis)
-}
-
-// WriteSweepJSON renders a sweep collapsed over its repetition axis as
-// an indented JSON document.
-func WriteSweepJSON(w io.Writer, r *SweepResult) error {
-	return sweep.WriteJSON(w, r, sweep.RepAxis)
-}
-
-// WriteSweepTable renders a sweep collapsed over its repetition axis as
-// an aligned text table of per-cell means.
-func WriteSweepTable(w io.Writer, r *SweepResult) error {
-	return sweep.WriteTable(w, r, sweep.RepAxis)
-}
-
-// WriteSweepSeries renders a sweep collapsed over its repetition axis
-// as plot-ready per-series CSV blocks (one block per metric, one column
-// per series).
-func WriteSweepSeries(w io.Writer, r *SweepResult) error {
-	return sweep.WriteSeries(w, r, sweep.RepAxis)
-}
-
 // TwoJobSweep returns the canned grid and runner for the paper's
 // two-job scenario: primitive x preemption point x repetition, 27 cells
 // per repetition. The grid and cell wiring are the same ones behind
@@ -167,13 +112,6 @@ func TwoJobSweep(reps int) (SweepGrid, SweepCellFunc) {
 		return experiments.TwoJobCellInto(pt, 0, 0, rec)
 	}
 	return experiments.TwoJobGrid(reps), run
-}
-
-// PressureSweep returns the canned grid and runner for the memory
-// pressure scenario: primitive x th allocation x preemption point x
-// repetition (27 cells per repetition), the grid behind Figures 3 and 4.
-func PressureSweep(reps int) (SweepGrid, SweepCellFunc) {
-	return experiments.PressureGrid(reps), experiments.PressureCellInto
 }
 
 // ClusterSweep returns the canned grid and runner for the cluster-scale
@@ -277,30 +215,42 @@ func clusterCell(jobs int, configure func(SweepPoint, *Options)) SweepCellFunc {
 		if !c.RunUntilJobsDone(24 * time.Hour) {
 			return fmt.Errorf("workload did not converge")
 		}
-		var sojourns []float64
-		var suspensions, attempts int
-		var swapOut, swapIn int64
-		for _, spec := range specs {
-			st, err := c.Stats(spec.Conf.Name)
-			if err != nil {
-				return err
-			}
-			sojourns = append(sojourns, st.Sojourn.Seconds())
-			suspensions += st.Suspensions
-			attempts += st.Attempts
-			swapOut += st.SwapOut
-			swapIn += st.SwapIn
-		}
-		s := metrics.Summarize(sojourns)
-		rec.Observe("sojourn_mean_s", s.Mean)
-		rec.Observe("sojourn_p95_s", s.P95)
-		rec.Observe("makespan_s", c.Now().Seconds())
-		rec.Observe("suspensions", float64(suspensions))
-		rec.Observe("attempts", float64(attempts))
-		rec.Observe("swap_out_mb", float64(swapOut)/float64(1<<20))
-		rec.Observe("swap_in_mb", float64(swapIn)/float64(1<<20))
-		return nil
+		return recordJobStats(rec, c, specs, false)
 	}
+}
+
+// recordJobStats records a finished cluster run's per-job outcome: the
+// sojourn mean and p95 over the workload's jobs, the makespan, the
+// scheduler's preemption and resume counts when preemptions is set,
+// then task suspensions, attempts and swap traffic summed over jobs.
+func recordJobStats(rec *SweepRecorder, c *Cluster, specs []WorkloadJob, preemptions bool) error {
+	sojourns := make([]float64, 0, len(specs))
+	var suspensions, attempts int
+	var swapOut, swapIn int64
+	for _, spec := range specs {
+		st, err := c.Stats(spec.Conf.Name)
+		if err != nil {
+			return err
+		}
+		sojourns = append(sojourns, st.Sojourn.Seconds())
+		suspensions += st.Suspensions
+		attempts += st.Attempts
+		swapOut += st.SwapOut
+		swapIn += st.SwapIn
+	}
+	s := metrics.Summarize(sojourns)
+	rec.Observe("sojourn_mean_s", s.Mean)
+	rec.Observe("sojourn_p95_s", s.P95)
+	rec.Observe("makespan_s", c.Now().Seconds())
+	if preemptions {
+		rec.Observe("preemptions", float64(c.Preemptions()))
+		rec.Observe("resumes", float64(c.Resumes()))
+	}
+	rec.Observe("suspensions", float64(suspensions))
+	rec.Observe("attempts", float64(attempts))
+	rec.Observe("swap_out_mb", float64(swapOut)/float64(1<<20))
+	rec.Observe("swap_in_mb", float64(swapIn)/float64(1<<20))
+	return nil
 }
 
 // GenScenario re-exports the seeded scenario generator's configuration
@@ -365,38 +315,14 @@ func ScenarioSweep(reps int) (SweepGrid, SweepCellFunc) {
 		if !c.RunUntilJobsDone(24 * time.Hour) {
 			return fmt.Errorf("generated scenario did not converge")
 		}
-		var sojourns []float64
-		var suspensions, attempts int
-		var swapOut, swapIn int64
-		for _, spec := range specs {
-			st, err := c.Stats(spec.Conf.Name)
-			if err != nil {
-				return err
-			}
-			sojourns = append(sojourns, st.Sojourn.Seconds())
-			suspensions += st.Suspensions
-			attempts += st.Attempts
-			swapOut += st.SwapOut
-			swapIn += st.SwapIn
-		}
-		s := metrics.Summarize(sojourns)
-		rec.Observe("sojourn_mean_s", s.Mean)
-		rec.Observe("sojourn_p95_s", s.P95)
-		rec.Observe("makespan_s", c.Now().Seconds())
-		rec.Observe("preemptions", float64(c.Preemptions()))
-		rec.Observe("resumes", float64(c.Resumes()))
-		rec.Observe("suspensions", float64(suspensions))
-		rec.Observe("attempts", float64(attempts))
-		rec.Observe("swap_out_mb", float64(swapOut)/float64(1<<20))
-		rec.Observe("swap_in_mb", float64(swapIn)/float64(1<<20))
-		return nil
+		return recordJobStats(rec, c, specs, true)
 	}
 	return g, run
 }
 
-// EvictionPolicyNames lists the victim-selection policies the evict
-// sweep covers by default.
-func EvictionPolicyNames() []string {
+// evictionPolicyNames lists the victim-selection policies the evict
+// sweep covers.
+func evictionPolicyNames() []string {
 	return []string{"most-progress", "least-progress", "smallest-memory", "largest-memory"}
 }
 
@@ -417,7 +343,7 @@ func SimSweep(scenario string, jobs, reps int) (SweepBackend, error) {
 		g, run := ClusterSweep(jobs, reps)
 		return sweep.FuncBackend{Engine: experiments.SimBackendName, G: g, Run: run}, nil
 	case "evict":
-		g, run := ClusterSweep(jobs, reps, EvictionPolicyNames()...)
+		g, run := ClusterSweep(jobs, reps, evictionPolicyNames()...)
 		return sweep.FuncBackend{Engine: experiments.SimBackendName, G: g, Run: run}, nil
 	case "primitive":
 		g, run := ClusterPrimitiveSweep(jobs, reps)
@@ -432,12 +358,6 @@ func SimSweep(scenario string, jobs, reps int) (SweepBackend, error) {
 
 // SWIMTraceJob is one job of a parsed SWIM trace file.
 type SWIMTraceJob = workload.TraceJob
-
-// ParseSWIMTrace reads a SWIM-format workload trace (one job per line:
-// id, submit time, inter-arrival, input/shuffle/output bytes).
-func ParseSWIMTrace(r io.Reader) ([]SWIMTraceJob, error) {
-	return workload.ParseTrace(r)
-}
 
 // ReadSWIMTraceFile parses the SWIM trace at the given path.
 func ReadSWIMTraceFile(path string) ([]SWIMTraceJob, error) {
@@ -581,19 +501,30 @@ func NewChaosPlan(cfg ChaosConfig) *ChaosPlan { return chaos.New(cfg) }
 // cell-err, cell-panic, cell-fails) into a ChaosConfig.
 func ParseChaosSpec(spec string) (ChaosConfig, error) { return chaos.ParseSpec(spec) }
 
-// chaosCoordConfig wires a plan's coordinator-side hooks into a coord
-// config: HTTP middleware at the "coord" site and the checkpoint-writer
-// wrapper.
-func chaosCoordConfig(cfg *coord.Config, p *ChaosPlan) {
-	if p == nil {
-		return
+// coordConfig builds the coordinator configuration both distributed
+// entry points share, wiring a chaos plan's coordinator-side hooks —
+// HTTP middleware at the "coord" site and the checkpoint-writer wrapper
+// — when one is set.
+func coordConfig(opts DistributedOptions) coord.Config {
+	cfg := coord.Config{
+		Addr:             opts.Addr,
+		LeaseCells:       opts.LeaseCells,
+		LeaseTTL:         opts.LeaseTTL,
+		MaxLeaseFailures: opts.MaxLeaseFailures,
+		Checkpoint:       opts.Checkpoint,
+		Cache:            opts.Cache,
+		OnListen:         opts.OnListen,
+		Logf:             opts.Logf,
 	}
-	cfg.Middleware = func(next http.Handler) http.Handler { return p.Middleware("coord", next) }
-	cfg.WriteCheckpoint = p.CheckpointWriter(coord.WriteFileDurable)
+	if p := opts.Chaos; p != nil {
+		cfg.Middleware = func(next http.Handler) http.Handler { return p.Middleware("coord", next) }
+		cfg.WriteCheckpoint = p.CheckpointWriter(coord.WriteFileDurable)
+	}
+	return cfg
 }
 
 // DistributedSweep serves the backend's grid as lease-based work units
-// to DistributedSweepWorker processes and blocks until every cell has
+// to RunDistributedWorker processes and blocks until every cell has
 // a result, returning the merged sweep. Leases lost to dead workers
 // are re-issued after LeaseTTL, and outstanding leases are stolen
 // (speculatively duplicated) by workers that drain the queue early, so
@@ -604,24 +535,23 @@ func chaosCoordConfig(cfg *coord.Config, p *ChaosPlan) {
 // output format. (The real-process backend's wall-clock measurements
 // remain the documented exception to determinism.)
 func DistributedSweep(ctx context.Context, b SweepBackend, opts DistributedOptions, collapse ...string) (*SweepCollapsed, error) {
-	cfg := coord.Config{
-		Addr:             opts.Addr,
-		LeaseCells:       opts.LeaseCells,
-		LeaseTTL:         opts.LeaseTTL,
-		MaxLeaseFailures: opts.MaxLeaseFailures,
-		BackendName:      b.Name(),
-		BackendFP:        coord.BackendFingerprint(b),
-		Checkpoint:       opts.Checkpoint,
-		Resume:           opts.Resume,
-		Context:          ctx,
-		OnListen:         opts.OnListen,
-		Logf:             opts.Logf,
+	g, err := b.Grid()
+	if err != nil {
+		return nil, err
 	}
-	if !sweep.IsVolatile(b) {
-		cfg.Cache = opts.Cache
+	cfg := coordConfig(opts)
+	cfg.BackendName = b.Name()
+	cfg.BackendFP = coord.BackendFingerprint(b)
+	cfg.Resume = opts.Resume
+	if sweep.IsVolatile(b) {
+		cfg.Cache = nil
 	}
-	chaosCoordConfig(&cfg, opts.Chaos)
-	return sweep.DispatchBackend(b, coord.New(cfg), opts.Seed, collapse...)
+	c := coord.New(cfg)
+	if err := c.Start(g, opts.Seed, collapse...); err != nil {
+		return nil, err
+	}
+	defer c.Drain()
+	return c.Wait(ctx)
 }
 
 // SweepStatus queries a running coordinator's GET /v1/status endpoint:
@@ -643,22 +573,10 @@ func DistributedSweepQueue(ctx context.Context, backends []SweepBackend, opts Di
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("sweep queue needs at least one backend")
 	}
-	cfg := coord.Config{
-		Addr:             opts.Addr,
-		LeaseCells:       opts.LeaseCells,
-		LeaseTTL:         opts.LeaseTTL,
-		MaxLeaseFailures: opts.MaxLeaseFailures,
-		Checkpoint:       opts.Checkpoint,
-		// Volatile backends are safe under a shared cache: their workers
-		// bypass it, so no entry ever exists for the coordinator to
-		// replay — every consult is a miss that falls through to leasing.
-		Cache:    opts.Cache,
-		Context:  ctx,
-		OnListen: opts.OnListen,
-		Logf:     opts.Logf,
-	}
-	chaosCoordConfig(&cfg, opts.Chaos)
-	c := coord.New(cfg)
+	// Volatile backends are safe under a shared cache: their workers
+	// bypass it, so no entry ever exists for the coordinator to replay —
+	// every consult is a miss that falls through to leasing.
+	c := coord.New(coordConfig(opts))
 	for _, b := range backends {
 		g, err := b.Grid()
 		if err != nil {
@@ -701,17 +619,7 @@ func DistributedSweepQueue(ctx context.Context, backends []SweepBackend, opts Di
 	return results, firstErr
 }
 
-// DistributedSweepWorker joins the coordinator at addr and executes
-// leased cell batches through a locally constructed backend until the
-// sweep completes. The backend must describe the same grid as the
-// coordinator's (verified via structure and content fingerprints at
-// join time); the coordinator's seed and collapse axes govern.
-func DistributedSweepWorker(ctx context.Context, addr string, b SweepBackend, parallel int, logf func(string, ...any)) error {
-	return RunDistributedWorker(ctx, addr, b, DistributedWorkerOptions{Parallel: parallel, Logf: logf})
-}
-
-// DistributedWorkerOptions configures one worker process beyond the
-// basics DistributedSweepWorker covers.
+// DistributedWorkerOptions configures one worker process.
 type DistributedWorkerOptions struct {
 	// Parallel bounds the worker's in-process pool per lease.
 	Parallel int
@@ -727,8 +635,12 @@ type DistributedWorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// RunDistributedWorker is DistributedSweepWorker with options — in
-// particular a worker-side chaos plan for deterministic fault drills.
+// RunDistributedWorker joins the coordinator at addr and executes
+// leased cell batches through a locally constructed backend until the
+// sweep completes. The backend must describe the same grid as the
+// coordinator's (verified via structure and content fingerprints at
+// join time); the coordinator's seed and collapse axes govern. A
+// worker-side chaos plan in opts drives deterministic fault drills.
 func RunDistributedWorker(ctx context.Context, addr string, b SweepBackend, opts DistributedWorkerOptions) error {
 	cfg := coord.WorkerConfig{
 		Addr:     addr,

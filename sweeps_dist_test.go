@@ -66,7 +66,7 @@ func TestDistributedSweepMatchesLocal(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerErrs[w] = hp.DistributedSweepWorker(context.Background(), addr, backend(), 2, nil)
+			workerErrs[w] = hp.RunDistributedWorker(context.Background(), addr, backend(), hp.DistributedWorkerOptions{Parallel: 2})
 		}(w)
 	}
 	wg.Wait()
