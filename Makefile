@@ -67,8 +67,10 @@ sweep-check:
 
 # Backend parity (mirrors the CI backend-parity job): sim backend,
 # every figure and the pressure and cluster grids byte-identical to the
-# committed 20-rep goldens, replay backend deterministic across
-# -parallel and -shard/-merge, real backend smoke run.
+# committed 20-rep goldens, the evict, primitive and scenario grids and
+# the fair/hfsp replay hashing to goldens/cluster_cells.sha256, replay
+# backend deterministic across -parallel and -shard/-merge, real
+# backend smoke run.
 backend-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	$(GO) build -o /tmp/preemptbench-ci ./cmd/preemptbench
@@ -79,6 +81,12 @@ backend-check:
 	for s in pressure cluster; do \
 		/tmp/hadoopsim-ci -sweep $$s -reps 20 -seed 1 -format csv \
 			| cmp goldens/grid_$${s}_reps20.csv - || exit 1; done
+	for s in evict primitive scenarios; do \
+		/tmp/hadoopsim-ci -sweep $$s -reps 20 -seed 1 -format csv > /tmp/cells-$$s.csv || exit 1; done
+	for s in fair hfsp; do \
+		/tmp/hadoopsim-ci -backend replay -trace-gen 250 -trace-shards 1 -replay-timescale 10 \
+			-replay-window 64 -reps 2 -seed 1 -replay-sched $$s -format csv > /tmp/cells-replay-$$s.csv || exit 1; done
+	cd /tmp && sha256sum -c $(CURDIR)/goldens/cluster_cells.sha256
 	/tmp/hadoopsim-ci -backend replay -trace goldens/swim_sample.tsv \
 		-reps 3 -seed 1 -parallel 1 -format csv > /tmp/replay-p1.csv
 	/tmp/hadoopsim-ci -backend replay -trace goldens/swim_sample.tsv \

@@ -721,19 +721,11 @@ func run(path string, nodes, slots int, seed uint64, deadline time.Duration, wid
 		"job", "state", "sojourn", "wasted-cpu", "susp", "attempts", "swap-out")
 	for _, name := range names {
 		job := runner.Jobs()[name]
-		var susp, attempts int
-		var wasted time.Duration
-		var swapOut int64
-		for _, t := range job.Tasks() {
-			susp += t.Suspensions()
-			attempts += t.Attempts()
-			wasted += t.WastedWork()
-			swapOut += t.SwapOutBytes()
-		}
+		tot := job.Totals()
 		fmt.Printf("%-12s %-10s %9.1fs %11.1fs %8d %10d %11dM\n",
 			name, job.State(),
 			(job.CompletedAt() - job.SubmittedAt()).Seconds(),
-			wasted.Seconds(), susp, attempts, swapOut>>20)
+			tot.WastedWork.Seconds(), tot.Suspensions, tot.Attempts, tot.SwapOut>>20)
 	}
 	return nil
 }

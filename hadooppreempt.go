@@ -28,9 +28,7 @@ import (
 	"math"
 	"time"
 
-	"hadooppreempt/internal/advisor"
 	"hadooppreempt/internal/core"
-	"hadooppreempt/internal/disk"
 	"hadooppreempt/internal/experiments"
 	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/scheduler"
@@ -112,17 +110,21 @@ type Options struct {
 // Cluster is a simulated Hadoop cluster with a preemption-capable
 // scheduler installed.
 type Cluster struct {
-	inner     *mapreduce.Cluster
-	preemptor *core.Preemptor
-	kind      SchedulerKind
-	dummy     *scheduler.Dummy
-	fair      *scheduler.Fair
-	hfsp      *scheduler.HFSP
-	rec       *trace.Recorder
-	byName    map[string]*mapreduce.Job
+	inner  *mapreduce.Cluster
+	sched  *scheduler.Installation
+	rec    *trace.Recorder
+	byName map[string]*mapreduce.Job
 	// planned counts submissions issued or scheduled, so
 	// RunUntilJobsDone does not stop before deferred submissions land.
 	planned int
+}
+
+// schedulerNames maps each kind to its scheduler.Install name.
+var schedulerNames = map[SchedulerKind]string{
+	SchedulerPriority: "priority",
+	SchedulerFIFO:     "fifo",
+	SchedulerFair:     "fair",
+	SchedulerHFSP:     "hfsp",
 }
 
 // New builds a cluster per the options.
@@ -139,11 +141,12 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Primitive == 0 {
 		opts.Primitive = Suspend
 	}
-	if opts.EvictionPolicy == "" {
-		opts.EvictionPolicy = "most-progress"
-	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
+	}
+	name, ok := schedulerNames[opts.Scheduler]
+	if !ok {
+		return nil, fmt.Errorf("hadooppreempt: unknown scheduler kind %d", opts.Scheduler)
 	}
 	ccfg := mapreduce.DefaultClusterConfig()
 	ccfg.Nodes = opts.Nodes
@@ -159,72 +162,16 @@ func New(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{
+	sched, err := scheduler.Install(inner, name, opts.Primitive, opts.EvictionPolicy, opts.PreemptionTimeout)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{
 		inner:  inner,
-		kind:   opts.Scheduler,
-		rec:    &trace.Recorder{},
+		sched:  sched,
+		rec:    trace.Listen(inner.JobTracker()),
 		byName: make(map[string]*mapreduce.Job),
-	}
-	jt := inner.JobTracker()
-	deviceFor := func(tracker string) *disk.Device {
-		for _, n := range inner.Nodes() {
-			if n.Tracker.Name() == tracker {
-				return n.Device
-			}
-		}
-		return nil
-	}
-	c.preemptor, err = core.NewPreemptor(inner.Engine(), jt, opts.Primitive, deviceFor, core.CheckpointConfig{})
-	if err != nil {
-		return nil, err
-	}
-	policy, err := advisor.PolicyByName(opts.EvictionPolicy)
-	if err != nil {
-		return nil, err
-	}
-	adv, err := advisor.New(advisor.Config{Policy: policy, Primitive: opts.Primitive})
-	if err != nil {
-		return nil, err
-	}
-	resident := func(id mapreduce.TaskID) int64 {
-		if t, ok := jt.Task(id); ok {
-			return t.ResidentBytes()
-		}
-		return 0
-	}
-	switch opts.Scheduler {
-	case SchedulerPriority:
-		c.dummy = scheduler.NewDummy(jt)
-		jt.SetScheduler(c.dummy)
-	case SchedulerFIFO:
-		jt.SetScheduler(scheduler.NewFIFO(jt))
-	case SchedulerFair:
-		fcfg := scheduler.DefaultFairConfig(opts.Nodes * opts.MapSlotsPerNode)
-		fcfg.Resident = resident
-		if opts.PreemptionTimeout > 0 {
-			fcfg.PreemptionTimeout = opts.PreemptionTimeout
-		}
-		c.fair, err = scheduler.NewFair(inner.Engine(), jt, c.preemptor, adv, fcfg)
-		if err != nil {
-			return nil, err
-		}
-		jt.SetScheduler(c.fair)
-	case SchedulerHFSP:
-		hcfg := scheduler.DefaultHFSPConfig()
-		hcfg.Resident = resident
-		if opts.PreemptionTimeout > 0 {
-			hcfg.PreemptionDelay = opts.PreemptionTimeout
-		}
-		c.hfsp, err = scheduler.NewHFSP(inner.Engine(), jt, c.preemptor, adv, hcfg)
-		if err != nil {
-			return nil, err
-		}
-		jt.SetScheduler(c.hfsp)
-	default:
-		return nil, fmt.Errorf("hadooppreempt: unknown scheduler kind %d", opts.Scheduler)
-	}
-	jt.AddListener(&facadeTraceListener{rec: c.rec})
-	return c, nil
+	}, nil
 }
 
 // CreateInput stores a synthetic input file of the given size.
@@ -307,7 +254,7 @@ func (c *Cluster) PreemptJob(name string) error {
 	}
 	for _, t := range job.MapTasks() {
 		if t.State() == mapreduce.TaskRunning {
-			if _, err := c.preemptor.Preempt(t.ID()); err != nil {
+			if _, err := c.sched.Preemptor.Preempt(t.ID()); err != nil {
 				return err
 			}
 		}
@@ -364,7 +311,7 @@ func (c *Cluster) RestoreJob(name string) error {
 	}
 	for _, t := range job.MapTasks() {
 		if t.State() == mapreduce.TaskSuspended {
-			if err := c.preemptor.Restore(t.ID()); err != nil {
+			if err := c.sched.Preemptor.Restore(t.ID()); err != nil {
 				return err
 			}
 		}
@@ -375,10 +322,10 @@ func (c *Cluster) RestoreJob(name string) error {
 // OnJobProgress registers fn to run once when the named job reaches the
 // progress threshold. Only available with SchedulerPriority.
 func (c *Cluster) OnJobProgress(job string, threshold float64, fn func()) error {
-	if c.dummy == nil {
+	if c.sched.Dummy == nil {
 		return fmt.Errorf("hadooppreempt: triggers need SchedulerPriority")
 	}
-	c.dummy.AddTrigger(scheduler.Trigger{
+	c.sched.Dummy.AddTrigger(scheduler.Trigger{
 		Event: scheduler.OnProgress, Job: job, Threshold: threshold, Do: fn,
 	})
 	return nil
@@ -387,10 +334,10 @@ func (c *Cluster) OnJobProgress(job string, threshold float64, fn func()) error 
 // OnJobComplete registers fn to run once when the named job succeeds.
 // Only available with SchedulerPriority.
 func (c *Cluster) OnJobComplete(job string, fn func()) error {
-	if c.dummy == nil {
+	if c.sched.Dummy == nil {
 		return fmt.Errorf("hadooppreempt: triggers need SchedulerPriority")
 	}
-	c.dummy.AddTrigger(scheduler.Trigger{
+	c.sched.Dummy.AddTrigger(scheduler.Trigger{
 		Event: scheduler.OnComplete, Job: job, Do: fn,
 	})
 	return nil
@@ -401,27 +348,11 @@ func (c *Cluster) Gantt(width int) string { return c.rec.Gantt(width) }
 
 // Preemptions reports how many preemptions the scheduler issued (Fair
 // and HFSP; zero for the others).
-func (c *Cluster) Preemptions() int {
-	switch {
-	case c.fair != nil:
-		return c.fair.Preemptions()
-	case c.hfsp != nil:
-		return c.hfsp.Preemptions()
-	}
-	return 0
-}
+func (c *Cluster) Preemptions() int { return c.sched.Preemptions() }
 
 // Resumes reports how many suspended-task restores the scheduler issued
 // (Fair and HFSP; zero for the others).
-func (c *Cluster) Resumes() int {
-	switch {
-	case c.fair != nil:
-		return c.fair.Resumes()
-	case c.hfsp != nil:
-		return c.hfsp.Resumes()
-	}
-	return 0
-}
+func (c *Cluster) Resumes() int { return c.sched.Resumes() }
 
 // JobStats summarizes one job's outcome.
 type JobStats struct {
@@ -441,46 +372,20 @@ func (c *Cluster) Stats(name string) (JobStats, error) {
 	if !ok {
 		return JobStats{}, fmt.Errorf("hadooppreempt: unknown job %q", name)
 	}
+	tot := job.Totals()
 	st := JobStats{
-		Name:  name,
-		State: job.State().String(),
+		Name:        name,
+		State:       job.State().String(),
+		Suspensions: tot.Suspensions,
+		Attempts:    tot.Attempts,
+		WastedWork:  tot.WastedWork,
+		SwapOut:     tot.SwapOut,
+		SwapIn:      tot.SwapIn,
 	}
 	if job.CompletedAt() > 0 {
 		st.Sojourn = job.CompletedAt() - job.SubmittedAt()
 	}
-	for _, t := range job.Tasks() {
-		st.Suspensions += t.Suspensions()
-		st.Attempts += t.Attempts()
-		st.WastedWork += t.WastedWork()
-		st.SwapOut += t.SwapOutBytes()
-		st.SwapIn += t.SwapInBytes()
-	}
 	return st, nil
-}
-
-// facadeTraceListener records job-level spans for Gantt.
-type facadeTraceListener struct {
-	mapreduce.NopListener
-	rec *trace.Recorder
-}
-
-func (l *facadeTraceListener) TaskStateChanged(t *mapreduce.Task, from, to mapreduce.TaskState, at time.Duration) {
-	row := t.Job().Name()
-	if len(t.Job().MapTasks()) > 1 {
-		row = t.ID().String()
-	}
-	switch to {
-	case mapreduce.TaskRunning:
-		l.rec.Begin(row, trace.SpanRunning, at)
-	case mapreduce.TaskSuspended:
-		l.rec.Begin(row, trace.SpanSuspended, at)
-	case mapreduce.TaskSucceeded, mapreduce.TaskFailed:
-		l.rec.End(row, at)
-	case mapreduce.TaskPending:
-		if from.Live() || from == mapreduce.TaskKilled {
-			l.rec.Begin(row, trace.SpanWaiting, at)
-		}
-	}
 }
 
 // --- Experiment re-exports -------------------------------------------

@@ -35,56 +35,69 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeManualPreemption(t *testing.T) {
-	cluster, err := hp.New(hp.Options{Primitive: hp.Suspend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster.CreateInput("/lo", 512<<20)
-	cluster.CreateInput("/hi", 512<<20)
-	if _, err := cluster.Submit(hp.JobConfig{
-		Name: "lo", InputPath: "/lo", MapParseRate: 6.5e6,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err = cluster.OnJobProgress("lo", 0.5, func() {
-		if _, err := cluster.Submit(hp.JobConfig{
-			Name: "hi", InputPath: "/hi", Priority: 10, MapParseRate: 6.5e6,
-		}); err != nil {
-			t.Errorf("submit hi: %v", err)
-		}
-		if err := cluster.PreemptJob("lo"); err != nil {
-			t.Errorf("preempt lo: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.OnJobComplete("hi", func() {
-		if err := cluster.RestoreJob("lo"); err != nil {
-			t.Errorf("restore lo: %v", err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !cluster.RunUntilJobsDone(2 * time.Hour) {
-		t.Fatal("jobs did not finish")
-	}
-	lo, _ := cluster.Stats("lo")
-	hi, _ := cluster.Stats("hi")
-	if lo.Suspensions != 1 {
-		t.Fatalf("lo suspensions = %d, want 1", lo.Suspensions)
-	}
-	loJob, _ := cluster.Job("lo")
-	hiJob, _ := cluster.Job("hi")
-	if hiJob.CompletedAt() >= loJob.CompletedAt() {
-		t.Fatal("hi should complete before resumed lo")
-	}
-	if hi.State != "SUCCEEDED" {
-		t.Fatalf("hi state = %s", hi.State)
-	}
-	gantt := cluster.Gantt(60)
-	if !strings.Contains(gantt, "=") {
-		t.Fatalf("gantt should show suspension:\n%s", gantt)
+	for _, tc := range []struct {
+		prim hp.Primitive
+		// suspensions and attempts are lo's; gantt must appear in the
+		// chart: the suspension, or the cleanup row a kill leaves.
+		suspensions, attempts int
+		gantt                 string
+	}{
+		{hp.Suspend, 1, 1, "="},
+		{hp.Kill, 0, 2, "cleanup |"},
+	} {
+		t.Run(tc.prim.String(), func(t *testing.T) {
+			cluster, err := hp.New(hp.Options{Primitive: tc.prim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cluster.CreateInput("/lo", 512<<20)
+			cluster.CreateInput("/hi", 512<<20)
+			if _, err := cluster.Submit(hp.JobConfig{
+				Name: "lo", InputPath: "/lo", MapParseRate: 6.5e6,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			err = cluster.OnJobProgress("lo", 0.5, func() {
+				if _, err := cluster.Submit(hp.JobConfig{
+					Name: "hi", InputPath: "/hi", Priority: 10, MapParseRate: 6.5e6,
+				}); err != nil {
+					t.Errorf("submit hi: %v", err)
+				}
+				if err := cluster.PreemptJob("lo"); err != nil {
+					t.Errorf("preempt lo: %v", err)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cluster.OnJobComplete("hi", func() {
+				if err := cluster.RestoreJob("lo"); err != nil {
+					t.Errorf("restore lo: %v", err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !cluster.RunUntilJobsDone(2 * time.Hour) {
+				t.Fatal("jobs did not finish")
+			}
+			lo, _ := cluster.Stats("lo")
+			hi, _ := cluster.Stats("hi")
+			if lo.Suspensions != tc.suspensions || lo.Attempts != tc.attempts {
+				t.Fatalf("lo suspensions/attempts = %d/%d, want %d/%d",
+					lo.Suspensions, lo.Attempts, tc.suspensions, tc.attempts)
+			}
+			loJob, _ := cluster.Job("lo")
+			hiJob, _ := cluster.Job("hi")
+			if hiJob.CompletedAt() >= loJob.CompletedAt() {
+				t.Fatal("hi should complete before preempted lo")
+			}
+			if hi.State != "SUCCEEDED" {
+				t.Fatalf("hi state = %s", hi.State)
+			}
+			if gantt := cluster.Gantt(60); !strings.Contains(gantt, tc.gantt) {
+				t.Fatalf("gantt should contain %q:\n%s", tc.gantt, gantt)
+			}
+		})
 	}
 }
 

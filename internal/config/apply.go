@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"hadooppreempt/internal/core"
-	"hadooppreempt/internal/disk"
 	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/scheduler"
 	"hadooppreempt/internal/trace"
@@ -13,47 +11,33 @@ import (
 
 // Runner executes a parsed experiment on a cluster.
 type Runner struct {
-	exp       *Experiment
-	cluster   *mapreduce.Cluster
-	dummy     *scheduler.Dummy
-	preemptor *core.Preemptor
-	jobs      map[string]*mapreduce.Job
-	rec       *trace.Recorder
+	exp     *Experiment
+	cluster *mapreduce.Cluster
+	sched   *scheduler.Installation
+	jobs    map[string]*mapreduce.Job
+	rec     *trace.Recorder
 }
 
-// NewRunner wires the experiment onto the cluster: inputs are created,
-// the dummy scheduler installed, the primitive prepared, and rules
-// translated into triggers.
+// NewRunner wires the experiment onto the cluster: the dummy scheduler
+// and the primitive are installed, the schedule recorder subscribed,
+// inputs created, and rules translated into triggers.
 func NewRunner(exp *Experiment, cluster *mapreduce.Cluster) (*Runner, error) {
-	jt := cluster.JobTracker()
-	dummy := scheduler.NewDummy(jt)
-	jt.SetScheduler(dummy)
-	deviceFor := func(tracker string) *disk.Device {
-		for _, n := range cluster.Nodes() {
-			if n.Tracker.Name() == tracker {
-				return n.Device
-			}
-		}
-		return nil
-	}
-	preemptor, err := core.NewPreemptor(cluster.Engine(), jt, exp.Primitive, deviceFor, core.CheckpointConfig{})
+	sched, err := scheduler.Install(cluster, "priority", exp.Primitive, "", 0)
 	if err != nil {
 		return nil, err
+	}
+	r := &Runner{
+		exp:     exp,
+		cluster: cluster,
+		sched:   sched,
+		jobs:    make(map[string]*mapreduce.Job),
+		rec:     trace.Listen(cluster.JobTracker()),
 	}
 	for _, in := range exp.Inputs {
 		if err := cluster.CreateInput(in.Path, in.Size); err != nil {
 			return nil, err
 		}
 	}
-	r := &Runner{
-		exp:       exp,
-		cluster:   cluster,
-		dummy:     dummy,
-		preemptor: preemptor,
-		jobs:      make(map[string]*mapreduce.Job),
-		rec:       &trace.Recorder{},
-	}
-	jt.AddListener(&ganttListener{rec: r.rec})
 	for _, rule := range exp.Rules {
 		rule := rule
 		trig := scheduler.Trigger{
@@ -71,7 +55,7 @@ func NewRunner(exp *Experiment, cluster *mapreduce.Cluster) (*Runner, error) {
 		default:
 			return nil, fmt.Errorf("config: unknown event %q", rule.Event)
 		}
-		dummy.AddTrigger(trig)
+		r.sched.Dummy.AddTrigger(trig)
 	}
 	return r, nil
 }
@@ -122,7 +106,7 @@ func (r *Runner) applyAction(rule Rule) {
 		if !ok {
 			return
 		}
-		if _, err := r.preemptor.Preempt(task); err != nil {
+		if _, err := r.sched.Preemptor.Preempt(task); err != nil {
 			panic(fmt.Sprintf("config: preempt %s: %v", rule.ActionJob, err))
 		}
 	case ActionRestore:
@@ -130,7 +114,7 @@ func (r *Runner) applyAction(rule Rule) {
 		if !ok {
 			return
 		}
-		if err := r.preemptor.Restore(task); err != nil {
+		if err := r.sched.Preemptor.Restore(task); err != nil {
 			panic(fmt.Sprintf("config: restore %s: %v", rule.ActionJob, err))
 		}
 	}
@@ -146,31 +130,4 @@ func (r *Runner) firstMapTask(job string) (mapreduce.TaskID, bool) {
 		return mapreduce.TaskID{}, false
 	}
 	return maps[0].ID(), true
-}
-
-// ganttListener mirrors the experiments trace listener for config-driven
-// runs.
-type ganttListener struct {
-	mapreduce.NopListener
-	rec *trace.Recorder
-}
-
-func (l *ganttListener) TaskStateChanged(t *mapreduce.Task, from, to mapreduce.TaskState, at time.Duration) {
-	row := t.Job().Name()
-	switch to {
-	case mapreduce.TaskRunning:
-		l.rec.Begin(row, trace.SpanRunning, at)
-	case mapreduce.TaskSuspended:
-		l.rec.Begin(row, trace.SpanSuspended, at)
-	case mapreduce.TaskSucceeded, mapreduce.TaskFailed:
-		l.rec.End(row, at)
-	case mapreduce.TaskPending:
-		if from.Live() || from == mapreduce.TaskKilled {
-			l.rec.Begin(row, trace.SpanWaiting, at)
-		}
-	}
-}
-
-func (l *ganttListener) CleanupSpan(task mapreduce.TaskID, tracker string, start, end time.Duration) {
-	l.rec.Add(trace.Span{Row: "cleanup", Kind: trace.SpanCleanup, Start: start, End: end})
 }

@@ -7,6 +7,7 @@ import (
 
 	"hadooppreempt/internal/core"
 	"hadooppreempt/internal/mapreduce"
+	"hadooppreempt/internal/trace"
 )
 
 const sampleConfig = `
@@ -162,5 +163,45 @@ func TestRunnerKillPrimitive(t *testing.T) {
 	tl := runner.Jobs()["tl"]
 	if tl.MapTasks()[0].Attempts() != 2 {
 		t.Fatalf("tl attempts = %d, want 2 under kill", tl.MapTasks()[0].Attempts())
+	}
+}
+
+// TestRunnerGanttRowPerMapTask runs a two-block tl on two slots: each of
+// its map tasks gets its own Gantt row, so the second map's running span
+// is not overwritten by the first's.
+func TestRunnerGanttRowPerMapTask(t *testing.T) {
+	text := strings.Replace(sampleConfig, "input /input/tl 512M", "input /input/tl 1G", 1)
+	exp, err := Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mapreduce.DefaultClusterConfig()
+	cfg.Node.MapSlots = 2
+	cluster, err := mapreduce.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	runner, err := NewRunner(exp, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runner.Run(2 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	maps := runner.Jobs()["tl"].MapTasks()
+	if len(maps) != 2 {
+		t.Fatalf("tl has %d map tasks, want 2", len(maps))
+	}
+	running := make(map[string]bool)
+	for _, s := range runner.Trace().Spans() {
+		if s.Kind == trace.SpanRunning {
+			running[s.Row] = true
+		}
+	}
+	for _, m := range maps {
+		if !running[m.IDString()] {
+			t.Errorf("no running span on row %s:\n%s", m.IDString(), runner.Trace().Gantt(60))
+		}
 	}
 }

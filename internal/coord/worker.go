@@ -134,18 +134,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	// schedule replays the same waits.
 	w.jitter = sim.NewRNG(id.Seed).Stream("backoff/" + id.Worker)
 	// Bind the cell cache to the identity just proven at join — the
-	// same fingerprints the coordinator verified, so a cached entry can
-	// only ever answer the exact sweep it was recorded under. The seed
-	// comes from the coordinator, so the binding waits until here.
-	var sc *sweep.SweepCache
-	if cfg.Cache != nil {
-		if sweep.IsVolatile(cfg.Backend) {
-			sc = cfg.Cache.BypassSweep()
-		} else {
-			sc = cfg.Cache.Sweep(join.Backend, join.BackendFP, g, id.Seed)
-		}
-	}
-	runCell := sc.WrapCell(cfg.Backend.Cell)
+	// backend name and fingerprints the coordinator verified, so a cached
+	// entry can only ever answer the exact sweep it was recorded under.
+	// The seed comes from the coordinator, so the binding waits until
+	// here.
+	runCell := cfg.Cache.ForBackend(cfg.Backend, g, id.Seed).WrapCell(cfg.Backend.Cell)
 	attempts := 0
 	for {
 		var lr leaseResponse

@@ -74,19 +74,12 @@ func ParsePrimitive(s string) (Primitive, error) {
 // Primitives lists the three primitives of the paper's main comparison.
 func Primitives() []Primitive { return []Primitive{Wait, Kill, Suspend} }
 
-// CheckpointConfig parameterizes the Checkpoint primitive.
-type CheckpointConfig struct {
-	// StateBytes estimates the serialized task state for a job; nil uses
-	// DefaultStateBytes.
-	StateBytes func(conf mapreduce.JobConf) int64
-}
-
-// DefaultStateBytes estimates checkpoint volume as the task's full
-// in-memory state: the application-level approach must serialize the heap
-// (user state plus engine buffers), which is exactly the systematic cost
-// §II contrasts with OS-assisted suspension. The OS instead pages out
-// only what memory pressure demands — often nothing.
-func DefaultStateBytes(conf mapreduce.JobConf) int64 {
+// stateBytes estimates checkpoint volume as the task's full in-memory
+// state: the application-level approach must serialize the heap (user
+// state plus engine buffers), which is exactly the systematic cost §II
+// contrasts with OS-assisted suspension. The OS instead pages out only
+// what memory pressure demands — often nothing.
+func stateBytes(conf mapreduce.JobConf) int64 {
 	return conf.ExtraMemoryBytes + conf.JVMBaseBytes
 }
 
@@ -94,44 +87,41 @@ func DefaultStateBytes(conf mapreduce.JobConf) int64 {
 // the programmatic face of the paper's new API ("can be used both by
 // users on the command line and by schedulers").
 type Preemptor struct {
-	eng  *sim.Engine
-	jt   *mapreduce.JobTracker
-	prim Primitive
-	ckpt CheckpointConfig
-
-	// deviceFor resolves the disk device of the node a task runs on, for
-	// checkpoint traffic. Set by NewPreemptor.
-	deviceFor func(tracker string) *disk.Device
+	cluster *mapreduce.Cluster
+	eng     *sim.Engine
+	jt      *mapreduce.JobTracker
+	prim    Primitive
 
 	// pendingRestore holds deserialize deadlines for checkpointed tasks.
 	pendingRestore map[mapreduce.TaskID]bool
 }
 
-// NewPreemptor builds a preemptor for the given primitive. deviceFor maps
-// a TaskTracker name to its node's disk device and is only consulted by
-// the Checkpoint primitive; it may be nil for the other primitives.
-func NewPreemptor(eng *sim.Engine, jt *mapreduce.JobTracker, prim Primitive,
-	deviceFor func(tracker string) *disk.Device, ckpt CheckpointConfig) (*Preemptor, error) {
+// NewPreemptor builds a preemptor for the given primitive on the
+// cluster. The Checkpoint primitive writes a task's state to the disk of
+// the node the task runs on.
+func NewPreemptor(c *mapreduce.Cluster, prim Primitive) (*Preemptor, error) {
 	switch prim {
-	case Wait, Kill, Suspend:
-	case Checkpoint:
-		if deviceFor == nil {
-			return nil, fmt.Errorf("core: checkpoint primitive needs a device resolver")
-		}
+	case Wait, Kill, Suspend, Checkpoint:
 	default:
 		return nil, fmt.Errorf("core: unknown primitive %d", int(prim))
 	}
-	if ckpt.StateBytes == nil {
-		ckpt.StateBytes = DefaultStateBytes
-	}
 	return &Preemptor{
-		eng:            eng,
-		jt:             jt,
+		cluster:        c,
+		eng:            c.Engine(),
+		jt:             c.JobTracker(),
 		prim:           prim,
-		ckpt:           ckpt,
-		deviceFor:      deviceFor,
 		pendingRestore: make(map[mapreduce.TaskID]bool),
 	}, nil
+}
+
+// device returns the disk of the node whose TaskTracker is named tracker.
+func (p *Preemptor) device(tracker string) (*disk.Device, error) {
+	for i := 0; i < p.cluster.NumNodes(); i++ {
+		if n := p.cluster.Node(i); n.Tracker.Name() == tracker {
+			return n.Device, nil
+		}
+	}
+	return nil, fmt.Errorf("core: no device for tracker %q", tracker)
 }
 
 // Primitive returns the configured primitive.
@@ -160,11 +150,11 @@ func (p *Preemptor) Preempt(victim mapreduce.TaskID) (time.Duration, error) {
 		// complete before the suspension takes effect, so the slot frees
 		// only afterwards — the systematic overhead §II contrasts with
 		// the OS-assisted approach.
-		dev := p.deviceFor(task.Tracker())
-		if dev == nil {
-			return 0, fmt.Errorf("core: no device for tracker %q", task.Tracker())
+		dev, err := p.device(task.Tracker())
+		if err != nil {
+			return 0, err
 		}
-		bytes := p.ckpt.StateBytes(task.Job().Conf())
+		bytes := stateBytes(task.Job().Conf())
 		done := dev.Submit(disk.Write, bytes, disk.NoStream)
 		wait := done - p.eng.Now()
 		if wait < 0 {
@@ -206,11 +196,11 @@ func (p *Preemptor) Restore(victim mapreduce.TaskID) error {
 			// Completed during serialization; nothing to restore.
 			return nil
 		}
-		dev := p.deviceFor(task.Tracker())
-		if dev == nil {
-			return fmt.Errorf("core: no device for tracker %q", task.Tracker())
+		dev, err := p.device(task.Tracker())
+		if err != nil {
+			return err
 		}
-		bytes := p.ckpt.StateBytes(task.Job().Conf())
+		bytes := stateBytes(task.Job().Conf())
 		done := dev.Submit(disk.Read, bytes, disk.NoStream)
 		wait := done - p.eng.Now()
 		if wait < 0 {

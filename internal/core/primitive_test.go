@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"hadooppreempt/internal/core"
 	"hadooppreempt/internal/experiments"
+	"hadooppreempt/internal/mapreduce"
+	"hadooppreempt/internal/scheduler"
 )
 
 // The primitive behaviour tests drive the full engine through the paper's
@@ -113,11 +116,58 @@ func TestSuspendPagesOutOnlyUnderPressure(t *testing.T) {
 }
 
 func TestNewPreemptorValidation(t *testing.T) {
-	if _, err := core.NewPreemptor(nil, nil, core.Primitive(99), nil, core.CheckpointConfig{}); err == nil {
+	if _, err := core.NewPreemptor(nil, core.Primitive(99)); err == nil {
 		t.Fatal("unknown primitive should fail")
 	}
-	if _, err := core.NewPreemptor(nil, nil, core.Checkpoint, nil, core.CheckpointConfig{}); err == nil {
-		t.Fatal("checkpoint without device resolver should fail")
+}
+
+// TestCheckpointWritesToTaskNode preempts a task running on node02 of a
+// two-node cluster and checks its state is serialized to node02's disk.
+func TestCheckpointWritesToTaskNode(t *testing.T) {
+	cfg := mapreduce.DefaultClusterConfig()
+	cfg.Nodes = 2
+	c, err := mapreduce.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	in, err := scheduler.Install(c, "fifo", core.Checkpoint, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two single-map jobs fill the one slot of each node.
+	jt := c.JobTracker()
+	for _, name := range []string{"a", "b"} {
+		if err := c.CreateInput("/"+name, 256<<20); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := jt.Submit(mapreduce.JobConf{
+			Name: name, InputPath: "/" + name, MapParseRate: 8e6,
+			JVMBaseBytes: 64 << 20, ExtraMemoryBytes: 32 << 20,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunUntil(10 * time.Second)
+	var victim *mapreduce.Task
+	for _, j := range jt.Jobs() {
+		if task := j.TaskAt(0); task.State() == mapreduce.TaskRunning && task.Tracker() == "tracker_node02" {
+			victim = task
+		}
+	}
+	if victim == nil {
+		t.Fatal("no task running on node02")
+	}
+	node01, node02 := c.Node(0).Device, c.Node(1).Device
+	before01, before02 := node01.Stats().BytesWritten, node02.Stats().BytesWritten
+	if _, err := in.Preemptor.Preempt(victim.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := node02.Stats().BytesWritten-before02, int64(96<<20); got != want {
+		t.Fatalf("node02 disk wrote %d bytes for the checkpoint, want %d", got, want)
+	}
+	if got := node01.Stats().BytesWritten - before01; got != 0 {
+		t.Fatalf("node01 disk wrote %d bytes for a node02 checkpoint", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hadooppreempt/internal/core"
-	"hadooppreempt/internal/disk"
 	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/scheduler"
 	"hadooppreempt/internal/sweep"
@@ -73,23 +72,13 @@ func RunCycles(p CycleParams) (*CycleResult, error) {
 		return nil, err
 	}
 	defer cluster.Close()
-	eng := cluster.Engine()
-	jt := cluster.JobTracker()
-	dummy := scheduler.NewDummy(jt)
-	defer dummy.Release()
-	jt.SetScheduler(dummy)
-	deviceFor := func(tracker string) *disk.Device {
-		for _, n := range cluster.Nodes() {
-			if n.Tracker.Name() == tracker {
-				return n.Device
-			}
-		}
-		return nil
-	}
-	preemptor, err := core.NewPreemptor(eng, jt, core.Suspend, deviceFor, core.CheckpointConfig{})
+	in, err := scheduler.Install(cluster, "priority", core.Suspend, "", 0)
 	if err != nil {
 		return nil, err
 	}
+	defer in.Dummy.Release()
+	eng := cluster.Engine()
+	jt := cluster.JobTracker()
 
 	if err := cluster.CreateInput("/cycles/tl", 512<<20); err != nil {
 		return nil, err
@@ -135,7 +124,7 @@ func RunCycles(p CycleParams) (*CycleResult, error) {
 			MapParseRate:     6.5e6, // ~10 s high-priority job
 			ExtraMemoryBytes: p.THExtraMemory,
 		}
-		dummy.AddTrigger(scheduler.Trigger{
+		in.Dummy.AddTrigger(scheduler.Trigger{
 			Event: scheduler.OnProgress, Job: "tl", Threshold: threshold,
 			Do: func() {
 				if _, err := jt.Submit(conf); err != nil {
@@ -144,14 +133,14 @@ func RunCycles(p CycleParams) (*CycleResult, error) {
 				// A coarse progress report can cross two thresholds at
 				// once; overlapping cycles collapse into one suspension,
 				// so a failed (redundant) preempt is fine.
-				_, _ = preemptor.Preempt(tlTask)
+				_, _ = in.Preemptor.Preempt(tlTask)
 			},
 		})
-		dummy.AddTrigger(scheduler.Trigger{
+		in.Dummy.AddTrigger(scheduler.Trigger{
 			Event: scheduler.OnComplete, Job: name,
 			Do: func() {
 				// Redundant restores (collapsed cycles) are fine too.
-				_ = preemptor.Restore(tlTask)
+				_ = in.Preemptor.Restore(tlTask)
 			},
 		})
 	}

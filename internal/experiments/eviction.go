@@ -6,7 +6,6 @@ import (
 
 	"hadooppreempt/internal/advisor"
 	"hadooppreempt/internal/core"
-	"hadooppreempt/internal/disk"
 	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/scheduler"
 	"hadooppreempt/internal/sweep"
@@ -34,16 +33,6 @@ type EvictionResult struct {
 // footprint should minimize paging overhead (the paper's reading of its
 // Figure 4).
 func RunEvictionComparison(policyName string, seed uint64) (*EvictionResult, error) {
-	policy, err := advisor.PolicyByName(policyName)
-	if err != nil {
-		return nil, err
-	}
-	// The scenario always suspends, so the advisor's primitive is forced;
-	// only its victim choice varies with the policy under test.
-	adv, err := advisor.New(advisor.Config{Policy: policy, Primitive: core.Suspend})
-	if err != nil {
-		return nil, err
-	}
 	ccfg := mapreduce.DefaultClusterConfig()
 	ccfg.Node.MapSlots = 2
 	ccfg.Seed = seed
@@ -52,23 +41,14 @@ func RunEvictionComparison(policyName string, seed uint64) (*EvictionResult, err
 		return nil, err
 	}
 	defer cluster.Close()
-	eng := cluster.Engine()
-	jt := cluster.JobTracker()
-	dummy := scheduler.NewDummy(jt)
-	defer dummy.Release()
-	jt.SetScheduler(dummy)
-	deviceFor := func(tracker string) *disk.Device {
-		for _, n := range cluster.Nodes() {
-			if n.Tracker.Name() == tracker {
-				return n.Device
-			}
-		}
-		return nil
-	}
-	preemptor, err := core.NewPreemptor(eng, jt, core.Suspend, deviceFor, core.CheckpointConfig{})
+	// The scenario always suspends, so the advisor's primitive is forced;
+	// only its victim choice varies with the policy under test.
+	in, err := scheduler.Install(cluster, "priority", core.Suspend, policyName, 0)
 	if err != nil {
 		return nil, err
 	}
+	defer in.Dummy.Release()
+	jt := cluster.JobTracker()
 
 	for _, path := range []string{"/ev/light", "/ev/heavy", "/ev/th"} {
 		if err := cluster.CreateInput(path, 512<<20); err != nil {
@@ -95,7 +75,7 @@ func RunEvictionComparison(policyName string, seed uint64) (*EvictionResult, err
 
 	var victim *mapreduce.Task
 	var thJob *mapreduce.Job
-	dummy.AddTrigger(scheduler.Trigger{
+	in.Dummy.AddTrigger(scheduler.Trigger{
 		Event: scheduler.OnProgress, Job: "light", Threshold: 0.5,
 		Do: func() {
 			j, err := jt.Submit(thConf)
@@ -121,20 +101,20 @@ func RunEvictionComparison(policyName string, seed uint64) (*EvictionResult, err
 					tasks = append(tasks, task)
 				}
 			}
-			d := adv.Decide(advisor.Request{Candidates: candidates})
+			d := in.Advisor.Decide(advisor.Request{Candidates: candidates})
 			if d.Victim == advisor.NoVictim {
 				panic("experiments: no eviction candidate")
 			}
 			victim = tasks[d.Victim]
-			if _, err := preemptor.Preempt(victim.ID()); err != nil {
+			if _, err := in.Preemptor.Preempt(victim.ID()); err != nil {
 				panic(fmt.Sprintf("experiments: preempt victim: %v", err))
 			}
 		},
 	})
-	dummy.AddTrigger(scheduler.Trigger{
+	in.Dummy.AddTrigger(scheduler.Trigger{
 		Event: scheduler.OnComplete, Job: "th",
 		Do: func() {
-			if err := preemptor.Restore(victim.ID()); err != nil {
+			if err := in.Preemptor.Restore(victim.ID()); err != nil {
 				panic(fmt.Sprintf("experiments: restore victim: %v", err))
 			}
 		},

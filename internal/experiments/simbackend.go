@@ -37,8 +37,9 @@ func PressureCellInto(pt sweep.Point, rec *sweep.Recorder) error {
 // pre-backend harness at any parallelism level.
 //
 // Scenarios: "twojob" (primitive x preemption point) and "pressure"
-// (primitive x th memory x preemption point). The cluster-scale
-// scenarios need facade wiring and are assembled there.
+// (primitive x th memory x preemption point). The cluster-scale grids
+// (cluster, evict, primitive, scenarios) are declared by the facade's
+// SimSweep.
 func SimBackend(scenario string, reps int) (sweep.Backend, error) {
 	switch scenario {
 	case "twojob":

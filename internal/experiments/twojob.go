@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hadooppreempt/internal/core"
-	"hadooppreempt/internal/disk"
 	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/scheduler"
 	"hadooppreempt/internal/trace"
@@ -97,22 +96,14 @@ func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) {
 		return nil, err
 	}
 	defer cluster.Close()
-	eng := cluster.Engine()
-	jt := cluster.JobTracker()
-	dummy := scheduler.NewDummy(jt)
-	defer dummy.Release()
-	jt.SetScheduler(dummy)
-
-	devices := make(map[string]*disk.Device, cluster.NumNodes())
-	for i := 0; i < cluster.NumNodes(); i++ {
-		n := cluster.Node(i)
-		devices[n.Tracker.Name()] = n.Device
-	}
-	deviceFor := func(tracker string) *disk.Device { return devices[tracker] }
-	preemptor, err := core.NewPreemptor(eng, jt, p.Primitive, deviceFor, core.CheckpointConfig{})
+	in, err := scheduler.Install(cluster, "priority", p.Primitive, "", 0)
 	if err != nil {
 		return nil, err
 	}
+	defer in.Dummy.Release()
+	eng := cluster.Engine()
+	jt := cluster.JobTracker()
+	rec := trace.Listen(jt)
 
 	if err := cluster.CreateInput("/input/tl", p.InputBytes); err != nil {
 		return nil, err
@@ -136,9 +127,6 @@ func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) {
 		ExtraMemoryBytes: p.THExtraMemory,
 	}
 
-	rec := &trace.Recorder{}
-	jt.AddListener(&traceListener{rec: rec})
-
 	tlJob, err := jt.Submit(tlConf)
 	if err != nil {
 		return nil, err
@@ -147,7 +135,7 @@ func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) {
 
 	var thJob *mapreduce.Job
 	var thSubmitted time.Duration
-	dummy.AddTrigger(scheduler.Trigger{
+	in.Dummy.AddTrigger(scheduler.Trigger{
 		Event:     scheduler.OnProgress,
 		Job:       "tl",
 		Threshold: p.PreemptAt,
@@ -159,16 +147,16 @@ func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) {
 			}
 			thJob = j
 			// Wait is "no primitive": th just queues behind tl.
-			if _, err := preemptor.Preempt(tlTask); err != nil {
+			if _, err := in.Preemptor.Preempt(tlTask); err != nil {
 				panic(fmt.Sprintf("experiments: preempt tl: %v", err))
 			}
 		},
 	})
-	dummy.AddTrigger(scheduler.Trigger{
+	in.Dummy.AddTrigger(scheduler.Trigger{
 		Event: scheduler.OnComplete,
 		Job:   "th",
 		Do: func() {
-			if err := preemptor.Restore(tlTask); err != nil {
+			if err := in.Preemptor.Restore(tlTask); err != nil {
 				panic(fmt.Sprintf("experiments: restore tl: %v", err))
 			}
 		},
@@ -203,31 +191,4 @@ func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) {
 	}
 	res.Makespan = end - tlJob.SubmittedAt()
 	return res, nil
-}
-
-// traceListener feeds engine events into a trace recorder. Rows are the
-// job names (tl / th).
-type traceListener struct {
-	mapreduce.NopListener
-	rec *trace.Recorder
-}
-
-func (l *traceListener) TaskStateChanged(t *mapreduce.Task, from, to mapreduce.TaskState, at time.Duration) {
-	row := t.Job().Name()
-	switch to {
-	case mapreduce.TaskRunning:
-		l.rec.Begin(row, trace.SpanRunning, at)
-	case mapreduce.TaskSuspended:
-		l.rec.Begin(row, trace.SpanSuspended, at)
-	case mapreduce.TaskSucceeded, mapreduce.TaskFailed:
-		l.rec.End(row, at)
-	case mapreduce.TaskPending:
-		if from.Live() || from == mapreduce.TaskKilled {
-			l.rec.Begin(row, trace.SpanWaiting, at)
-		}
-	}
-}
-
-func (l *traceListener) CleanupSpan(task mapreduce.TaskID, tracker string, start, end time.Duration) {
-	l.rec.Add(trace.Span{Row: "cleanup", Kind: trace.SpanCleanup, Start: start, End: end})
 }

@@ -149,6 +149,15 @@ func (c *Cluster) NumNodes() int { return len(c.nodes) }
 // Node returns a worker by index.
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
+// MapSlots returns the cluster-wide map slot count.
+func (c *Cluster) MapSlots() int {
+	n := 0
+	for _, node := range c.nodes {
+		n += node.Tracker.mapSlots
+	}
+	return n
+}
+
 // CreateInput stores a synthetic input file.
 func (c *Cluster) CreateInput(path string, size int64) error {
 	_, err := c.fs.Create(path, size, "")

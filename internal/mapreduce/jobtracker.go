@@ -81,6 +81,28 @@ func (j *Job) Progress() float64 {
 	return sum / float64(len(j.tasks))
 }
 
+// JobTotals sums a job's per-task counters.
+type JobTotals struct {
+	Suspensions int
+	Attempts    int
+	WastedWork  time.Duration
+	SwapOut     int64
+	SwapIn      int64
+}
+
+// Totals folds the job's per-task counters.
+func (j *Job) Totals() JobTotals {
+	var s JobTotals
+	for _, t := range j.tasks {
+		s.Suspensions += t.suspensions
+		s.Attempts += t.attempts
+		s.WastedWork += t.wastedWork
+		s.SwapOut += t.swapOutBytes
+		s.SwapIn += t.swapInBytes
+	}
+	return s
+}
+
 // Task is the JobTracker's record of one task.
 type Task struct {
 	id TaskID

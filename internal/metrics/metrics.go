@@ -98,69 +98,6 @@ func SpreadWithin(samples []float64, frac float64) bool {
 	return s.Max <= s.Mean*(1+frac) && s.Min >= s.Mean*(1-frac)
 }
 
-// JobMetrics captures the outcome of one job in one run.
-type JobMetrics struct {
-	Job          string
-	SubmittedAt  time.Duration
-	CompletedAt  time.Duration
-	FirstLaunch  time.Duration
-	WastedWork   time.Duration // CPU time of killed attempts
-	Suspensions  int
-	SwapOutBytes int64
-	SwapInBytes  int64
-}
-
-// Sojourn is the time between submission and completion.
-func (j JobMetrics) Sojourn() time.Duration { return j.CompletedAt - j.SubmittedAt }
-
-// RunMetrics captures one experiment run.
-type RunMetrics struct {
-	Jobs map[string]*JobMetrics
-}
-
-// NewRunMetrics returns an empty run record.
-func NewRunMetrics() *RunMetrics {
-	return &RunMetrics{Jobs: make(map[string]*JobMetrics)}
-}
-
-// Job returns (creating if needed) the record for a job.
-func (r *RunMetrics) Job(name string) *JobMetrics {
-	j, ok := r.Jobs[name]
-	if !ok {
-		j = &JobMetrics{Job: name}
-		r.Jobs[name] = j
-	}
-	return j
-}
-
-// Makespan is the time between the earliest submission and the latest
-// completion across all jobs.
-func (r *RunMetrics) Makespan() time.Duration {
-	var first time.Duration = math.MaxInt64
-	var last time.Duration
-	for _, j := range r.Jobs {
-		if j.SubmittedAt < first {
-			first = j.SubmittedAt
-		}
-		if j.CompletedAt > last {
-			last = j.CompletedAt
-		}
-	}
-	if first == math.MaxInt64 {
-		return 0
-	}
-	return last - first
-}
-
-// TotalWastedWork sums CPU time thrown away by kills across jobs.
-func (r *RunMetrics) TotalWastedWork() time.Duration {
-	var total time.Duration
-	for _, j := range r.Jobs {
-		total += j.WastedWork
-	}
-	return total
-}
-
 // Series is a labelled sequence of (x, y) points, one experiment curve.
 type Series struct {
 	Label  string

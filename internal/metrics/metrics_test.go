@@ -88,50 +88,6 @@ func TestSpreadWithin(t *testing.T) {
 	}
 }
 
-func TestJobMetricsSojourn(t *testing.T) {
-	j := JobMetrics{SubmittedAt: 2 * time.Second, CompletedAt: 10 * time.Second}
-	if j.Sojourn() != 8*time.Second {
-		t.Fatalf("Sojourn = %v, want 8s", j.Sojourn())
-	}
-}
-
-func TestRunMetricsMakespan(t *testing.T) {
-	r := NewRunMetrics()
-	tl := r.Job("tl")
-	tl.SubmittedAt = 0
-	tl.CompletedAt = 100 * time.Second
-	th := r.Job("th")
-	th.SubmittedAt = 30 * time.Second
-	th.CompletedAt = 80 * time.Second
-	if r.Makespan() != 100*time.Second {
-		t.Fatalf("Makespan = %v, want 100s", r.Makespan())
-	}
-}
-
-func TestRunMetricsMakespanEmpty(t *testing.T) {
-	if NewRunMetrics().Makespan() != 0 {
-		t.Fatal("empty makespan should be 0")
-	}
-}
-
-func TestJobCreatesOnce(t *testing.T) {
-	r := NewRunMetrics()
-	a := r.Job("x")
-	b := r.Job("x")
-	if a != b {
-		t.Fatal("Job should return the same record")
-	}
-}
-
-func TestTotalWastedWork(t *testing.T) {
-	r := NewRunMetrics()
-	r.Job("a").WastedWork = 10 * time.Second
-	r.Job("b").WastedWork = 5 * time.Second
-	if r.TotalWastedWork() != 15*time.Second {
-		t.Fatalf("TotalWastedWork = %v, want 15s", r.TotalWastedWork())
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := &Series{Label: "susp", XLabel: "progress", YLabel: "sojourn"}
 	s.Add(10, 85)

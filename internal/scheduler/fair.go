@@ -27,9 +27,6 @@ type FairConfig struct {
 	// elsewhere — the "delayed kill" fallback of §V-A's resume-locality
 	// discussion. Zero disables the fallback.
 	ResumeLocalityTimeout time.Duration
-	// Resident optionally reports a task's resident memory for eviction
-	// policies; nil reports zero.
-	Resident func(mapreduce.TaskID) int64
 	// LocalityWaitSkips implements delay scheduling (Zaharia et al.,
 	// which §V-A reuses for resume locality): a map task declines this
 	// many non-local slot offers before accepting a remote one. Zero
@@ -432,14 +429,10 @@ func (f *Fair) preemptFor(starved *fairPool, active []*fairPool, share float64) 
 				if t.State() != mapreduce.TaskRunning {
 					continue
 				}
-				var resident int64
-				if f.cfg.Resident != nil {
-					resident = f.cfg.Resident(t.ID())
-				}
 				f.cands = append(f.cands, advisor.Candidate{
 					ID:            t.IDString(),
 					Progress:      t.Progress(),
-					ResidentBytes: resident,
+					ResidentBytes: t.ResidentBytes(),
 					StartedAt:     t.FirstLaunchAt(),
 				})
 				f.candTasks = append(f.candTasks, t)

@@ -18,9 +18,6 @@ type HFSPConfig struct {
 	// bigger job's task is preempted. Keeping it above zero avoids
 	// suspend/resume churn, the thrashing concern of §III-A.
 	PreemptionDelay time.Duration
-	// Resident optionally reports a task's resident memory for the
-	// eviction policy.
-	Resident func(mapreduce.TaskID) int64
 }
 
 // DefaultHFSPConfig returns moderate parameters.
@@ -245,14 +242,10 @@ func (h *HFSP) check() {
 			if t.State() != mapreduce.TaskRunning {
 				continue
 			}
-			var resident int64
-			if h.cfg.Resident != nil {
-				resident = h.cfg.Resident(t.ID())
-			}
 			h.cands = append(h.cands, advisor.Candidate{
 				ID:            t.IDString(),
 				Progress:      t.Progress(),
-				ResidentBytes: resident,
+				ResidentBytes: t.ResidentBytes(),
 				StartedAt:     t.FirstLaunchAt(),
 			})
 			h.candTasks = append(h.candTasks, t)

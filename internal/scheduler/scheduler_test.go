@@ -6,7 +6,6 @@ import (
 
 	"hadooppreempt/internal/advisor"
 	"hadooppreempt/internal/core"
-	"hadooppreempt/internal/disk"
 	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/scheduler"
 )
@@ -38,15 +37,7 @@ func quickJob(name, input string) mapreduce.JobConf {
 
 func preemptorFor(t *testing.T, c *mapreduce.Cluster, prim core.Primitive) *core.Preemptor {
 	t.Helper()
-	deviceFor := func(tracker string) *disk.Device {
-		for _, n := range c.Nodes() {
-			if n.Tracker.Name() == tracker {
-				return n.Device
-			}
-		}
-		return nil
-	}
-	p, err := core.NewPreemptor(c.Engine(), c.JobTracker(), prim, deviceFor, core.CheckpointConfig{})
+	p, err := core.NewPreemptor(c, prim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,15 +51,22 @@ func RunBackend(b Backend, opts Options, collapse ...string) (*Collapsed, error)
 	if err != nil {
 		return nil, err
 	}
-	var sc *SweepCache
+	return runLocal(g, b.Cell, opts.Cache.ForBackend(b, g, opts.Seed), opts, collapse)
+}
+
+// ForBackend binds the cache to the backend's sweep of g under seed:
+// keyed by the backend's name and content fingerprint, or a bypass
+// binding when the backend is volatile. A nil cache yields nil, which
+// caches nothing.
+func (c *Cache) ForBackend(b Backend, g Grid, seed uint64) *SweepCache {
 	switch {
-	case opts.Cache == nil:
+	case c == nil:
+		return nil
 	case IsVolatile(b):
-		sc = opts.Cache.BypassSweep()
+		return c.BypassSweep()
 	default:
-		sc = opts.Cache.Sweep(b.Name(), BackendFingerprint(b), g, opts.Seed)
+		return c.Sweep(b.Name(), BackendFingerprint(b), g, seed)
 	}
-	return runLocal(g, b.Cell, sc, opts, collapse)
 }
 
 // BackendFingerprint returns the backend's content fingerprint — the

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"hadooppreempt/internal/mapreduce"
 )
 
 // SpanKind classifies what a task was doing during an interval.
@@ -203,4 +205,47 @@ func (r *Recorder) Gantt(width int) string {
 
 func formatDur(d time.Duration) string {
 	return d.Round(100 * time.Millisecond).String()
+}
+
+// Listen subscribes a new Recorder to the JobTracker's task events and
+// returns it. Rows are job names, except that each map task of a
+// multi-map job gets its own row (its task ID), so parallel maps do not
+// overwrite each other's spans; kill cleanups share a "cleanup" row.
+// Call CloseAll once the run ends to close spans still open.
+func Listen(jt *mapreduce.JobTracker) *Recorder {
+	rec := &Recorder{}
+	jt.AddListener(listener{rec: rec})
+	return rec
+}
+
+// listener feeds engine events into a Recorder.
+type listener struct {
+	mapreduce.NopListener
+	rec *Recorder
+}
+
+func (l listener) TaskStateChanged(t *mapreduce.Task, from, to mapreduce.TaskState, at time.Duration) {
+	j := t.Job()
+	row := j.Name()
+	// Maps come first, so a job has several maps iff its second task is
+	// one; this avoids MapTasks' copy on every transition.
+	if j.NumTasks() > 1 && j.TaskAt(1).ID().Type == mapreduce.MapTask {
+		row = t.IDString()
+	}
+	switch to {
+	case mapreduce.TaskRunning:
+		l.rec.Begin(row, SpanRunning, at)
+	case mapreduce.TaskSuspended:
+		l.rec.Begin(row, SpanSuspended, at)
+	case mapreduce.TaskSucceeded, mapreduce.TaskFailed:
+		l.rec.End(row, at)
+	case mapreduce.TaskPending:
+		if from.Live() || from == mapreduce.TaskKilled {
+			l.rec.Begin(row, SpanWaiting, at)
+		}
+	}
+}
+
+func (l listener) CleanupSpan(task mapreduce.TaskID, tracker string, start, end time.Duration) {
+	l.rec.Add(Span{Row: "cleanup", Kind: SpanCleanup, Start: start, End: end})
 }

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"time"
 
-	"hadooppreempt/internal/advisor"
 	"hadooppreempt/internal/core"
 	"hadooppreempt/internal/mapreduce"
-	"hadooppreempt/internal/metrics"
 	"hadooppreempt/internal/scheduler"
 	"hadooppreempt/internal/sweep"
 )
@@ -191,8 +189,8 @@ func (b *ReplayBackend) Specs(shard int) []JobSpec {
 }
 
 // Cell implements sweep.Backend: it replays one trace shard through an
-// isolated cluster and records the shard's sojourn statistics,
-// preemption counts and swap traffic.
+// isolated cluster and records the shard's size, sojourn statistics and
+// swap traffic (see Run).
 func (b *ReplayBackend) Cell(pt sweep.Point, rec *sweep.Recorder) error {
 	specs := b.Specs(pt.Int(TraceShardAxis))
 	ccfg := mapreduce.DefaultClusterConfig()
@@ -204,90 +202,14 @@ func (b *ReplayBackend) Cell(pt sweep.Point, rec *sweep.Recorder) error {
 		return err
 	}
 	defer cluster.Close()
-	if err := b.installScheduler(cluster); err != nil {
+	if _, err := scheduler.Install(cluster, b.cfg.Scheduler, core.Suspend, "", 0); err != nil {
 		return err
 	}
-	if _, err := InstallWindowed(cluster, specs, b.cfg.Window); err != nil {
-		return err
-	}
-	if !cluster.RunUntilPlannedJobsDone(len(specs), b.cfg.Deadline) {
-		return fmt.Errorf("workload: replay shard did not converge within %v", b.cfg.Deadline)
-	}
-	byName := make(map[string]*mapreduce.Job, len(specs))
-	for _, j := range cluster.JobTracker().Jobs() {
-		byName[j.Conf().Name] = j
-	}
-	var sojourns []float64
 	var inputGB float64
-	var suspensions, attempts int
-	var swapOut, swapIn int64
 	for _, spec := range specs {
-		job, ok := byName[spec.Conf.Name]
-		if !ok {
-			return fmt.Errorf("workload: replayed job %s vanished", spec.Conf.Name)
-		}
-		sojourns = append(sojourns, (job.CompletedAt() - job.SubmittedAt()).Seconds())
 		inputGB += float64(spec.InputBytes) / float64(1<<30)
-		for _, t := range job.Tasks() {
-			suspensions += t.Suspensions()
-			attempts += t.Attempts()
-			swapOut += t.SwapOutBytes()
-			swapIn += t.SwapInBytes()
-		}
 	}
-	s := metrics.Summarize(sojourns)
 	rec.Observe("jobs", float64(len(specs)))
 	rec.Observe("input_gb", inputGB)
-	rec.Observe("sojourn_mean_s", s.Mean)
-	rec.Observe("sojourn_p95_s", s.P95)
-	rec.Observe("makespan_s", cluster.Engine().Now().Seconds())
-	rec.Observe("suspensions", float64(suspensions))
-	rec.Observe("attempts", float64(attempts))
-	rec.Observe("swap_out_mb", float64(swapOut)/float64(1<<20))
-	rec.Observe("swap_in_mb", float64(swapIn)/float64(1<<20))
-	return nil
-}
-
-// installScheduler wires the configured scheduler into the cluster.
-func (b *ReplayBackend) installScheduler(cluster *mapreduce.Cluster) error {
-	jt := cluster.JobTracker()
-	if b.cfg.Scheduler == "fifo" {
-		jt.SetScheduler(scheduler.NewFIFO(jt))
-		return nil
-	}
-	preemptor, err := core.NewPreemptor(cluster.Engine(), jt, core.Suspend, nil, core.CheckpointConfig{})
-	if err != nil {
-		return err
-	}
-	adv, err := advisor.New(advisor.Config{
-		Policy: advisor.MostProgress, Primitive: core.Suspend,
-	})
-	if err != nil {
-		return err
-	}
-	resident := func(id mapreduce.TaskID) int64 {
-		if t, ok := jt.Task(id); ok {
-			return t.ResidentBytes()
-		}
-		return 0
-	}
-	switch b.cfg.Scheduler {
-	case "fair":
-		fcfg := scheduler.DefaultFairConfig(b.cfg.Nodes * b.cfg.SlotsPerNode)
-		fcfg.Resident = resident
-		fair, err := scheduler.NewFair(cluster.Engine(), jt, preemptor, adv, fcfg)
-		if err != nil {
-			return err
-		}
-		jt.SetScheduler(fair)
-	case "hfsp":
-		hcfg := scheduler.DefaultHFSPConfig()
-		hcfg.Resident = resident
-		hfsp, err := scheduler.NewHFSP(cluster.Engine(), jt, preemptor, adv, hcfg)
-		if err != nil {
-			return err
-		}
-		jt.SetScheduler(hfsp)
-	}
-	return nil
+	return Run(cluster, specs, b.cfg.Window, b.cfg.Deadline, rec)
 }

@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"hadooppreempt/internal/mapreduce"
+	"hadooppreempt/internal/metrics"
 	"hadooppreempt/internal/sim"
+	"hadooppreempt/internal/sweep"
 )
 
 // JobClass describes one class of jobs in the mix (e.g. "interactive",
@@ -231,4 +233,47 @@ func sortedBySubmit(specs []JobSpec) bool {
 		}
 	}
 	return true
+}
+
+// Run installs specs on the cluster through an input window (see
+// InstallWindowed), runs it until every job finished or the deadline
+// passed, and records the outcome: the sojourn mean and 95th percentile
+// over specs, the makespan, then task suspensions, attempts and swap
+// traffic summed over jobs. The cluster's scheduler must already be
+// installed.
+func Run(c *mapreduce.Cluster, specs []JobSpec, window int, deadline time.Duration, rec *sweep.Recorder) error {
+	if _, err := InstallWindowed(c, specs, window); err != nil {
+		return err
+	}
+	if !c.RunUntilPlannedJobsDone(len(specs), deadline) {
+		return fmt.Errorf("workload: %d jobs did not converge within %v", len(specs), deadline)
+	}
+	jobs := c.JobTracker().Jobs()
+	byName := make(map[string]*mapreduce.Job, len(jobs))
+	for _, j := range jobs {
+		byName[j.Name()] = j
+	}
+	sojourns := make([]float64, 0, len(specs))
+	var sum mapreduce.JobTotals
+	for _, spec := range specs {
+		job, ok := byName[spec.Conf.Name]
+		if !ok {
+			return fmt.Errorf("workload: job %s vanished", spec.Conf.Name)
+		}
+		sojourns = append(sojourns, (job.CompletedAt() - job.SubmittedAt()).Seconds())
+		t := job.Totals()
+		sum.Suspensions += t.Suspensions
+		sum.Attempts += t.Attempts
+		sum.SwapOut += t.SwapOut
+		sum.SwapIn += t.SwapIn
+	}
+	s := metrics.Summarize(sojourns)
+	rec.Observe("sojourn_mean_s", s.Mean)
+	rec.Observe("sojourn_p95_s", s.P95)
+	rec.Observe("makespan_s", c.Engine().Now().Seconds())
+	rec.Observe("suspensions", float64(sum.Suspensions))
+	rec.Observe("attempts", float64(sum.Attempts))
+	rec.Observe("swap_out_mb", float64(sum.SwapOut)/float64(1<<20))
+	rec.Observe("swap_in_mb", float64(sum.SwapIn)/float64(1<<20))
+	return nil
 }

@@ -11,8 +11,9 @@ import (
 	"hadooppreempt/internal/coord"
 	"hadooppreempt/internal/experiments"
 	"hadooppreempt/internal/genload"
-	"hadooppreempt/internal/metrics"
+	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/realexec"
+	"hadooppreempt/internal/scheduler"
 	"hadooppreempt/internal/sweep"
 	"hadooppreempt/internal/workload"
 )
@@ -146,10 +147,11 @@ func ClusterSweep(jobs, reps int, evictionPolicies ...string) (SweepGrid, SweepC
 		sweep.Reps(reps),
 	)
 	g := sweep.NewGrid(axes...).Pair(paired...)
-	run := clusterCell(jobs, func(pt SweepPoint, o *Options) {
+	run := clusterCell(jobs, func(pt SweepPoint) (Primitive, string) {
 		if len(evictionPolicies) > 0 {
-			o.EvictionPolicy = pt.Label("evict")
+			return Suspend, pt.Label("evict")
 		}
+		return Suspend, ""
 	})
 	return g, run
 }
@@ -174,8 +176,8 @@ func ClusterPrimitiveSweep(jobs, reps int) (SweepGrid, SweepCellFunc) {
 		sweep.Strings("mix", "interactive", "mixed", "batch"),
 		sweep.Reps(reps),
 	).Pair("sched", "prim")
-	run := clusterCell(jobs, func(pt SweepPoint, o *Options) {
-		o.Primitive = pt.Value("prim").(Primitive)
+	run := clusterCell(jobs, func(pt SweepPoint) (Primitive, string) {
+		return pt.Value("prim").(Primitive), ""
 	})
 	return g, run
 }
@@ -183,74 +185,43 @@ func ClusterPrimitiveSweep(jobs, reps int) (SweepGrid, SweepCellFunc) {
 // clusterCell returns the shared cluster-scale cell runner: boot an
 // isolated cluster from the cell's coordinates, install a deterministic
 // SWIM-style workload, run it to completion and record sojourn
-// statistics, preemption counts and swap traffic. configure applies
-// the grid-specific axes (eviction policy, preemption primitive) to
-// the cluster options.
-func clusterCell(jobs int, configure func(SweepPoint, *Options)) SweepCellFunc {
+// statistics and swap traffic (see workload.Run). axes reads the
+// grid-specific axes (preemption primitive, eviction policy) from the
+// cell.
+func clusterCell(jobs int, axes func(SweepPoint) (Primitive, string)) SweepCellFunc {
 	return func(pt SweepPoint, rec *SweepRecorder) error {
-		kinds := map[string]SchedulerKind{
-			"fifo": SchedulerFIFO, "fair": SchedulerFair, "hfsp": SchedulerHFSP,
-		}
-		opts := Options{
-			Nodes:           pt.Int("nodes"),
-			MapSlotsPerNode: 2,
-			Scheduler:       kinds[pt.Label("sched")],
-			Seed:            pt.Seed,
-		}
-		if configure != nil {
-			configure(pt, &opts)
-		}
-		c, err := New(opts)
+		prim, policy := axes(pt)
+		c, _, err := cellCluster(pt, pt.Int("nodes"), prim, policy, 0)
 		if err != nil {
 			return err
 		}
-		cfg := workloadMix(pt.Label("mix"), jobs)
-		specs, err := GenerateWorkload(cfg, pt.Seed)
+		defer c.Close()
+		specs, err := GenerateWorkload(workloadMix(pt.Label("mix"), jobs), pt.Seed)
 		if err != nil {
 			return err
 		}
-		if err := c.InstallWorkload(specs); err != nil {
-			return err
-		}
-		if !c.RunUntilJobsDone(24 * time.Hour) {
-			return fmt.Errorf("workload did not converge")
-		}
-		return recordJobStats(rec, c, specs, false)
+		return workload.Run(c, specs, 0, 24*time.Hour, rec)
 	}
 }
 
-// recordJobStats records a finished cluster run's per-job outcome: the
-// sojourn mean and p95 over the workload's jobs, the makespan, the
-// scheduler's preemption and resume counts when preemptions is set,
-// then task suspensions, attempts and swap traffic summed over jobs.
-func recordJobStats(rec *SweepRecorder, c *Cluster, specs []WorkloadJob, preemptions bool) error {
-	sojourns := make([]float64, 0, len(specs))
-	var suspensions, attempts int
-	var swapOut, swapIn int64
-	for _, spec := range specs {
-		st, err := c.Stats(spec.Conf.Name)
-		if err != nil {
-			return err
-		}
-		sojourns = append(sojourns, st.Sojourn.Seconds())
-		suspensions += st.Suspensions
-		attempts += st.Attempts
-		swapOut += st.SwapOut
-		swapIn += st.SwapIn
+// cellCluster boots the isolated cluster of one cluster-scale cell:
+// nodes nodes of two map slots each, seeded from the cell, running the
+// scheduler its "sched" axis names.
+func cellCluster(pt SweepPoint, nodes int, prim Primitive, policy string, timeout time.Duration) (*mapreduce.Cluster, *scheduler.Installation, error) {
+	ccfg := mapreduce.DefaultClusterConfig()
+	ccfg.Nodes = nodes
+	ccfg.Node.MapSlots = 2
+	ccfg.Seed = pt.Seed
+	c, err := mapreduce.NewCluster(ccfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	s := metrics.Summarize(sojourns)
-	rec.Observe("sojourn_mean_s", s.Mean)
-	rec.Observe("sojourn_p95_s", s.P95)
-	rec.Observe("makespan_s", c.Now().Seconds())
-	if preemptions {
-		rec.Observe("preemptions", float64(c.Preemptions()))
-		rec.Observe("resumes", float64(c.Resumes()))
+	sched, err := scheduler.Install(c, pt.Label("sched"), prim, policy, timeout)
+	if err != nil {
+		c.Close()
+		return nil, nil, err
 	}
-	rec.Observe("suspensions", float64(suspensions))
-	rec.Observe("attempts", float64(attempts))
-	rec.Observe("swap_out_mb", float64(swapOut)/float64(1<<20))
-	rec.Observe("swap_in_mb", float64(swapIn)/float64(1<<20))
-	return nil
+	return c, sched, nil
 }
 
 // GenScenario re-exports the seeded scenario generator's configuration
@@ -294,28 +265,21 @@ func ScenarioSweep(reps int) (SweepGrid, SweepCellFunc) {
 		if pt.Label("mem") == "skewed" {
 			sc.HeavyFrac = 0.5
 		}
-		kinds := map[string]SchedulerKind{"fair": SchedulerFair, "hfsp": SchedulerHFSP}
-		c, err := New(Options{
-			Nodes:             2,
-			MapSlotsPerNode:   2,
-			Scheduler:         kinds[pt.Label("sched")],
-			Seed:              pt.Seed,
-			PreemptionTimeout: sc.StarvationTimeout,
-		})
+		c, sched, err := cellCluster(pt, 2, Suspend, "", sc.StarvationTimeout)
 		if err != nil {
 			return err
 		}
+		defer c.Close()
 		specs, err := sc.Generate(pt.Seed)
 		if err != nil {
 			return err
 		}
-		if err := c.InstallWorkload(specs); err != nil {
+		if err := workload.Run(c, specs, 0, 24*time.Hour, rec); err != nil {
 			return err
 		}
-		if !c.RunUntilJobsDone(24 * time.Hour) {
-			return fmt.Errorf("generated scenario did not converge")
-		}
-		return recordJobStats(rec, c, specs, true)
+		rec.Observe("preemptions", float64(sched.Preemptions()))
+		rec.Observe("resumes", float64(sched.Resumes()))
+		return nil
 	}
 	return g, run
 }
