@@ -107,7 +107,10 @@ backend-check:
 # and the output must hash to the committed golden — and be
 # byte-identical to the same run with the window disabled, so the
 # streaming replayer can't silently diverge from the materialize-
-# everything path. Run with UPDATE=1 to rewrite the hash golden.
+# everything path. The same trace, as one cell under fair and hfsp,
+# must pass the same window check and hash to
+# goldens/replay_sched1200.sha256. Run with UPDATE=1 to rewrite the
+# hash goldens.
 replay-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -backend replay -trace-gen 1200 -trace-shards 3 \
@@ -122,6 +125,13 @@ replay-check:
 	if [ "$$obs" != "$$want" ]; then \
 		echo "large-trace replay hash $$obs != golden $$want"; exit 1; fi; \
 	echo "large-trace replay output matches golden hash ($$obs)"
+	for s in fair hfsp; do \
+		/tmp/hadoopsim-ci -backend replay -trace-gen 1200 -trace-shards 1 -replay-timescale 10 \
+			-replay-window 64 -reps 1 -seed 1 -replay-sched $$s -format csv > /tmp/replay-sched-$$s.csv || exit 1; \
+		/tmp/hadoopsim-ci -backend replay -trace-gen 1200 -trace-shards 1 -replay-timescale 10 \
+			-reps 1 -seed 1 -replay-sched $$s -format csv | cmp /tmp/replay-sched-$$s.csv - || exit 1; done
+	$(if $(UPDATE),cd /tmp && sha256sum replay-sched-fair.csv replay-sched-hfsp.csv > $(CURDIR)/goldens/replay_sched1200.sha256,)
+	cd /tmp && sha256sum -c $(CURDIR)/goldens/replay_sched1200.sha256
 
 # Distributed parity (mirrors the CI distributed-parity job): a
 # coordinator plus two localhost workers — with artificially uneven

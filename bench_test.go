@@ -338,7 +338,20 @@ func BenchmarkFullGrid20Reps(b *testing.B) {
 // quiescent heartbeat path exists for. The virtual-time throughput and
 // mean sojourn are deterministic physics and golden-gated; wall-clock
 // throughput is jobs / (ns/op), tracked via ns/op but never gated.
-func BenchmarkLargeTraceReplay(b *testing.B) {
+func BenchmarkLargeTraceReplay(b *testing.B) { benchLargeTraceReplay(b, "fifo") }
+
+// BenchmarkLargeTraceReplaySchedulers replays the same trace under the
+// preempting schedulers, whose cost must follow the live jobs rather
+// than every job submitted so far. hfsp's mean sojourn against fair's
+// is §VI's size-based result at trace scale.
+func BenchmarkLargeTraceReplaySchedulers(b *testing.B) {
+	for _, sched := range []string{"fair", "hfsp"} {
+		b.Run(sched, func(b *testing.B) { benchLargeTraceReplay(b, sched) })
+	}
+}
+
+// benchLargeTraceReplay replays the 1200-job trace under sched.
+func benchLargeTraceReplay(b *testing.B, sched string) {
 	const jobs = 1200
 	trace, err := hp.SynthesizeSWIMTrace(jobs)
 	if err != nil {
@@ -348,6 +361,7 @@ func BenchmarkLargeTraceReplay(b *testing.B) {
 		Jobs:      trace,
 		Shards:    1,
 		Reps:      1,
+		Scheduler: sched,
 		TimeScale: 10,
 		Window:    64,
 	})

@@ -151,7 +151,7 @@ func TestCheckpointWritesToTaskNode(t *testing.T) {
 	c.RunUntil(10 * time.Second)
 	var victim *mapreduce.Task
 	for _, j := range jt.Jobs() {
-		if task := j.TaskAt(0); task.State() == mapreduce.TaskRunning && task.Tracker() == "tracker_node02" {
+		if task := j.MapTasks()[0]; task.State() == mapreduce.TaskRunning && task.Tracker() == "tracker_node02" {
 			victim = task
 		}
 	}

@@ -131,7 +131,7 @@ func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tlTask := tlJob.TaskAt(0).ID() // maps come first
+	tlTask := tlJob.MapTasks()[0].ID()
 
 	var thJob *mapreduce.Job
 	var thSubmitted time.Duration
@@ -172,7 +172,7 @@ func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) {
 	rec.CloseAll(eng.Now())
 
 	tl, _ := jt.Task(tlTask)
-	thTask := thJob.TaskAt(0)
+	thTask := thJob.MapTasks()[0]
 	res := &TwoJobResult{
 		SojournTH:     thJob.CompletedAt() - thJob.SubmittedAt(),
 		THSubmittedAt: thSubmitted,

@@ -17,6 +17,7 @@ type Job struct {
 	state JobState
 
 	tasks []*Task // maps first, then reduces
+	maps  int     // length of the map prefix of tasks
 
 	submittedAt time.Duration
 	completedAt time.Duration
@@ -44,26 +45,14 @@ func (j *Job) SubmittedAt() time.Duration { return j.submittedAt }
 // CompletedAt returns the completion time (valid once terminal).
 func (j *Job) CompletedAt() time.Duration { return j.completedAt }
 
-// Tasks returns the job's tasks (maps first, then reduces).
-func (j *Job) Tasks() []*Task { return append([]*Task(nil), j.tasks...) }
+// Tasks returns the job's tasks, maps first, then reduces. The slice is
+// the job's own, not a copy, and callers must not modify it; its
+// capacity is clipped, so an append copies instead of writing into it.
+func (j *Job) Tasks() []*Task { return slices.Clip(j.tasks) }
 
-// NumTasks returns the task count without copying the task slice.
-func (j *Job) NumTasks() int { return len(j.tasks) }
-
-// TaskAt returns the i-th task (maps first, then reduces) without
-// copying; schedulers use it on the assignment hot path.
-func (j *Job) TaskAt(i int) *Task { return j.tasks[i] }
-
-// MapTasks returns only the map tasks.
-func (j *Job) MapTasks() []*Task {
-	var out []*Task
-	for _, t := range j.tasks {
-		if t.id.Type == MapTask {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+// MapTasks returns the job's map tasks, the prefix of Tasks, under the
+// same read-only contract.
+func (j *Job) MapTasks() []*Task { return j.tasks[:j.maps:j.maps] }
 
 // Progress is the mean progress over all tasks.
 func (j *Job) Progress() float64 {
@@ -303,6 +292,7 @@ func (jt *JobTracker) Submit(conf JobConf) (*Job, error) {
 		id:          id,
 		conf:        conf,
 		state:       JobPending,
+		maps:        len(blocks),
 		submittedAt: jt.eng.Now(),
 	}
 	for i, b := range blocks {
@@ -709,23 +699,6 @@ func (jt *JobTracker) tasksOn(tracker string) []*Task {
 // state. The cluster run loop calls it between every pair of events.
 func (jt *JobTracker) allJobsTerminal() bool {
 	return jt.liveJobs == 0
-}
-
-// SuspendedOn lists tasks suspended on the tracker (resume locality).
-func (jt *JobTracker) SuspendedOn(tracker string) []TaskID {
-	var out []TaskID
-	for _, j := range jt.jobList {
-		for _, t := range j.tasks {
-			if t.tracker != tracker {
-				continue
-			}
-			if t.state == TaskSuspended || t.state == TaskMustResume {
-				out = append(out, t.id)
-			}
-		}
-	}
-	slices.SortFunc(out, compareTaskIDs)
-	return out
 }
 
 // requeue returns a killed task to the pending queue, losing its work.

@@ -111,6 +111,10 @@ func TestMultiBlockJobCreatesOneMapPerBlock(t *testing.T) {
 	if got := len(job.MapTasks()); got != 3 {
 		t.Fatalf("map tasks = %d, want 3", got)
 	}
+	// Tasks shares the job's slice, clipped so that an append copies.
+	if tasks := job.Tasks(); &append(tasks, nil)[0] == &tasks[0] {
+		t.Fatal("appending to Tasks wrote into the job's tasks")
+	}
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -136,6 +140,15 @@ func TestJobWithReduces(t *testing.T) {
 	job, err := c.JobTracker().Submit(conf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// MapTasks shares the job's slice, clipped so that an append copies
+	// instead of overwriting the reduce after the maps.
+	maps, tasks := job.MapTasks(), job.Tasks()
+	if len(maps) != 1 || len(tasks) != 2 || maps[0] != tasks[0] || tasks[1].ID().Type != ReduceTask {
+		t.Fatalf("MapTasks %v is not the map prefix of Tasks %v", maps, tasks)
+	}
+	if grown := append(maps, nil); &grown[0] == &tasks[0] {
+		t.Fatal("appending to MapTasks wrote into the job's tasks")
 	}
 	if !c.RunUntilJobsDone(10 * time.Minute) {
 		t.Fatalf("job did not finish; state=%v progress=%v", job.State(), job.Progress())

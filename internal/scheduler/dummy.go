@@ -173,9 +173,8 @@ func (d *Dummy) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 
 // mapsDone reports whether all map tasks of a job succeeded.
 func mapsDone(j *mapreduce.Job) bool {
-	for i, n := 0, j.NumTasks(); i < n; i++ {
-		t := j.TaskAt(i)
-		if t.ID().Type == mapreduce.MapTask && t.State() != mapreduce.TaskSucceeded {
+	for _, t := range j.MapTasks() {
+		if t.State() != mapreduce.TaskSucceeded {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -172,8 +173,16 @@ func (f *Fair) JobSubmitted(job *mapreduce.Job) {
 	p.jobs = append(p.jobs, job)
 }
 
-// JobCompleted implements mapreduce.Scheduler.
-func (f *Fair) JobCompleted(job *mapreduce.Job) {}
+// JobCompleted implements mapreduce.Scheduler: a succeeded job leaves
+// its pool. A failed job stays, since its leftover tasks still count
+// toward the pool's demand and are still scheduled.
+func (f *Fair) JobCompleted(job *mapreduce.Job) {
+	if job.State() != mapreduce.JobSucceeded {
+		return
+	}
+	p := f.poolOf(job)
+	p.jobs = slices.DeleteFunc(p.jobs, func(j *mapreduce.Job) bool { return j == job })
+}
 
 // TaskProgressed implements mapreduce.Scheduler.
 func (f *Fair) TaskProgressed(*mapreduce.Task, float64) {}

@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"hadooppreempt/internal/advisor"
@@ -40,10 +42,17 @@ type HFSP struct {
 	preemptor *core.Preemptor
 	adv       advisor.Advisor
 
-	jobs []*mapreduce.Job
+	// jobs holds the jobs not yet completed, in submission order.
+	jobs []hfspJob
 	// starvedSince tracks when the currently smallest job started waiting.
 	starvedSince map[mapreduce.JobID]time.Duration
 	suspended    map[mapreduce.TaskID]mapreduce.JobID
+
+	// Scratch reused across calls: ordered's sort keys and result, and
+	// Assign's rank of each live job.
+	keys []sizeKey
+	live []*mapreduce.Job
+	rank map[mapreduce.JobID]int
 
 	// Scratch for check's victim selection, reused so a preemption
 	// decision allocates nothing; candTasks parallels cands.
@@ -52,6 +61,20 @@ type HFSP struct {
 
 	preemptions int
 	resumes     int
+}
+
+// hfspJob is a submitted job with its total map input, summed once.
+type hfspJob struct {
+	job   *mapreduce.Job
+	input int64
+}
+
+// sizeKey is ordered's sort key for a live job: remaining size, then
+// position in submission order.
+type sizeKey struct {
+	rem float64
+	seq int
+	job *mapreduce.Job
 }
 
 var _ mapreduce.Scheduler = (*HFSP)(nil)
@@ -77,6 +100,7 @@ func NewHFSP(eng *sim.Engine, jt *mapreduce.JobTracker, preemptor *core.Preempto
 		adv:          adv,
 		starvedSince: make(map[mapreduce.JobID]time.Duration),
 		suspended:    make(map[mapreduce.TaskID]mapreduce.JobID),
+		rank:         make(map[mapreduce.JobID]int),
 	}
 	eng.Schedule(cfg.CheckInterval, h.check)
 	return h, nil
@@ -89,21 +113,27 @@ func (h *HFSP) Preemptions() int { return h.preemptions }
 func (h *HFSP) Resumes() int { return h.resumes }
 
 // JobSubmitted implements mapreduce.Scheduler.
-func (h *HFSP) JobSubmitted(job *mapreduce.Job) { h.jobs = append(h.jobs, job) }
+func (h *HFSP) JobSubmitted(job *mapreduce.Job) {
+	var input int64
+	for _, t := range job.MapTasks() {
+		input += t.Block().Size
+	}
+	h.jobs = append(h.jobs, hfspJob{job: job, input: input})
+}
 
-// JobCompleted implements mapreduce.Scheduler.
-func (h *HFSP) JobCompleted(*mapreduce.Job) {}
+// JobCompleted implements mapreduce.Scheduler: the job leaves the
+// scheduler's state, which only ever reads live jobs.
+func (h *HFSP) JobCompleted(job *mapreduce.Job) {
+	h.jobs = slices.DeleteFunc(h.jobs, func(j hfspJob) bool { return j.job == job })
+	delete(h.starvedSince, job.ID())
+}
 
 // TaskProgressed implements mapreduce.Scheduler.
 func (h *HFSP) TaskProgressed(*mapreduce.Task, float64) {}
 
 // remainingSize estimates a job's remaining virtual size in bytes.
-func (h *HFSP) remainingSize(job *mapreduce.Job) float64 {
-	var total int64
-	for _, t := range job.MapTasks() {
-		total += t.Block().Size
-	}
-	rem := float64(total) * (1 - job.Progress())
+func remainingSize(j hfspJob) float64 {
+	rem := float64(j.input) * (1 - j.job.Progress())
 	if rem < 0 {
 		rem = 0
 	}
@@ -111,21 +141,28 @@ func (h *HFSP) remainingSize(job *mapreduce.Job) float64 {
 }
 
 // ordered returns live jobs ordered by remaining size (smallest first,
-// ties by submission).
+// ties by submission). The slice is reused: it is valid until the next
+// call.
 func (h *HFSP) ordered() []*mapreduce.Job {
-	var live []*mapreduce.Job
-	for _, j := range h.jobs {
-		if j.State() == mapreduce.JobPending || j.State() == mapreduce.JobRunning {
-			live = append(live, j)
+	h.keys = h.keys[:0]
+	for i, j := range h.jobs {
+		if s := j.job.State(); s == mapreduce.JobPending || s == mapreduce.JobRunning {
+			h.keys = append(h.keys, sizeKey{rem: remainingSize(j), seq: i, job: j.job})
 		}
 	}
-	// Stable insertion sort by remaining size.
-	for i := 1; i < len(live); i++ {
-		for k := i; k > 0 && h.remainingSize(live[k]) < h.remainingSize(live[k-1]); k-- {
-			live[k], live[k-1] = live[k-1], live[k]
+	// (remaining size, submission) is a total order, so this equals a
+	// stable sort by remaining size.
+	slices.SortFunc(h.keys, func(a, b sizeKey) int {
+		if c := cmp.Compare(a.rem, b.rem); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	h.live = h.live[:0]
+	for _, k := range h.keys {
+		h.live = append(h.live, k.job)
 	}
-	return live
+	return h.live
 }
 
 // Assign implements mapreduce.Scheduler: slots go to the smallest job
@@ -133,9 +170,9 @@ func (h *HFSP) ordered() []*mapreduce.Job {
 func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 	free := tt.FreeMapSlots
 	ordered := h.ordered()
-	rank := make(map[mapreduce.JobID]int, len(ordered))
+	clear(h.rank)
 	for i, j := range ordered {
-		rank[j.ID()] = i
+		h.rank[j.ID()] = i
 	}
 
 	// Resume suspended tasks of the highest-ranked (smallest) jobs first.
@@ -143,7 +180,7 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 	var bestResume mapreduce.TaskID
 	for _, tid := range tt.SuspendedTasks {
 		if jid, ok := h.suspended[tid]; ok {
-			if r, live := rank[jid]; live && r < bestRank {
+			if r, live := h.rank[jid]; live && r < bestRank {
 				bestRank = r
 				bestResume = tid
 			}
@@ -160,8 +197,8 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 		}
 	}
 
+	// Each task is visited once, so no pick repeats within the round.
 	var out []mapreduce.Assignment
-	taken := make(map[mapreduce.TaskID]bool)
 	for _, job := range ordered {
 		if free <= 0 {
 			break
@@ -170,13 +207,12 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 			if free <= 0 {
 				break
 			}
-			if t.State() != mapreduce.TaskPending || taken[t.ID()] {
+			if t.State() != mapreduce.TaskPending {
 				continue
 			}
 			if t.ID().Type == mapreduce.ReduceTask && !mapsDone(job) {
 				continue
 			}
-			taken[t.ID()] = true
 			out = append(out, mapreduce.Assignment{Task: t.ID()})
 			free--
 		}

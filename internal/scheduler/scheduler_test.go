@@ -1,6 +1,7 @@
 package scheduler_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -283,6 +284,60 @@ func TestHFSPNoPreemptionForSingleJob(t *testing.T) {
 	}
 	if h.Preemptions() != 0 {
 		t.Fatalf("preemptions = %d, want 0", h.Preemptions())
+	}
+}
+
+// TestAssignAllocsIndependentOfJobCount checks that a warm fair or hfsp
+// Assign allocates the same with ten times as many finished and live
+// jobs: task views are not copies, and hfsp reuses its per-call tables.
+func TestAssignAllocsIndependentOfJobCount(t *testing.T) {
+	allocs := func(t *testing.T, name string, finished, live int) float64 {
+		c := testClusterWith(t, 1, 2)
+		defer c.Close()
+		jt := c.JobTracker()
+		pre := preemptorFor(t, c, core.Suspend)
+		var s mapreduce.Scheduler
+		var err error
+		switch name {
+		case "fair":
+			s, err = scheduler.NewFair(c.Engine(), jt, pre, advisor.Advisor{}, scheduler.DefaultFairConfig(2))
+		case "hfsp":
+			s, err = scheduler.NewHFSP(c.Engine(), jt, pre, advisor.Advisor{}, scheduler.DefaultHFSPConfig())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		jt.SetScheduler(s)
+		submit := func(n int, prefix string) {
+			for i := 0; i < n; i++ {
+				path := fmt.Sprintf("/%s%d", prefix, i)
+				if err := c.CreateInput(path, 1<<20); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := jt.Submit(quickJob(prefix, path)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		submit(finished, "done")
+		if !c.RunUntilJobsDone(time.Hour) {
+			t.Fatal("finished jobs did not finish")
+		}
+		submit(live, "live")
+		info := mapreduce.TaskTrackerInfo{Name: "tracker_node01", Node: "node01", FreeMapSlots: 2}
+		if got := len(s.Assign(info)); got != 2 {
+			t.Fatalf("assigned %d tasks, want 2", got)
+		}
+		return testing.AllocsPerRun(20, func() { s.Assign(info) })
+	}
+	for _, name := range []string{"fair", "hfsp"} {
+		t.Run(name, func(t *testing.T) {
+			small, large := allocs(t, name, 20, 4), allocs(t, name, 200, 40)
+			if small != large {
+				t.Fatalf("Assign allocs = %v with 20 finished and 4 live jobs, %v with 200 and 40; want equal",
+					small, large)
+			}
+		})
 	}
 }
 

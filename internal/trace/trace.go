@@ -227,9 +227,7 @@ type listener struct {
 func (l listener) TaskStateChanged(t *mapreduce.Task, from, to mapreduce.TaskState, at time.Duration) {
 	j := t.Job()
 	row := j.Name()
-	// Maps come first, so a job has several maps iff its second task is
-	// one; this avoids MapTasks' copy on every transition.
-	if j.NumTasks() > 1 && j.TaskAt(1).ID().Type == mapreduce.MapTask {
+	if len(j.MapTasks()) > 1 {
 		row = t.IDString()
 	}
 	switch to {
