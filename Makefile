@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt fmt-check lint bench bench-diff bench-golden sweep-check backend-check replay-check dist-check ci
+.PHONY: all build test vet fmt fmt-check lint bench bench-diff bench-golden sweep-check backend-check examples-check replay-check dist-check ci
 
 all: build
 
@@ -101,6 +101,18 @@ backend-check:
 	/tmp/hadoopsim-ci -backend real -reps 1 -real-steps 10 -real-units 5000000 \
 		-format table | grep -q susp
 
+# Examples (mirrors the examples step of the CI backend-parity job):
+# the four deterministic facade examples must print exactly what
+# goldens/examples.sha256 pins, and the real-process example, whose
+# timings vary from run to run, must run to completion (unix only).
+# Run with UPDATE=1 to rewrite the hash golden.
+examples-check:
+	for e in quickstart priority memorypressure sizebased; do \
+		$(GO) run ./examples/$$e > /tmp/example-$$e.txt || exit 1; done
+	$(if $(UPDATE),cd /tmp && sha256sum example-*.txt > $(CURDIR)/goldens/examples.sha256,)
+	cd /tmp && sha256sum -c $(CURDIR)/goldens/examples.sha256
+	$(GO) run ./examples/realexec | grep -q 'tl done'
+
 # Large-trace streaming-replay smoke (mirrors the CI replay-smoke
 # job): a synthesized 1200-job SWIM trace runs through the full cluster
 # engine behind a 64-job streaming input window, split over 3 cells,
@@ -164,4 +176,4 @@ nightly-grid:
 	$(if $(UPDATE),cp /tmp/figures-reps20.json goldens/figures_reps20.json,)
 	cmp goldens/figures_reps20.json /tmp/figures-reps20.json
 
-ci: build vet fmt-check test bench bench-golden sweep-check backend-check replay-check dist-check
+ci: build vet fmt-check test bench bench-golden sweep-check backend-check examples-check replay-check dist-check

@@ -22,6 +22,7 @@ import (
 	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/metrics"
 	"hadooppreempt/internal/sweep"
+	"hadooppreempt/internal/workload"
 )
 
 // benchSeed keeps benchmark runs reproducible.
@@ -312,12 +313,14 @@ func BenchmarkAblationAdvisor(b *testing.B) {
 // metrics are the r=50% sojourn means over all 20 repetitions, which
 // are deterministic and golden-gated.
 func BenchmarkFullGrid20Reps(b *testing.B) {
-	var col *hp.SweepCollapsed
+	var col *sweep.Collapsed
 	for i := 0; i < b.N; i++ {
-		grid, cell := hp.TwoJobSweep(20)
-		var err error
-		col, err = hp.RunSweepCollapsed(grid, cell,
-			hp.SweepOptions{Parallel: runtime.GOMAXPROCS(0), Seed: benchSeed}, "rep")
+		backend, err := experiments.SimBackend("twojob", 0, 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		col, err = sweep.RunBackend(backend,
+			sweep.Options{Parallel: runtime.GOMAXPROCS(0), Seed: benchSeed}, "rep")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,7 +360,7 @@ func benchLargeTraceReplay(b *testing.B, sched string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	backend, err := hp.ReplaySweep(hp.ReplayConfig{
+	backend, err := workload.NewReplayBackend(workload.ReplayConfig{
 		Jobs:      trace,
 		Shards:    1,
 		Reps:      1,
@@ -373,10 +376,10 @@ func benchLargeTraceReplay(b *testing.B, sched string) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var col *hp.SweepCollapsed
+	var col *sweep.Collapsed
 	for i := 0; i < b.N; i++ {
-		col, err = hp.RunSweepCollapsed(grid, backend.Cell,
-			hp.SweepOptions{Parallel: 1, Seed: benchSeed}, "rep")
+		col, err = sweep.RunCollapsed(grid, backend.Cell,
+			sweep.Options{Parallel: 1, Seed: benchSeed}, "rep")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -461,9 +464,9 @@ func BenchmarkCellCache(b *testing.B) {
 		return nil
 	}
 	cells := float64(grid.Size())
-	run := func(b *testing.B, cache *hp.CellCache) {
-		col, err := hp.RunSweepCollapsed(grid, cell,
-			hp.SweepOptions{Parallel: runtime.GOMAXPROCS(0), Seed: benchSeed, Cache: cache}, "rep")
+	run := func(b *testing.B, cache *sweep.Cache) {
+		col, err := sweep.RunCollapsed(grid, cell,
+			sweep.Options{Parallel: runtime.GOMAXPROCS(0), Seed: benchSeed, Cache: cache}, "rep")
 		if err != nil || len(col.Groups) == 0 {
 			b.Fatalf("sweep failed: %v", err)
 		}
@@ -472,7 +475,7 @@ func BenchmarkCellCache(b *testing.B) {
 		// Every iteration fills a fresh cache: miss + store per cell.
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			cache, err := hp.NewCellCache(b.TempDir())
+			cache, err := sweep.NewCache(b.TempDir())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -482,7 +485,7 @@ func BenchmarkCellCache(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/cells, "us/cell")
 	})
 	b.Run("hit", func(b *testing.B) {
-		cache, err := hp.NewCellCache(b.TempDir())
+		cache, err := sweep.NewCache(b.TempDir())
 		if err != nil {
 			b.Fatal(err)
 		}

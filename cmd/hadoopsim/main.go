@@ -114,9 +114,11 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -124,15 +126,20 @@ import (
 	"strings"
 	"time"
 
-	hp "hadooppreempt"
+	"hadooppreempt/internal/chaos"
 	"hadooppreempt/internal/config"
+	"hadooppreempt/internal/coord"
+	"hadooppreempt/internal/experiments"
 	"hadooppreempt/internal/mapreduce"
+	"hadooppreempt/internal/realexec"
+	"hadooppreempt/internal/sweep"
+	"hadooppreempt/internal/workload"
 )
 
 func main() {
 	// The real backend re-executes this binary as its workers.
-	if hp.IsRealExecWorker() {
-		hp.RealExecWorkerMain()
+	if realexec.IsWorkerInvocation() {
+		realexec.WorkerMain()
 	}
 	path := flag.String("config", "", "experiment configuration file")
 	nodes := flag.Int("nodes", 1, "worker node count")
@@ -382,15 +389,15 @@ type sweepFlags struct {
 
 // buildBackend resolves the flag set to an execution backend,
 // decorated with the -cell-sleep debug cost when asked for.
-func buildBackend(f sweepFlags) (hp.SweepBackend, error) {
+func buildBackend(f sweepFlags) (sweep.Backend, error) {
 	b, err := buildBareBackend(f)
-	if err != nil {
-		return nil, err
+	if err != nil || f.cellSleep <= 0 {
+		return b, err
 	}
-	return hp.SlowSweep(b, f.cellSleep), nil
+	return slowBackend{Backend: b, unit: f.cellSleep}, nil
 }
 
-func buildBareBackend(f sweepFlags) (hp.SweepBackend, error) {
+func buildBareBackend(f sweepFlags) (sweep.Backend, error) {
 	switch f.backend {
 	case "sim":
 		if f.trace != "" || f.traceGen != 0 {
@@ -400,27 +407,29 @@ func buildBareBackend(f sweepFlags) (hp.SweepBackend, error) {
 		if scenario == "" {
 			scenario = "twojob"
 		}
-		return hp.SimSweep(scenario, 12, f.reps)
+		return experiments.SimBackend(scenario, 12, f.reps)
 	case "replay":
 		if f.scenario != "" {
 			return nil, fmt.Errorf("-sweep names a sim scenario; the replay backend takes -trace")
 		}
-		var jobs []hp.SWIMTraceJob
+		var jobs []workload.TraceJob
 		var err error
 		switch {
 		case f.trace != "" && f.traceGen != 0:
 			return nil, fmt.Errorf("-trace and -trace-gen are alternatives; pick one")
 		case f.trace != "":
-			jobs, err = hp.ReadSWIMTraceFile(f.trace)
+			jobs, err = workload.ReadTraceFile(f.trace)
 		case f.traceGen != 0:
-			jobs, err = hp.SynthesizeSWIMTrace(f.traceGen)
+			// A fixed generator seed makes the trace a pure function of
+			// its length, so every process regenerates the same one.
+			jobs, err = workload.SynthesizeTrace(f.traceGen, 1)
 		default:
 			return nil, fmt.Errorf("-backend replay needs -trace <file> or -trace-gen <n>")
 		}
 		if err != nil {
 			return nil, err
 		}
-		return hp.ReplaySweep(hp.ReplayConfig{
+		return workload.NewReplayBackend(workload.ReplayConfig{
 			Jobs:      jobs,
 			Shards:    f.traceShards,
 			Reps:      f.reps,
@@ -432,7 +441,7 @@ func buildBareBackend(f sweepFlags) (hp.SweepBackend, error) {
 		if f.scenario != "" || f.trace != "" {
 			return nil, fmt.Errorf("the real backend takes neither -sweep nor -trace")
 		}
-		return hp.RealExecSweep(hp.RealExecConfig{
+		return realexec.NewBackend(realexec.SweepConfig{
 			Reps:         f.reps,
 			Steps:        f.realSteps,
 			UnitsPerStep: f.realUnits,
@@ -442,6 +451,34 @@ func buildBareBackend(f sweepFlags) (hp.SweepBackend, error) {
 		return nil, fmt.Errorf("unknown backend %q (want sim, replay or real)", f.backend)
 	}
 }
+
+// slowBackend decorates a backend with artificial, deterministically
+// uneven per-cell cost (-cell-sleep): cell i sleeps (1 + i mod 3) x
+// unit before running. Measurements are untouched, so output stays
+// byte-identical to the wrapped backend; only wall-clock behavior
+// changes. It exists to exercise the distributed scheduler — steals,
+// lease expiry, kill/reissue races — against grids whose cells are
+// slow and uneven no matter how fast the simulator is.
+type slowBackend struct {
+	sweep.Backend
+	unit time.Duration
+}
+
+func (b slowBackend) Cell(pt sweep.Point, rec *sweep.Recorder) error {
+	time.Sleep(time.Duration(1+pt.Index%3) * b.unit)
+	return b.Backend.Cell(pt, rec)
+}
+
+// Fingerprint forwards the wrapped backend's content fingerprint (see
+// coord.Fingerprinter). The sleep is not part of it: it changes
+// wall-clock behavior only, never results, so coordinator and workers
+// may use different -cell-sleep values.
+func (b slowBackend) Fingerprint() string { return sweep.BackendFingerprint(b.Backend) }
+
+// CacheVolatile forwards the wrapped backend's volatility (see
+// sweep.Volatile): the sleep never changes results, so it must not
+// change whether they are cacheable either.
+func (b slowBackend) CacheVolatile() bool { return sweep.IsVolatile(b.Backend) }
 
 func runSweep(f sweepFlags) error {
 	b, err := buildBackend(f)
@@ -454,9 +491,9 @@ func runSweep(f sweepFlags) error {
 		// cells, not the primitives. Serialize unless explicitly asked.
 		f.parallel = 1
 	}
-	opts := hp.SweepOptions{Parallel: f.parallel, Seed: f.seed}
+	opts := sweep.Options{Parallel: f.parallel, Seed: f.seed}
 	if f.shard != "" {
-		if opts.Shard, err = hp.ParseSweepShard(f.shard); err != nil {
+		if opts.Shard, err = sweep.ParseShard(f.shard); err != nil {
 			return err
 		}
 	}
@@ -465,7 +502,7 @@ func runSweep(f sweepFlags) error {
 		return err
 	}
 	opts.Cache = cache
-	col, err := hp.RunSweepBackend(b, opts, "rep")
+	col, err := sweep.RunBackend(b, opts, "rep")
 	if err != nil {
 		return err
 	}
@@ -478,16 +515,16 @@ func runSweep(f sweepFlags) error {
 
 // openCache opens the -cache cell-result cache, or returns nil when
 // the flag is unset (a nil cache caches nothing).
-func openCache(f sweepFlags) (*hp.CellCache, error) {
+func openCache(f sweepFlags) (*sweep.Cache, error) {
 	if f.cache == "" {
 		return nil, nil
 	}
-	return hp.NewCellCache(f.cache)
+	return sweep.NewCache(f.cache)
 }
 
 // reportCache prints this process's cache counters to stderr — the
 // warm-vs-cold summary of a -cache run.
-func reportCache(c *hp.CellCache, role string) {
+func reportCache(c *sweep.Cache, role string) {
 	if c == nil {
 		return
 	}
@@ -500,10 +537,34 @@ func reportCache(c *hp.CellCache, role string) {
 // leases, hand them to workers, fold their uploads into a running
 // aggregate and render the result — byte-identical to runSweep at any
 // worker count, steal, re-issue, or coordinator-crash-and-resume
-// history. With -checkpoint the coordinator state is durable; with a
-// comma-separated -sweep list the server queues several sim grids and
-// runs them in order (a long-lived grid service).
+// history. With -checkpoint the coordinator state is durable; a
+// comma-separated -sweep list queues several sim grids on the one
+// coordinator and runs them in order (a long-lived grid service), each
+// result preceded by a "# sweep i: name" header. A single sweep is a
+// one-entry queue printed without the header.
 func runServe(f sweepFlags, addr string, leaseCells int, ttl time.Duration, checkpoint string, resume bool, leaseRetries int) error {
+	scenarios := strings.Split(f.scenario, ",")
+	queue := len(scenarios) > 1
+	if queue && f.backend != "sim" {
+		return fmt.Errorf("a -sweep queue (comma-separated scenarios) needs -backend sim")
+	}
+	backends := make([]sweep.Backend, len(scenarios))
+	for i := range scenarios {
+		scenarios[i] = strings.TrimSpace(scenarios[i])
+		if queue && scenarios[i] == "" {
+			return fmt.Errorf("-sweep list entry %d is empty", i)
+		}
+		fs := f
+		fs.scenario = scenarios[i]
+		b, err := buildBackend(fs)
+		if err != nil {
+			if queue {
+				return fmt.Errorf("sweep %d (%s): %w", i, scenarios[i], err)
+			}
+			return err
+		}
+		backends[i] = b
+	}
 	plan, err := chaosPlan(f, "coord")
 	if err != nil {
 		return err
@@ -512,56 +573,67 @@ func runServe(f sweepFlags, addr string, leaseCells int, ttl time.Duration, chec
 	if err != nil {
 		return err
 	}
-	opts := hp.DistributedOptions{
+	cfg := coord.Config{
 		Addr:             addr,
-		Seed:             f.seed,
 		LeaseCells:       leaseCells,
 		LeaseTTL:         ttl,
-		Checkpoint:       checkpoint,
-		Resume:           resume,
 		MaxLeaseFailures: leaseRetries,
-		Chaos:            plan,
+		Checkpoint:       checkpoint,
 		Cache:            cache,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "coord: "+format+"\n", args...)
 		},
 	}
-	scenarios := strings.Split(f.scenario, ",")
-	if len(scenarios) == 1 {
-		b, err := buildBackend(f)
+	if plan != nil {
+		cfg.Middleware = func(next http.Handler) http.Handler { return plan.Middleware("coord", next) }
+		cfg.WriteCheckpoint = plan.CheckpointWriter(coord.WriteFileDurable)
+	}
+	if sweep.IsVolatile(backends[0]) {
+		// Real-process cells are never cached (and a queue is sim-only),
+		// so the coordinator has nothing to consult before leasing.
+		cfg.Cache = nil
+	}
+	c := coord.New(cfg)
+	for _, b := range backends {
+		g, err := b.Grid()
 		if err != nil {
 			return err
 		}
-		col, err := hp.DistributedSweep(context.Background(), b, opts, "rep")
-		if err != nil {
+		if _, err := c.Enqueue(coord.Sweep{
+			Grid: g, Seed: f.seed, Collapse: []string{"rep"},
+			BackendName: b.Name(), BackendFP: coord.BackendFingerprint(b),
+		}); err != nil {
 			return err
 		}
-		reportCache(cache, "coord")
-		return col.Write(os.Stdout, f.format)
 	}
-	if f.backend != "sim" {
-		return fmt.Errorf("a -sweep queue (comma-separated scenarios) needs -backend sim")
-	}
-	backends := make([]hp.SweepBackend, len(scenarios))
-	for i, scenario := range scenarios {
-		fs := f
-		fs.scenario = strings.TrimSpace(scenario)
-		b, err := buildBackend(fs)
-		if err != nil {
-			return fmt.Errorf("sweep %d (%s): %w", i, scenario, err)
+	if resume {
+		if err := c.Restore(checkpoint); err != nil {
+			return err
 		}
-		backends[i] = b
 	}
-	var werr error
-	_, err = hp.DistributedSweepQueue(context.Background(), backends, opts,
-		func(i int, col *hp.SweepCollapsed) {
-			fmt.Printf("# sweep %d: %s\n", i, strings.TrimSpace(scenarios[i]))
-			if err := col.Write(os.Stdout, f.format); err != nil && werr == nil {
-				werr = err
-			}
-		}, "rep")
-	if err != nil {
+	if err := c.Serve(); err != nil {
 		return err
+	}
+	// A failed sweep does not stop later ones; the first failure (or,
+	// failing that, the first write error) is what runServe returns.
+	var failed, werr error
+	for i, scenario := range scenarios {
+		col, err := c.WaitSweep(context.Background(), i)
+		if err != nil {
+			if queue {
+				err = fmt.Errorf("sweep %d: %w", i, err)
+			}
+			failed = cmp.Or(failed, err)
+			continue
+		}
+		if queue {
+			fmt.Printf("# sweep %d: %s\n", i, scenario)
+		}
+		werr = cmp.Or(werr, col.Write(os.Stdout, f.format))
+	}
+	c.Drain()
+	if failed != nil {
+		return failed
 	}
 	reportCache(cache, "coord")
 	return werr
@@ -570,7 +642,7 @@ func runServe(f sweepFlags, addr string, leaseCells int, ttl time.Duration, chec
 // runStatus queries a running coordinator's GET /v1/status endpoint
 // and prints per-sweep and per-worker progress.
 func runStatus(addr string) error {
-	st, err := hp.SweepStatus(addr)
+	st, err := coord.FetchStatus(addr)
 	if err != nil {
 		return err
 	}
@@ -602,7 +674,9 @@ func runStatus(addr string) error {
 }
 
 // runWorker joins a coordinator and executes leased cells with the
-// locally constructed backend until the sweep completes.
+// locally constructed backend until the sweep completes. A -chaos plan
+// wraps the backend with its cell faults and the HTTP client with its
+// transport faults.
 func runWorker(f sweepFlags, addr string) error {
 	b, err := buildBackend(f)
 	if err != nil {
@@ -613,9 +687,6 @@ func runWorker(f sweepFlags, addr string) error {
 		// they run serially unless concurrency is asked for explicitly.
 		f.parallel = 1
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "worker: "+format+"\n", args...)
-	}
 	plan, err := chaosPlan(f, "worker")
 	if err != nil {
 		return err
@@ -624,12 +695,23 @@ func runWorker(f sweepFlags, addr string) error {
 	if err != nil {
 		return err
 	}
-	werr := hp.RunDistributedWorker(context.Background(), addr, b, hp.DistributedWorkerOptions{
+	cfg := coord.WorkerConfig{
+		Addr:     addr,
+		Backend:  b,
 		Parallel: f.parallel,
-		Chaos:    plan,
 		Cache:    cache,
-		Logf:     logf,
-	})
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "worker: "+format+"\n", args...)
+		},
+	}
+	if plan != nil {
+		cfg.Backend = plan.WrapBackend(b)
+		cfg.Client = &http.Client{
+			Timeout:   30 * time.Second,
+			Transport: plan.Transport("worker", nil),
+		}
+	}
+	werr := coord.RunWorker(context.Background(), cfg)
 	reportCache(cache, "worker")
 	return werr
 }
@@ -637,18 +719,18 @@ func runWorker(f sweepFlags, addr string) error {
 // chaosPlan builds the process's fault plan from -chaos, logging every
 // injected fault to stderr under the process role — the replayable
 // fault trace of a drill. Nil when -chaos is unset.
-func chaosPlan(f sweepFlags, role string) (*hp.ChaosPlan, error) {
+func chaosPlan(f sweepFlags, role string) (*chaos.Plan, error) {
 	if f.chaos == "" {
 		return nil, nil
 	}
-	cfg, err := hp.ParseChaosSpec(f.chaos)
+	cfg, err := chaos.ParseSpec(f.chaos)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, role+": "+format+"\n", args...)
 	}
-	plan := hp.NewChaosPlan(cfg)
+	plan := chaos.New(cfg)
 	fmt.Fprintf(os.Stderr, "%s: chaos plan active (seed %d): %s\n", role, plan.Seed(), f.chaos)
 	return plan, nil
 }
@@ -659,19 +741,19 @@ func runMerge(files []string, format string) error {
 	if len(files) == 0 {
 		return fmt.Errorf("-merge needs shard files as arguments")
 	}
-	shards := make([]*hp.SweepCollapsed, len(files))
+	shards := make([]*sweep.Collapsed, len(files))
 	for i, path := range files {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		shards[i], err = hp.ReadSweepShard(f)
+		shards[i], err = sweep.ReadShard(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	col, err := hp.MergeSweepShards(shards...)
+	col, err := sweep.Merge(shards...)
 	if err != nil {
 		return err
 	}

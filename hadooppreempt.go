@@ -442,9 +442,6 @@ type WorkloadClass = workload.JobClass
 // WorkloadJob is one generated job specification.
 type WorkloadJob = workload.JobSpec
 
-// DefaultWorkloadConfig returns a Facebook-like interactive/batch mix.
-func DefaultWorkloadConfig() WorkloadConfig { return workload.DefaultConfig() }
-
 // GenerateWorkload samples a deterministic workload trace.
 func GenerateWorkload(cfg WorkloadConfig, seed uint64) ([]WorkloadJob, error) {
 	return workload.Generate(cfg, sim.NewRNG(seed))

@@ -219,14 +219,19 @@ func TestResumeThenCacheNeverDoubleAbsorbs(t *testing.T) {
 
 	// Second incarnation: resume the ledger, then retire the remaining
 	// leases from cache. The uploaded lease must not be replayed again.
-	c2 := startCoordinator(t, Config{
+	c2, err := resume(Config{
+		Addr:        "127.0.0.1:0",
 		LeaseCells:  3,
 		LeaseTTL:    time.Minute,
+		DoneGrace:   200 * time.Millisecond,
 		BackendName: "test",
 		Checkpoint:  ckpt,
-		Resume:      true,
 		Cache:       cache,
 	}, g, seed, sweep.RepAxis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c2.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	got, err := c2.Wait(ctx)

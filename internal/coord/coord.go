@@ -19,10 +19,10 @@
 // A coordinator is durable and long-lived: it checkpoints its state
 // (sweep identity fingerprints, the lease ledger, the running
 // aggregate) to a file after every accepted upload, so a coordinator
-// killed mid-sweep restarts with Config.Resume and finishes from its
-// last durable lease, still byte-identical to the single-process run.
-// It also queues multiple sweeps on one listener, activating them in
-// order, and reports progress over GET /v1/status.
+// killed mid-sweep restarts (Enqueue the same sweeps, Restore, Serve)
+// and finishes from its last durable lease, still byte-identical to the
+// single-process run. It also queues multiple sweeps on one listener,
+// activating them in order, and reports progress over GET /v1/status.
 //
 // Protocol (endpoints rooted at /v1; all POST JSON except status):
 //

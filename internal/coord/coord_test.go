@@ -368,8 +368,8 @@ func TestWorkerCellErrorAbortsSweep(t *testing.T) {
 }
 
 // TestDispatchBackendViaCoordinator drives the coordinator through the
-// Start/Wait/Drain sequence the facade's DistributedSweep uses and
-// checks the served sweep is byte-identical to RunBackend.
+// single-sweep Start/Wait/Drain sequence and checks the served sweep is
+// byte-identical to RunBackend.
 func TestDispatchBackendViaCoordinator(t *testing.T) {
 	g := sweep.NewGrid(sweep.Strings("a", "x", "y", "z"), sweep.Reps(2))
 	b := &testBackend{g: g}

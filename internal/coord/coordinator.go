@@ -55,11 +55,6 @@ type Config struct {
 	// and never reaches a worker. Consultation happens at Serve time,
 	// after any Restore, so a resumed ledger is never double-absorbed.
 	Cache *sweep.Cache
-	// Resume makes Start restore state from Checkpoint instead of
-	// beginning the sweep from scratch: leases the previous incarnation
-	// accepted stay done, and the final output is byte-identical to an
-	// uninterrupted run.
-	Resume bool
 	// Context is not consulted: Wait and WaitSweep take their own.
 	//
 	// Deprecated: pass the context to Wait or WaitSweep.
@@ -385,20 +380,14 @@ func (c *Coordinator) Serve() error {
 	return nil
 }
 
-// Start is the single-sweep entry point: enqueue the grid (under the
-// Config's backend identity), restore from the checkpoint when
-// Config.Resume is set, and serve.
+// Start is the single-sweep entry point: enqueue the grid under the
+// Config's backend identity and serve.
 func (c *Coordinator) Start(g sweep.Grid, seed uint64, collapse ...string) error {
 	if _, err := c.Enqueue(Sweep{
 		Grid: g, Seed: seed, Collapse: collapse,
 		BackendName: c.cfg.BackendName, BackendFP: c.cfg.BackendFP,
 	}); err != nil {
 		return err
-	}
-	if c.cfg.Resume {
-		if err := c.Restore(c.cfg.Checkpoint); err != nil {
-			return err
-		}
 	}
 	return c.Serve()
 }

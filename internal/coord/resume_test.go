@@ -19,9 +19,9 @@ import (
 // the worker-loss parity property: for random grids, collapse sets and
 // kill points, a coordinator killed cold after k accepted uploads (no
 // drain, no graceful shutdown — only what the checkpoint made durable)
-// and restarted with Resume finishes the sweep byte-identically to a
-// single-process run, without re-running the leases that were already
-// durable.
+// and restored from its checkpoint finishes the sweep byte-identically
+// to a single-process run, without re-running the leases that were
+// already durable.
 func TestCoordinatorKillResumeProperty(t *testing.T) {
 	rng := sim.NewRNG(20260807)
 	for trial := 0; trial < 10; trial++ {
@@ -59,9 +59,8 @@ func TestCoordinatorKillResumeProperty(t *testing.T) {
 		}
 		c1.Close()
 
-		cfg.Resume = true
-		c2 := New(cfg)
-		if err := c2.Start(g, seed, collapse...); err != nil {
+		c2, err := resume(cfg, g, seed, collapse...)
+		if err != nil {
 			t.Fatalf("trial %d (kill=%d/%d): resume: %v", trial, kill, leases, err)
 		}
 		st := c2.Status()
@@ -106,6 +105,23 @@ func partialCheckpoint(t *testing.T, dir string) (string, sweep.Grid, uint64) {
 	rc.upload(g, lr, 1)
 	c.Close()
 	return ckpt, g, 11
+}
+
+// resume restarts a coordinator from cfg.Checkpoint the way hadoopsim
+// -serve -resume does: enqueue the sweep under the Config's backend
+// identity, restore, then serve.
+func resume(cfg Config, g sweep.Grid, seed uint64, collapse ...string) (*Coordinator, error) {
+	c := New(cfg)
+	if _, err := c.Enqueue(Sweep{
+		Grid: g, Seed: seed, Collapse: collapse,
+		BackendName: cfg.BackendName, BackendFP: cfg.BackendFP,
+	}); err != nil {
+		return nil, err
+	}
+	if err := c.Restore(cfg.Checkpoint); err != nil {
+		return nil, err
+	}
+	return c, c.Serve()
 }
 
 // resumeWith builds a fresh coordinator over the same sweep and tries
@@ -201,9 +217,8 @@ func TestCheckpointRobustness(t *testing.T) {
 		t.Fatalf("repartitioned resume: %v", err)
 	}
 
-	// Resume flag without a checkpoint path configured.
-	c := New(Config{Addr: "127.0.0.1:0", Resume: true})
-	if err := c.Start(g, seed, "rep"); err == nil || !strings.Contains(err.Error(), "checkpoint path") {
+	// Resume without a checkpoint path.
+	if err := resumeWith(t, "", g, seed, 2); err == nil || !strings.Contains(err.Error(), "checkpoint path") {
 		t.Fatalf("resume without path: %v", err)
 	}
 
@@ -490,9 +505,8 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 		t.Fatal("worker never reported the outage")
 	}
 	cfg.Addr = addr
-	cfg.Resume = true
-	c2 := New(cfg)
-	if err := c2.Start(g, 31, "rep"); err != nil {
+	c2, err := resume(cfg, g, 31, "rep")
+	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c2.Close)

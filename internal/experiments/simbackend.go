@@ -31,32 +31,42 @@ func PressureCellInto(pt sweep.Point, rec *sweep.Recorder) error {
 }
 
 // SimBackend returns the simulator execution backend for a named
-// scenario grid. It is the existing sweep path behind Figures 2-4
-// repackaged behind the sweep.Backend interface: cell wiring and seed
-// derivation are unchanged, so its output stays byte-identical to the
-// pre-backend harness at any parallelism level.
+// scenario grid — the one place the sim grids are declared. Cell wiring
+// and seed derivation are fixed per grid, so its output is
+// byte-identical at any parallelism level, shard split or worker count.
 //
-// Scenarios: "twojob" (primitive x preemption point) and "pressure"
-// (primitive x th memory x preemption point). The cluster-scale grids
-// (cluster, evict, primitive, scenarios) are declared by the facade's
-// SimSweep.
-func SimBackend(scenario string, reps int) (sweep.Backend, error) {
+// Scenarios (before repetitions):
+//
+//	twojob     primitive x preemption point        (Figures 2a/2b)
+//	pressure   primitive x th memory x preemption  (Figures 3/4 regime)
+//	cluster    scheduler x nodes x workload mix    (cluster scale-out)
+//	evict      fair/hfsp x eviction policy x nodes x mix
+//	primitive  fair/hfsp x susp/kill x nodes x mix (seed-paired)
+//	scenarios  fair/hfsp x arrival shape x memory skew (generated
+//	           preemption scenarios; all scenario axes seed-paired)
+//
+// jobs sizes the cluster, evict and primitive grids' workloads
+// (non-positive means 12); the other grids ignore it.
+func SimBackend(scenario string, jobs, reps int) (sweep.Backend, error) {
+	var g sweep.Grid
+	var run sweep.CellFunc
 	switch scenario {
 	case "twojob":
-		return sweep.FuncBackend{
-			Engine: SimBackendName,
-			G:      TwoJobGrid(reps),
-			Run: func(pt sweep.Point, rec *sweep.Recorder) error {
-				return TwoJobCellInto(pt, 0, 0, rec)
-			},
-		}, nil
+		g, run = TwoJobGrid(reps), func(pt sweep.Point, rec *sweep.Recorder) error {
+			return TwoJobCellInto(pt, 0, 0, rec)
+		}
 	case "pressure":
-		return sweep.FuncBackend{
-			Engine: SimBackendName,
-			G:      PressureGrid(reps),
-			Run:    PressureCellInto,
-		}, nil
+		g, run = PressureGrid(reps), PressureCellInto
+	case "cluster":
+		g, run = clusterSweep(jobs, reps)
+	case "evict":
+		g, run = clusterSweep(jobs, reps, evictionPolicyNames()...)
+	case "primitive":
+		g, run = clusterPrimitiveSweep(jobs, reps)
+	case "scenarios":
+		g, run = scenarioSweep(reps)
 	default:
-		return nil, fmt.Errorf("experiments: unknown sim scenario %q (want twojob or pressure)", scenario)
+		return nil, fmt.Errorf("experiments: unknown sim scenario %q (want twojob, pressure, cluster, evict, primitive or scenarios)", scenario)
 	}
+	return sweep.FuncBackend{Engine: SimBackendName, G: g, Run: run}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Summary holds order statistics over a set of samples.
@@ -76,26 +75,6 @@ func percentile(sorted []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// DurationSummary is Summarize over durations, reported in seconds.
-func DurationSummary(ds []time.Duration) Summary {
-	samples := make([]float64, len(ds))
-	for i, d := range ds {
-		samples[i] = d.Seconds()
-	}
-	return Summarize(samples)
-}
-
-// SpreadWithin reports whether all samples are within frac of the mean,
-// the property the paper states for its error bars ("minimum and maximum
-// values measured are within 5% of the average").
-func SpreadWithin(samples []float64, frac float64) bool {
-	s := Summarize(samples)
-	if s.Count == 0 || s.Mean == 0 {
-		return true
-	}
-	return s.Max <= s.Mean*(1+frac) && s.Min >= s.Mean*(1-frac)
 }
 
 // Series is a labelled sequence of (x, y) points, one experiment curve.

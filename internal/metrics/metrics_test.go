@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSummarizeBasics(t *testing.T) {
@@ -66,25 +65,6 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 	if math.Abs(s.P95-9.5) > 1e-9 {
 		t.Fatalf("P95 of {0,10} = %v, want 9.5", s.P95)
-	}
-}
-
-func TestDurationSummary(t *testing.T) {
-	s := DurationSummary([]time.Duration{time.Second, 3 * time.Second})
-	if s.Mean != 2 {
-		t.Fatalf("Mean = %v s, want 2", s.Mean)
-	}
-}
-
-func TestSpreadWithin(t *testing.T) {
-	if !SpreadWithin([]float64{100, 102, 98}, 0.05) {
-		t.Fatal("samples within 5% should pass")
-	}
-	if SpreadWithin([]float64{100, 120}, 0.05) {
-		t.Fatal("20% spread should fail")
-	}
-	if !SpreadWithin(nil, 0.05) {
-		t.Fatal("empty samples trivially pass")
 	}
 }
 

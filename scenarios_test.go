@@ -9,6 +9,7 @@ import (
 
 	"hadooppreempt/internal/genload"
 	"hadooppreempt/internal/sim"
+	"hadooppreempt/internal/sweep"
 )
 
 // runScenario boots the scenario sweep's cluster shape for one
@@ -79,7 +80,7 @@ func TestScenarioFuzzConverges(t *testing.T) {
 // grid: -sweep scenarios output is byte-identical across worker-pool
 // sizes and across a 3-way shard split merged in scrambled order.
 func TestScenarioSweepDeterminism(t *testing.T) {
-	render := func(col *hp.SweepCollapsed) string {
+	render := func(col *sweep.Collapsed) string {
 		var out bytes.Buffer
 		for _, format := range []string{"csv", "json", "table"} {
 			if err := col.Write(&out, format); err != nil {
@@ -88,13 +89,13 @@ func TestScenarioSweepDeterminism(t *testing.T) {
 		}
 		return out.String()
 	}
-	run := func(parallel int, shard *hp.SweepShard) *hp.SweepCollapsed {
-		grid, cell := hp.ScenarioSweep(2)
-		opts := hp.SweepOptions{Parallel: parallel, Seed: 7}
+	run := func(parallel int, shard *sweep.Shard) *sweep.Collapsed {
+		grid, cell := simGrid(t, "scenarios", 0, 2)
+		opts := sweep.Options{Parallel: parallel, Seed: 7}
 		if shard != nil {
 			opts.Shard = *shard
 		}
-		col, err := hp.RunSweepCollapsed(grid, cell, opts, "rep")
+		col, err := sweep.RunCollapsed(grid, cell, opts, "rep")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,19 +106,19 @@ func TestScenarioSweepDeterminism(t *testing.T) {
 		t.Fatal("scenarios sweep output differs between -parallel 1 and -parallel 8")
 	}
 	const shards = 3
-	parts := make([]*hp.SweepCollapsed, shards)
+	parts := make([]*sweep.Collapsed, shards)
 	for i := 0; i < shards; i++ {
-		col := run(4, &hp.SweepShard{Index: i, Count: shards})
+		col := run(4, &sweep.Shard{Index: i, Count: shards})
 		var file bytes.Buffer
 		if err := col.WriteShard(&file); err != nil {
 			t.Fatal(err)
 		}
 		var err error
-		if parts[i], err = hp.ReadSweepShard(&file); err != nil {
+		if parts[i], err = sweep.ReadShard(&file); err != nil {
 			t.Fatal(err)
 		}
 	}
-	merged, err := hp.MergeSweepShards(parts[2], parts[0], parts[1])
+	merged, err := sweep.Merge(parts[2], parts[0], parts[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +133,8 @@ func TestScenarioSweepDeterminism(t *testing.T) {
 // (the per-axis stream contract, observed end to end through the
 // makespan of the uniform vs skewed steady cells).
 func TestScenarioSweepShowsPreemption(t *testing.T) {
-	grid, cell := hp.ScenarioSweep(2)
-	col, err := hp.RunSweepCollapsed(grid, cell, hp.SweepOptions{Parallel: 8, Seed: 1}, "rep")
+	grid, cell := simGrid(t, "scenarios", 0, 2)
+	col, err := sweep.RunCollapsed(grid, cell, sweep.Options{Parallel: 8, Seed: 1}, "rep")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,12 @@ import (
 	"time"
 
 	hp "hadooppreempt"
+	"hadooppreempt/internal/coord"
+	"hadooppreempt/internal/sweep"
 )
 
 // renderAll renders a collapsed sweep in every format.
-func renderAll(t *testing.T, col *hp.SweepCollapsed) string {
+func renderAll(t *testing.T, col *sweep.Collapsed) string {
 	t.Helper()
 	var out bytes.Buffer
 	for _, format := range []string{"csv", "json", "table", "series"} {
@@ -22,64 +24,60 @@ func renderAll(t *testing.T, col *hp.SweepCollapsed) string {
 	return out.String()
 }
 
-// TestDistributedSweepMatchesLocal drives the paper's two-job grid
-// through the facade's coordinator/worker entry points — two workers,
-// single-cell leases so both stay busy — and checks the merged result
-// renders byte-identically to the in-process sweep in every format.
+// TestDistributedSweepMatchesLocal serves the paper's two-job grid
+// from a coordinator to two workers — single-cell leases so both stay
+// busy — and checks the merged result renders byte-identically to the
+// in-process sweep in every format.
 func TestDistributedSweepMatchesLocal(t *testing.T) {
-	backend := func() hp.SweepBackend {
+	backend := func() sweep.Backend {
 		b, err := hp.SimSweep("twojob", 12, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	want, err := hp.RunSweepBackend(backend(), hp.SweepOptions{Parallel: 4, Seed: 7}, "rep")
+	want, err := sweep.RunBackend(backend(), sweep.Options{Parallel: 4, Seed: 7}, "rep")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrc := make(chan string, 1)
-	type res struct {
-		col *hp.SweepCollapsed
-		err error
+	b := backend()
+	g, err := b.Grid()
+	if err != nil {
+		t.Fatal(err)
 	}
-	servec := make(chan res, 1)
-	go func() {
-		col, err := hp.DistributedSweep(context.Background(), backend(), hp.DistributedOptions{
-			Addr:       "127.0.0.1:0",
-			Seed:       7,
-			LeaseCells: 1,
-			LeaseTTL:   time.Minute,
-			OnListen:   func(a string) { addrc <- a },
-		}, "rep")
-		servec <- res{col, err}
-	}()
-	var addr string
-	select {
-	case addr = <-addrc:
-	case <-time.After(5 * time.Second):
-		t.Fatal("coordinator never bound")
+	c := coord.New(coord.Config{Addr: "127.0.0.1:0", LeaseCells: 1, LeaseTTL: time.Minute})
+	if _, err := c.Enqueue(coord.Sweep{
+		Grid: g, Seed: 7, Collapse: []string{"rep"},
+		BackendName: b.Name(), BackendFP: coord.BackendFingerprint(b),
+	}); err != nil {
+		t.Fatal(err)
 	}
+	if err := c.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	var wg sync.WaitGroup
 	workerErrs := make([]error, 2)
 	for w := range workerErrs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerErrs[w] = hp.RunDistributedWorker(context.Background(), addr, backend(), hp.DistributedWorkerOptions{Parallel: 2})
+			workerErrs[w] = coord.RunWorker(context.Background(), coord.WorkerConfig{
+				Addr: c.Addr(), Backend: backend(), Parallel: 2,
+			})
 		}(w)
 	}
 	wg.Wait()
-	got := <-servec
-	if got.err != nil {
-		t.Fatal(got.err)
+	got, err := c.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
 	for w, err := range workerErrs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if renderAll(t, got.col) != renderAll(t, want) {
+	if renderAll(t, got) != renderAll(t, want) {
 		t.Fatal("distributed sweep output differs from the in-process sweep")
 	}
 }
@@ -89,7 +87,7 @@ func TestDistributedSweepMatchesLocal(t *testing.T) {
 // pairs susp and kill on identical workload draws, and runs
 // deterministically.
 func TestClusterPrimitiveSweep(t *testing.T) {
-	grid, run := hp.ClusterPrimitiveSweep(4, 1)
+	grid, run := simGrid(t, "primitive", 4, 1)
 	wantAxes := []string{"sched", "prim", "nodes", "mix", "rep"}
 	if len(grid.Axes) != len(wantAxes) {
 		t.Fatalf("grid has %d axes, want %d", len(grid.Axes), len(wantAxes))
@@ -123,7 +121,7 @@ func TestClusterPrimitiveSweep(t *testing.T) {
 		}
 	}
 	render := func(parallel int) string {
-		col, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: parallel, Seed: 1}, "rep")
+		col, err := sweep.RunCollapsed(grid, run, sweep.Options{Parallel: parallel, Seed: 1}, "rep")
 		if err != nil {
 			t.Fatal(err)
 		}

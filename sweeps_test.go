@@ -2,19 +2,38 @@ package hadooppreempt_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	hp "hadooppreempt"
+	"hadooppreempt/internal/experiments"
 	"hadooppreempt/internal/mapreduce"
+	"hadooppreempt/internal/sweep"
 )
+
+// simGrid returns the named sim grid and its cell runner, as declared by
+// experiments.SimBackend, so a test may trim the grid's axes before
+// running it.
+func simGrid(t *testing.T, scenario string, jobs, reps int) (sweep.Grid, sweep.CellFunc) {
+	t.Helper()
+	b, err := experiments.SimBackend(scenario, jobs, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, b.Cell
+}
 
 // TestTwoJobSweepEndToEnd drives the paper's two-job scenario grid
 // through the streaming-collapse harness and checks the headline
 // qualitative claim: the smaller (high-priority) job's sojourn improves
 // under suspend compared to kill at every preemption point.
 func TestTwoJobSweepEndToEnd(t *testing.T) {
-	grid, run := hp.TwoJobSweep(1)
-	col, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: 4, Seed: 1}, "rep")
+	grid, run := simGrid(t, "twojob", 0, 1)
+	col, err := sweep.RunCollapsed(grid, run, sweep.Options{Parallel: 4, Seed: 1}, "rep")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +62,8 @@ func TestTwoJobSweepEndToEnd(t *testing.T) {
 // worker pool size.
 func TestSweepParallelismByteIdentical(t *testing.T) {
 	render := func(parallel int) (string, string) {
-		grid, run := hp.TwoJobSweep(1)
-		col, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: parallel, Seed: 42}, "rep")
+		grid, run := simGrid(t, "twojob", 0, 1)
+		col, err := sweep.RunCollapsed(grid, run, sweep.Options{Parallel: parallel, Seed: 42}, "rep")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +92,7 @@ func TestSweepParallelismByteIdentical(t *testing.T) {
 // every format.
 func TestSweepShardMergeByteIdentical(t *testing.T) {
 	const shards = 3
-	render := func(col *hp.SweepCollapsed) string {
+	render := func(col *sweep.Collapsed) string {
 		var out bytes.Buffer
 		for _, format := range []string{"csv", "json", "table"} {
 			if err := col.Write(&out, format); err != nil {
@@ -82,16 +101,16 @@ func TestSweepShardMergeByteIdentical(t *testing.T) {
 		}
 		return out.String()
 	}
-	grid, run := hp.TwoJobSweep(2)
-	full, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: 4, Seed: 7}, "rep")
+	grid, run := simGrid(t, "twojob", 0, 2)
+	full, err := sweep.RunCollapsed(grid, run, sweep.Options{Parallel: 4, Seed: 7}, "rep")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := make([]*hp.SweepCollapsed, shards)
+	parts := make([]*sweep.Collapsed, shards)
 	for i := 0; i < shards; i++ {
-		grid, run := hp.TwoJobSweep(2)
-		opts := hp.SweepOptions{Parallel: 4, Seed: 7, Shard: hp.SweepShard{Index: i, Count: shards}}
-		col, err := hp.RunSweepCollapsed(grid, run, opts, "rep")
+		grid, run := simGrid(t, "twojob", 0, 2)
+		opts := sweep.Options{Parallel: 4, Seed: 7, Shard: sweep.Shard{Index: i, Count: shards}}
+		col, err := sweep.RunCollapsed(grid, run, opts, "rep")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,12 +118,12 @@ func TestSweepShardMergeByteIdentical(t *testing.T) {
 		if err := col.WriteShard(&file); err != nil {
 			t.Fatal(err)
 		}
-		if parts[i], err = hp.ReadSweepShard(&file); err != nil {
+		if parts[i], err = sweep.ReadShard(&file); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Merge in a non-trivial order to exercise order independence.
-	merged, err := hp.MergeSweepShards(parts[2], parts[0], parts[1])
+	merged, err := sweep.Merge(parts[2], parts[0], parts[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +132,9 @@ func TestSweepShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSimSweepBackendMatchesCanned proves the backend repackaging of
-// the simulator path changed no bytes: SimSweep("twojob") renders
-// identically to the direct canned grid at any parallelism.
+// TestSimSweepBackendMatchesCanned proves the facade's SimSweep changed
+// no bytes: SimSweep("twojob") renders identically to the two-job grid
+// and cell wiring run directly, at any parallelism.
 func TestSimSweepBackendMatchesCanned(t *testing.T) {
 	b, err := hp.SimSweep("twojob", 0, 1)
 	if err != nil {
@@ -124,12 +143,13 @@ func TestSimSweepBackendMatchesCanned(t *testing.T) {
 	if b.Name() != "sim" {
 		t.Errorf("backend name = %q, want sim", b.Name())
 	}
-	viaBackend, err := hp.RunSweepBackend(b, hp.SweepOptions{Parallel: 8, Seed: 1}, "rep")
+	viaBackend, err := sweep.RunBackend(b, sweep.Options{Parallel: 8, Seed: 1}, "rep")
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, run := hp.TwoJobSweep(1)
-	direct, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: 2, Seed: 1}, "rep")
+	direct, err := sweep.RunCollapsed(experiments.TwoJobGrid(1), func(pt sweep.Point, rec *sweep.Recorder) error {
+		return experiments.TwoJobCellInto(pt, 0, 0, rec)
+	}, sweep.Options{Parallel: 2, Seed: 1}, "rep")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +173,8 @@ func TestSimSweepBackendMatchesCanned(t *testing.T) {
 // policy, and a reduced slice runs to completion with the policy label
 // reaching the cluster.
 func TestEvictSweepCoversPolicies(t *testing.T) {
-	grid, run := hp.ClusterSweep(4, 1, "most-progress", "least-progress")
-	var sched, evict *hp.SweepAxis
+	grid, run := simGrid(t, "evict", 4, 1)
+	var sched, evict *sweep.Axis
 	for i, a := range grid.Axes {
 		switch a.Name {
 		case "sched":
@@ -173,10 +193,16 @@ func TestEvictSweepCoversPolicies(t *testing.T) {
 	if len(sched.Values) != 2 {
 		t.Fatalf("sched axis has %d values, want fair+hfsp only", len(sched.Values))
 	}
-	if len(evict.Values) != 2 {
-		t.Fatalf("evict axis has %d values, want 2 policies", len(evict.Values))
+	var policies []string
+	for _, v := range evict.Values {
+		policies = append(policies, v.Label)
 	}
-	col, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: 4, Seed: 5}, "rep")
+	if want := []string{"most-progress", "least-progress", "smallest-memory", "largest-memory"}; !slices.Equal(policies, want) {
+		t.Fatalf("evict axis = %v, want %v", policies, want)
+	}
+	// Run two policies to keep the test quick.
+	evict.Values = evict.Values[:2]
+	col, err := sweep.RunCollapsed(grid, run, sweep.Options{Parallel: 4, Seed: 5}, "rep")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +216,16 @@ func TestEvictSweepCoversPolicies(t *testing.T) {
 	}
 	// An unknown policy must surface as a cell error, proving the axis
 	// value actually reaches the cluster's eviction wiring.
-	badGrid, badRun := hp.ClusterSweep(2, 1, "no-such-policy")
+	badGrid, badRun := simGrid(t, "evict", 2, 1)
 	for i, a := range badGrid.Axes {
 		switch a.Name {
 		case "sched", "nodes", "mix":
 			badGrid.Axes[i].Values = a.Values[:1]
+		case "evict":
+			badGrid.Axes[i] = sweep.Strings("evict", "no-such-policy")
 		}
 	}
-	if _, err := hp.RunSweepCollapsed(badGrid, badRun, hp.SweepOptions{Parallel: 1, Seed: 1}, "rep"); err == nil {
+	if _, err := sweep.RunCollapsed(badGrid, badRun, sweep.Options{Parallel: 1, Seed: 1}, "rep"); err == nil {
 		t.Fatal("unknown eviction policy should fail the cell")
 	}
 }
@@ -206,7 +234,7 @@ func TestEvictSweepCoversPolicies(t *testing.T) {
 // slice: every scheduler completes a small workload and reports sane
 // aggregates.
 func TestClusterSweepRuns(t *testing.T) {
-	grid, run := hp.ClusterSweep(4, 1)
+	grid, run := simGrid(t, "cluster", 4, 1)
 	// Reduce to one node count and one mix to keep the test quick.
 	for i, a := range grid.Axes {
 		switch a.Name {
@@ -216,7 +244,7 @@ func TestClusterSweepRuns(t *testing.T) {
 			grid.Axes[i].Values = a.Values[1:2]
 		}
 	}
-	col, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: 3, Seed: 5}, "rep")
+	col, err := sweep.RunCollapsed(grid, run, sweep.Options{Parallel: 3, Seed: 5}, "rep")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +269,7 @@ func TestClusterSweepRuns(t *testing.T) {
 // pairing must be identical.
 func TestQuiescentHeartbeatParity(t *testing.T) {
 	defer mapreduce.SetQuiescentHeartbeats(true)
-	render := func(col *hp.SweepCollapsed) string {
+	render := func(col *sweep.Collapsed) string {
 		var out bytes.Buffer
 		if err := col.WriteCSV(&out); err != nil {
 			t.Fatal(err)
@@ -252,8 +280,8 @@ func TestQuiescentHeartbeatParity(t *testing.T) {
 		return out.String()
 	}
 	direct := func(parallel int) string {
-		grid, run := hp.TwoJobSweep(1)
-		col, err := hp.RunSweepCollapsed(grid, run, hp.SweepOptions{Parallel: parallel, Seed: 13}, "rep")
+		grid, run := simGrid(t, "twojob", 0, 1)
+		col, err := sweep.RunCollapsed(grid, run, sweep.Options{Parallel: parallel, Seed: 13}, "rep")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,11 +289,11 @@ func TestQuiescentHeartbeatParity(t *testing.T) {
 	}
 	sharded := func() string {
 		const shards = 3
-		parts := make([]*hp.SweepCollapsed, shards)
+		parts := make([]*sweep.Collapsed, shards)
 		for i := 0; i < shards; i++ {
-			grid, run := hp.TwoJobSweep(1)
-			opts := hp.SweepOptions{Parallel: 4, Seed: 13, Shard: hp.SweepShard{Index: i, Count: shards}}
-			col, err := hp.RunSweepCollapsed(grid, run, opts, "rep")
+			grid, run := simGrid(t, "twojob", 0, 1)
+			opts := sweep.Options{Parallel: 4, Seed: 13, Shard: sweep.Shard{Index: i, Count: shards}}
+			col, err := sweep.RunCollapsed(grid, run, opts, "rep")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,11 +301,11 @@ func TestQuiescentHeartbeatParity(t *testing.T) {
 			if err := col.WriteShard(&file); err != nil {
 				t.Fatal(err)
 			}
-			if parts[i], err = hp.ReadSweepShard(&file); err != nil {
+			if parts[i], err = sweep.ReadShard(&file); err != nil {
 				t.Fatal(err)
 			}
 		}
-		merged, err := hp.MergeSweepShards(parts[2], parts[0], parts[1])
+		merged, err := sweep.Merge(parts[2], parts[0], parts[1])
 		if err != nil {
 			t.Fatal(err)
 		}
