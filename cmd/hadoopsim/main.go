@@ -470,7 +470,7 @@ func (b slowBackend) Cell(pt sweep.Point, rec *sweep.Recorder) error {
 }
 
 // Fingerprint forwards the wrapped backend's content fingerprint (see
-// coord.Fingerprinter). The sleep is not part of it: it changes
+// sweep.BackendFingerprint). The sleep is not part of it: it changes
 // wall-clock behavior only, never results, so coordinator and workers
 // may use different -cell-sleep values.
 func (b slowBackend) Fingerprint() string { return sweep.BackendFingerprint(b.Backend) }

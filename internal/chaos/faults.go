@@ -28,14 +28,9 @@ func (b *faultyBackend) Name() string              { return b.inner.Name() }
 func (b *faultyBackend) Grid() (sweep.Grid, error) { return b.inner.Grid() }
 
 // Fingerprint forwards the inner backend's content fingerprint (see
-// coord.Fingerprinter): injecting faults never changes what the backend
-// would compute, so it must not change its identity either.
-func (b *faultyBackend) Fingerprint() string {
-	if f, ok := b.inner.(interface{ Fingerprint() string }); ok {
-		return f.Fingerprint()
-	}
-	return ""
-}
+// sweep.BackendFingerprint): injecting faults never changes what the
+// backend would compute, so it must not change its identity either.
+func (b *faultyBackend) Fingerprint() string { return sweep.BackendFingerprint(b.inner) }
 
 // CacheVolatile forwards the inner backend's volatility (see
 // sweep.Volatile): injected faults never change what a successful cell

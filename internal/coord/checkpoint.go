@@ -224,8 +224,9 @@ func (c *Coordinator) restoreSweep(s *sweepState, cs checkpointSweep) error {
 	if err := s.acc.Absorb(col); err != nil {
 		return fmt.Errorf("aggregate does not match the enqueued sweep: %v", err)
 	}
+	got := s.acc.GroupCounts()
 	done := make(map[int]bool, len(cs.DoneLeases))
-	expected := make([]int, len(s.skeleton.Groups))
+	expected := make([]int, len(got))
 	for _, id := range cs.DoneLeases {
 		if id < 0 || id >= len(s.leases) {
 			return fmt.Errorf("ledger lease %d out of range (grid has %d leases)", id, len(s.leases))
@@ -238,7 +239,7 @@ func (c *Coordinator) restoreSweep(s *sweepState, cs checkpointSweep) error {
 			expected[gi] += n
 		}
 	}
-	if got := s.acc.GroupCounts(); !slices.Equal(got, expected) {
+	if !slices.Equal(got, expected) {
 		return fmt.Errorf("aggregate cell counts disagree with the lease ledger (file tampered or from a different run)")
 	}
 	pending := s.pending[:0]

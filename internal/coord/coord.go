@@ -80,8 +80,8 @@ type joinRequest struct {
 	// worker enumerates the same cells with the same seeds.
 	Fingerprint string `json:"fingerprint"`
 	// BackendFP is the backend's content fingerprint (see
-	// Fingerprinter), covering data the grid structure cannot — e.g.
-	// the replay trace. Empty when the backend does not implement it.
+	// sweep.BackendFingerprint), covering data the grid structure
+	// cannot — e.g. the replay trace. Empty when the backend has none.
 	BackendFP string `json:"backend_fp,omitempty"`
 	// Cells is the worker's grid size, a cheap cross-check.
 	Cells int `json:"cells"`
@@ -148,20 +148,13 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// Fingerprinter lets a backend contribute a content signature to the
-// join compatibility check. Grid fingerprints cover structure only; a
-// backend whose cells depend on external data — the replay backend's
-// trace file — should implement Fingerprint over that data so workers
-// holding a different copy are rejected instead of silently corrupting
-// the merge.
-type Fingerprinter interface {
-	Fingerprint() string
-}
-
 // BackendFingerprint returns the backend's content fingerprint, or ""
-// when the backend does not implement Fingerprinter. It delegates to
-// the sweep package's reflection of the same contract, so join checks
-// and cell-cache keys always agree on a backend's content identity.
+// when the backend has none (see sweep.BackendFingerprint). Grid
+// fingerprints cover structure only; a backend whose cells depend on
+// external data — the replay backend's trace file — fingerprints that
+// data, so workers holding a different copy are rejected at join
+// instead of silently corrupting the merge. Join checks and cell-cache
+// keys share this one definition of a backend's content identity.
 func BackendFingerprint(b sweep.Backend) string {
 	return sweep.BackendFingerprint(b)
 }

@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -32,9 +33,6 @@ func (b *testBackend) Cell(pt sweep.Point, rec *sweep.Recorder) error {
 	rec.Observe("m0", float64(pt.Index)+rng.Float64())
 	if pt.Seed%3 != 0 {
 		rec.Observe("m1", rng.Float64()*1e9)
-	}
-	if pt.Seed%2 == 0 {
-		rec.Label("flag", fmt.Sprintf("cell-%d", pt.Index))
 	}
 	return nil
 }
@@ -196,16 +194,29 @@ func (rc *rawClient) upload(g sweep.Grid, lr leaseResponse, parallel int) result
 	if err != nil {
 		rc.t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := col.WriteShard(&buf); err != nil {
-		rc.t.Fatal(err)
-	}
+	return rc.send(lr.Lease, shardBytes(rc.t, col))
+}
+
+// send uploads shard bytes as the result of a lease.
+func (rc *rawClient) send(lease int, shard []byte) resultResponse {
+	rc.t.Helper()
 	var rr resultResponse
 	if err := post(context.Background(), http.DefaultClient, rc.base+"/v1/result",
-		resultRequest{Worker: rc.id.Worker, Lease: lr.Lease, Shard: buf.Bytes()}, &rr); err != nil {
+		resultRequest{Worker: rc.id.Worker, Lease: lease, Shard: shard}, &rr); err != nil {
 		rc.t.Fatal(err)
 	}
 	return rr
+}
+
+// shardBytes is the shard-file encoding of a result, as a worker
+// uploads it.
+func shardBytes(t *testing.T, col *sweep.Collapsed) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := col.WriteShard(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // fakeClock is an injectable scheduling clock: tests advance it past
@@ -444,6 +455,92 @@ func TestResultIdempotentReplay(t *testing.T) {
 	}
 	if encodeAll(t, got) != encodeAll(t, want) {
 		t.Fatal("output differs after replayed upload (double-absorbed?)")
+	}
+}
+
+// TestUploadChecksFailTheSweep: an upload that is not exactly the
+// leased batch's result fails the sweep with an error naming the
+// lease, and leaves the running aggregate untouched. The per-group cell
+// counts are the coordinator's own check; everything else is rejected
+// by the Accumulator's Absorb, which validates before it mutates.
+func TestUploadChecksFailTheSweep(t *testing.T) {
+	// Two variants of two reps, leased whole: collapsing either axis
+	// yields two groups of two cells, so a result collapsing the wrong
+	// axis has the lease's per-group counts and only the axis check
+	// can reject it.
+	g := sweep.NewGrid(sweep.Strings("a", "x", "y"), sweep.Reps(2))
+	const seed = 4
+	result := func(t *testing.T, seed uint64, cells []int, collapse ...string) *sweep.Collapsed {
+		t.Helper()
+		col, err := sweep.RunCells(g, (&testBackend{g: g}).Cell, seed, 1, cells, collapse...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col
+	}
+	cases := []struct {
+		name  string
+		shard func(t *testing.T, cells []int) []byte
+		want  string
+	}{
+		{"static shard slice", func(t *testing.T, cells []int) []byte {
+			col := result(t, seed, cells, "rep")
+			col.Shard = sweep.Shard{Index: 0, Count: 2}
+			return shardBytes(t, col)
+		}, "shard slice 0/2"},
+		{"counts differ from the lease", func(t *testing.T, cells []int) []byte {
+			return shardBytes(t, result(t, seed, cells[:len(cells)-1], "rep"))
+		}, "lease expects"},
+		{"another seed", func(t *testing.T, cells []int) []byte {
+			return shardBytes(t, result(t, seed+1, cells, "rep"))
+		}, "seed 5, want 4"},
+		{"different collapse axes", func(t *testing.T, cells []int) []byte {
+			return shardBytes(t, result(t, seed, cells, "a"))
+		}, "collapses different axes"},
+		{"truncated before its groups", func(t *testing.T, cells []int) []byte {
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(shardBytes(t, result(t, seed, cells, "rep")), &doc); err != nil {
+				t.Fatal(err)
+			}
+			delete(doc, "groups")
+			raw, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}, "0 groups, want 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := startCoordinator(t, Config{LeaseCells: 4, LeaseTTL: time.Minute}, g, seed, "rep")
+			rc := newRawClient(t, c, g)
+			lr := rc.lease()
+			if lr.Status != statusLease || len(lr.Cells) != g.Size() {
+				t.Fatalf("got %+v, want a lease of the whole grid", lr)
+			}
+			if rr := rc.send(lr.Lease, tc.shard(t, lr.Cells)); rr.Accepted {
+				t.Fatal("malformed upload accepted")
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			_, err := c.WaitSweep(ctx, 0)
+			if err == nil {
+				t.Fatal("sweep completed after a malformed upload")
+			}
+			for _, frag := range []string{fmt.Sprintf("lease %d", lr.Lease), tc.want} {
+				if !strings.Contains(err.Error(), frag) {
+					t.Fatalf("error %q does not contain %q", err, frag)
+				}
+			}
+			c.mu.Lock()
+			counts := c.sweeps[0].acc.GroupCounts()
+			c.mu.Unlock()
+			for _, n := range counts {
+				if n != 0 {
+					t.Fatalf("rejected upload absorbed cells: %v", counts)
+				}
+			}
+		})
 	}
 }
 

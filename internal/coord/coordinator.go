@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 
@@ -42,7 +41,7 @@ type Config struct {
 	// via Start must match at join time.
 	BackendName string
 	// BackendFP, when set, is the backend content fingerprint for
-	// sweeps enqueued via Start (see Fingerprinter).
+	// sweeps enqueued via Start (see sweep.BackendFingerprint).
 	BackendFP string
 	// Checkpoint, when set, is the path the coordinator persists its
 	// state to — sweep fingerprints, the lease ledger and the running
@@ -111,7 +110,7 @@ type Sweep struct {
 	// BackendName, when set, must match joining workers' backend name.
 	BackendName string
 	// BackendFP, when set, must match joining workers' backend content
-	// fingerprint (see Fingerprinter).
+	// fingerprint (see sweep.BackendFingerprint).
 	BackendFP string
 }
 
@@ -161,11 +160,12 @@ type sweepState struct {
 	cells    int
 	// grid is retained for cache replay: rebuilding a lease's cells
 	// from cache entries needs the cells' coordinate-derived seeds.
-	grid     sweep.Grid
-	skeleton *sweep.Collapsed
-	acc      *sweep.Accumulator
-	leases   []*lease
-	pending  []int
+	grid sweep.Grid
+	// acc is the sweep's running aggregate: every accepted upload,
+	// cache replay and checkpoint restore folds into it.
+	acc     *sweep.Accumulator
+	leases  []*lease
+	pending []int
 	// remaining counts leases without an accepted result.
 	remaining int
 	cellsDone int
@@ -257,10 +257,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 // leases, and returns its queue index. Sweeps activate in order; the
 // index is what WaitSweep takes and what workers are told at join.
 func (c *Coordinator) Enqueue(sw Sweep) (int, error) {
-	skel, err := sweep.Skeleton(sw.Grid, sw.Seed, sw.Collapse...)
-	if err != nil {
-		return 0, err
-	}
 	acc, err := sweep.NewAccumulator(sw.Grid, sw.Seed, sw.Collapse...)
 	if err != nil {
 		return 0, err
@@ -274,9 +270,8 @@ func (c *Coordinator) Enqueue(sw Sweep) (int, error) {
 		backFP:   sw.BackendFP,
 		seed:     sw.Seed,
 		collapse: append([]string(nil), sw.Collapse...),
-		cells:    skel.Cells(),
+		cells:    sw.Grid.Size(),
 		grid:     sw.Grid,
-		skeleton: skel,
 		acc:      acc,
 		state:    sweepQueued,
 		done:     make(chan struct{}),
@@ -286,7 +281,7 @@ func (c *Coordinator) Enqueue(sw Sweep) (int, error) {
 		l := &lease{id: len(s.leases), expected: make(map[int]int)}
 		for cell := lo; cell < hi; cell++ {
 			l.cells = append(l.cells, cell)
-			gi, _ := skel.GroupOfCell(cell)
+			gi, _ := acc.GroupOfCell(cell)
 			l.expected[gi]++
 		}
 		l.queued = true
@@ -559,7 +554,7 @@ func (c *Coordinator) applyCache(s *sweepState) {
 		if !ok {
 			continue
 		}
-		if err := validateLeaseResult(s, l, col); err != nil {
+		if err := validateLeaseResult(l, col); err != nil {
 			c.logf("sweep %d lease %d cached result rejected: %v", s.index, l.id, err)
 			continue
 		}
@@ -891,7 +886,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	col, err := sweep.ReadShard(bytes.NewReader(req.Shard))
 	if err == nil {
-		err = validateLeaseResult(s, l, col)
+		err = validateLeaseResult(l, col)
 	}
 	if err == nil {
 		// The fold is the incremental merge: the upload is absorbed
@@ -930,29 +925,12 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	respond(w, resultResponse{Accepted: true, Done: done})
 }
 
-// validateLeaseResult checks an uploaded Collapsed describes this sweep
-// and covers exactly the lease's cells. Callers hold mu.
-func validateLeaseResult(s *sweepState, l *lease, col *sweep.Collapsed) error {
-	if col.Seed != s.seed {
-		return fmt.Errorf("result for seed %d, want %d", col.Seed, s.seed)
-	}
-	if col.Shard != (sweep.Shard{}) {
-		return fmt.Errorf("result is a static shard slice %s, not a lease result", col.Shard)
-	}
-	if col.Cells() != s.cells {
-		return fmt.Errorf("result grid has %d cells, want %d", col.Cells(), s.cells)
-	}
-	skel := s.skeleton
-	if !slices.Equal(col.CollapsedAxes, skel.CollapsedAxes) || !slices.Equal(col.GroupAxes, skel.GroupAxes) {
-		return fmt.Errorf("result collapses different axes")
-	}
-	if len(col.Groups) != len(skel.Groups) {
-		return fmt.Errorf("result has %d groups, want %d", len(col.Groups), len(skel.Groups))
-	}
+// validateLeaseResult checks that an uploaded result ran as many cells
+// of each group as the lease holds. Whether it belongs to the sweep at
+// all — seed, grid size, axes and every group key — is Absorb's check,
+// so a result missing groups fails there.
+func validateLeaseResult(l *lease, col *sweep.Collapsed) error {
 	for gi, g := range col.Groups {
-		if g.Key != skel.Groups[gi].Key {
-			return fmt.Errorf("result group %d is %q, want %q", gi, g.Key, skel.Groups[gi].Key)
-		}
 		if g.Count != l.expected[gi] {
 			return fmt.Errorf("result group %q ran %d cells, lease expects %d", g.Key, g.Count, l.expected[gi])
 		}

@@ -16,10 +16,6 @@ const WorstCaseMemory int64 = 2 << 30
 // Figure4TLMemory is tl's fixed 2.5 GB allocation in Figure 4.
 const Figure4TLMemory int64 = 2560 << 20
 
-// DefaultRepetitions matches the paper's 20-run averages; benchmarks use
-// fewer for speed.
-const DefaultRepetitions = 20
-
 // Config controls how the figure generators execute their scenario
 // grids through the sweep harness.
 type Config struct {

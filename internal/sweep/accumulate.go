@@ -6,21 +6,22 @@ import (
 	"slices"
 )
 
-// Accumulator folds disjoint partial results of one sweep into a single
-// running aggregate as they arrive, instead of retaining every part
-// until one final merge. The distributed coordinator absorbs each
-// accepted lease upload immediately, so its memory is bounded by the
-// sweep's group structure and sample volume — O(groups + cells x
-// metrics) — rather than by the number of leases.
+// Accumulator is the one fold that combines partial results of a
+// sweep: -merge of shard files (Merge), the distributed coordinator's
+// lease uploads, its checkpoint restore and its cell-cache replay all
+// end here. Parts are absorbed into a single running aggregate as they
+// arrive, so memory is bounded by the sweep's group structure and
+// sample volume — O(groups + cells x metrics) — rather than by the
+// number of parts.
 //
 // Because group aggregates retain raw sample multisets and Summarize
 // orders samples before computing anything, absorb order never affects
-// the finalized result: absorbing parts as they arrive renders
-// byte-identically to MergeSubsets over the same parts in lease order,
-// for every encoder. The running state serializes with WriteShard,
-// which is what makes a coordinator checkpoint both durable and exact —
-// a restarted coordinator resumes from the deserialized aggregate and
-// still produces the single-process bytes.
+// the finalized result: any set of disjoint parts covering the grid
+// renders byte-identically to a single-process run, for every encoder.
+// The running state serializes with WriteShard, which is what makes a
+// coordinator checkpoint both durable and exact — a restarted
+// coordinator resumes from the deserialized aggregate and still
+// produces the single-process bytes.
 type Accumulator struct {
 	c   *Collapsed
 	ran int
@@ -35,22 +36,54 @@ func NewAccumulator(g Grid, seed uint64, collapse ...string) (*Accumulator, erro
 	return &Accumulator{c: newCollapsed(&g, seed, collapse)}, nil
 }
 
+// accumulatorLike builds an empty running aggregate with the sweep
+// structure of part — seed, grid size, axes and groups — for callers
+// that hold results but no Grid (shard files carry none).
+func accumulatorLike(part *Collapsed) *Accumulator {
+	c := &Collapsed{
+		Seed:          part.Seed,
+		CollapsedAxes: part.CollapsedAxes,
+		GroupAxes:     part.GroupAxes,
+		Groups:        make([]*Group, len(part.Groups)),
+		cells:         part.cells,
+		ids:           make(map[string]int),
+	}
+	for i, g := range part.Groups {
+		c.Groups[i] = &Group{Key: g.Key, Labels: g.Labels, firstIndex: g.firstIndex}
+	}
+	return &Accumulator{c: c}
+}
+
 // Absorb folds one partial result of the sweep into the running
-// aggregate. The part must describe the same sweep (seed, grid size,
-// axis sets, group identities); Absorb validates that and rejects a
-// part that re-runs a group's first cell the aggregate already holds —
-// the same overlap tripwire mergeParts uses. Callers that hand out the
-// cell partition own true disjointness, exactly as with MergeSubsets.
+// aggregate. A static shard slice is rejected: shard sets combine
+// through Merge, which checks the i/n partition first. Otherwise the
+// part must describe the same sweep (seed, grid size, axis sets, group
+// identities) and must not re-run a group's first cell the aggregate
+// already holds; Absorb validates all of that before it mutates
+// anything. Callers that hand out the cell partition own true
+// disjointness: a Collapsed does not record which cells it ran, so an
+// overlap balanced by an equal-sized gap within one group goes
+// unnoticed (the coordinator checks every lease result's per-group
+// counts).
 func (a *Accumulator) Absorb(part *Collapsed) error {
 	if part.Shard.Count > 1 {
 		return fmt.Errorf("sweep: absorb of shard slice %s (use Merge)", part.Shard)
 	}
+	return a.absorb(part)
+}
+
+// absorb is Absorb without the shard-slice check.
+func (a *Accumulator) absorb(part *Collapsed) error {
 	c := a.c
-	if part.Seed != c.Seed || part.cells != c.cells ||
-		!slices.Equal(part.CollapsedAxes, c.CollapsedAxes) ||
-		!slices.Equal(part.GroupAxes, c.GroupAxes) ||
-		len(part.Groups) != len(c.Groups) {
-		return fmt.Errorf("sweep: part is not a slice of the same sweep")
+	switch {
+	case part.Seed != c.Seed:
+		return fmt.Errorf("sweep: part ran seed %d, want %d", part.Seed, c.Seed)
+	case part.cells != c.cells:
+		return fmt.Errorf("sweep: part grid has %d cells, want %d", part.cells, c.cells)
+	case !slices.Equal(part.CollapsedAxes, c.CollapsedAxes) || !slices.Equal(part.GroupAxes, c.GroupAxes):
+		return fmt.Errorf("sweep: part collapses different axes")
+	case len(part.Groups) != len(c.Groups):
+		return fmt.Errorf("sweep: part has %d groups, want %d", len(part.Groups), len(c.Groups))
 	}
 	ran := 0
 	for gi, pg := range part.Groups {
@@ -84,19 +117,12 @@ func (a *Accumulator) Absorb(part *Collapsed) error {
 		}
 		if pg.hasFirst {
 			g.hasFirst = true
-			g.Extra = pg.Extra
 			g.First = pg.First
 		}
 	}
 	a.ran += ran
 	return nil
 }
-
-// CellRuns returns the number of cell runs absorbed so far.
-func (a *Accumulator) CellRuns() int { return a.ran }
-
-// Cells returns the size of the grid the aggregate describes.
-func (a *Accumulator) Cells() int { return a.c.cells }
 
 // GroupCounts returns the per-group cell-run counts absorbed so far, in
 // group (grid) order.
@@ -106,6 +132,24 @@ func (a *Accumulator) GroupCounts() []int {
 		counts[i] = g.Count
 	}
 	return counts
+}
+
+// GroupOfCell maps a grid cell index to the index of the group the
+// cell folds into. It needs the grid geometry, so it is only available
+// on accumulators built by NewAccumulator; out-of-range cell indices
+// report ok=false.
+func (a *Accumulator) GroupOfCell(cell int) (gi int, ok bool) {
+	c := a.c
+	if len(c.cellStride) == 0 || cell < 0 || cell >= c.cells {
+		return 0, false
+	}
+	prev := c.cells
+	for d, s := range c.cellStride {
+		size := prev / s
+		gi += (cell / s) % size * c.groupStride[d]
+		prev = s
+	}
+	return gi, true
 }
 
 // WriteState serializes the running aggregate — raw samples included —

@@ -72,10 +72,10 @@ func (c *Cache) ForBackend(b Backend, g Grid, seed uint64) *SweepCache {
 // BackendFingerprint returns the backend's content fingerprint — the
 // signature of data the grid structure cannot cover, e.g. a replay
 // backend's trace file — or "" when the backend does not provide one.
-// It is the same `Fingerprint() string` contract the distributed
-// coordinator verifies at join time (coord.Fingerprinter), reflected
-// here so cache keys and join checks can never disagree about what
-// identifies a backend's content.
+// A backend provides one by implementing `Fingerprint() string`; this
+// is the one place that contract is read, so the cell-cache keys and
+// the distributed coordinator's join check can never disagree about
+// what identifies a backend's content.
 func BackendFingerprint(b Backend) string {
 	if f, ok := b.(interface{ Fingerprint() string }); ok {
 		return f.Fingerprint()

@@ -182,10 +182,8 @@ type cacheEntry struct {
 // in report order, so replaying it through the fold is indistinguishable
 // from re-running the cell.
 type cachePayload struct {
-	Names     []string  `json:"names,omitempty"`
-	Vals      []float64 `json:"vals,omitempty"`
-	LabelKeys []string  `json:"label_keys,omitempty"`
-	LabelVals []string  `json:"label_vals,omitempty"`
+	Names []string  `json:"names,omitempty"`
+	Vals  []float64 `json:"vals,omitempty"`
 }
 
 // entryPath names the cell's entry file.
@@ -217,15 +215,12 @@ func (sc *SweepCache) Load(cell int, rec *Recorder) bool {
 		return false
 	}
 	var p cachePayload
-	if err := strictDecodeJSON(e.Payload, &p); err != nil ||
-		len(p.Names) != len(p.Vals) || len(p.LabelKeys) != len(p.LabelVals) {
+	if err := strictDecodeJSON(e.Payload, &p); err != nil || len(p.Names) != len(p.Vals) {
 		sc.cache.misses.Add(1)
 		return false
 	}
 	rec.names = append(rec.names, p.Names...)
 	rec.vals = append(rec.vals, p.Vals...)
-	rec.labelKeys = append(rec.labelKeys, p.LabelKeys...)
-	rec.labelVals = append(rec.labelVals, p.LabelVals...)
 	sc.cache.hits.Add(1)
 	return true
 }
@@ -237,12 +232,7 @@ func (sc *SweepCache) Store(cell int, rec *Recorder) {
 	if sc == nil || sc.bypass {
 		return
 	}
-	payload, err := json.Marshal(cachePayload{
-		Names:     rec.names,
-		Vals:      rec.vals,
-		LabelKeys: rec.labelKeys,
-		LabelVals: rec.labelVals,
-	})
+	payload, err := json.Marshal(cachePayload{Names: rec.names, Vals: rec.vals})
 	if err != nil {
 		return
 	}

@@ -42,7 +42,7 @@ func TestCachePropertyByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := encodeAll(t, plain)
-		cells := int64(plain.Cells())
+		cells := int64(plain.cells)
 
 		cache, err := NewCache(filepath.Join(t.TempDir(), "cache"))
 		if err != nil {
@@ -154,8 +154,8 @@ func TestCacheCorruptEntriesAreSilentMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := cacheEntryFiles(t, cache)
-		if len(files) != plain.Cells() {
-			t.Fatalf("%s: cold run wrote %d entries, want %d", name, len(files), plain.Cells())
+		if len(files) != plain.cells {
+			t.Fatalf("%s: cold run wrote %d entries, want %d", name, len(files), plain.cells)
 		}
 		// Damage two entries, leave the rest verified.
 		for _, path := range files[:2] {
@@ -194,7 +194,7 @@ func TestCacheKeyspaceIsolation(t *testing.T) {
 	}
 	g1 := NewGrid(Strings("mode", "a", "b"), Reps(2))
 	g2 := NewGrid(Strings("mode", "a", "b", "c"), Reps(2))
-	fill := func(sc *SweepCache, g Grid, tag string) {
+	fill := func(sc *SweepCache, g Grid, tag float64) {
 		points, err := g.Points(7)
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +202,7 @@ func TestCacheKeyspaceIsolation(t *testing.T) {
 		for _, p := range points {
 			rec := &Recorder{}
 			rec.Observe("m", float64(p.Index))
-			rec.Label("src", tag)
+			rec.Observe("src", tag)
 			sc.Store(p.Index, rec)
 		}
 	}
@@ -210,7 +210,7 @@ func TestCacheKeyspaceIsolation(t *testing.T) {
 	sc2 := cache.Sweep("sim", "fp-one", g2, 7)
 	scFP := cache.Sweep("sim", "fp-two", g1, 7)
 	scSeed := cache.Sweep("sim", "fp-one", g1, 8)
-	fill(sc1, g1, "one")
+	fill(sc1, g1, 1)
 
 	for name, sc := range map[string]*SweepCache{"other grid": sc2, "other fingerprint": scFP, "other seed": scSeed} {
 		rec := &Recorder{}
@@ -222,8 +222,8 @@ func TestCacheKeyspaceIsolation(t *testing.T) {
 	if !sc1.Load(0, rec) {
 		t.Fatal("own entry missed")
 	}
-	if len(rec.labelVals) != 1 || rec.labelVals[0] != "one" {
-		t.Fatalf("own entry payload = %v, want the stored label", rec.labelVals)
+	if len(rec.vals) != 2 || rec.names[1] != "src" || rec.vals[1] != 1 {
+		t.Fatalf("own entry payload = %v %v, want the stored src mark", rec.names, rec.vals)
 	}
 
 	// Even with colliding directories the stored key would reject the
@@ -368,7 +368,7 @@ func TestCacheReplay(t *testing.T) {
 	if _, ok := sc.Replay(g, cells, RepAxis); ok {
 		t.Fatal("replay with a missing cell accepted")
 	}
-	if _, ok := sc.Replay(g, []int{0, direct.Cells() * 10}, RepAxis); ok {
+	if _, ok := sc.Replay(g, []int{0, direct.cells * 10}, RepAxis); ok {
 		t.Fatal("replay with an out-of-range cell accepted")
 	}
 }

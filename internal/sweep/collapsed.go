@@ -23,10 +23,8 @@ import (
 // cell records without allocating; implementations must not retain it
 // past the cell call.
 type Recorder struct {
-	names     []string
-	vals      []float64
-	labelKeys []string
-	labelVals []string
+	names []string
+	vals  []float64
 }
 
 // Observe records one scalar measurement under name.
@@ -35,19 +33,9 @@ func (r *Recorder) Observe(name string, v float64) {
 	r.vals = append(r.vals, v)
 }
 
-// Label records a categorical result (e.g. the chosen victim). Labels
-// are retained for the group's first cell in grid order (see
-// Group.Extra).
-func (r *Recorder) Label(key, value string) {
-	r.labelKeys = append(r.labelKeys, key)
-	r.labelVals = append(r.labelVals, value)
-}
-
 func (r *Recorder) reset() {
 	r.names = r.names[:0]
 	r.vals = r.vals[:0]
-	r.labelKeys = r.labelKeys[:0]
-	r.labelVals = r.labelVals[:0]
 }
 
 // CellFunc executes one scenario cell, reporting measurements through
@@ -68,16 +56,13 @@ type Group struct {
 	// Metrics summarizes each recorded value across the group; it is
 	// populated when the run (or merge) completes.
 	Metrics map[string]metrics.Summary
-	// Extra carries the categorical labels recorded by the group's
-	// first cell in grid order (empty until that cell ran).
-	Extra map[string]string
 	// First is the group's first cell in grid order, for typed axis
 	// access. It is only valid for in-process runs that executed that
 	// cell; results read back from shard files carry a zero Point.
 	First Point
 
 	// firstIndex is the grid index of the group's first cell, used to
-	// decide which shard contributes Extra/First.
+	// decide which part contributes First.
 	firstIndex int
 	// hasFirst reports whether this result actually ran the first cell.
 	hasFirst bool
@@ -110,9 +95,9 @@ type Collapsed struct {
 	// collapsed axes): group lookup is arithmetic, not string keys.
 	groupStride []int
 	// cellStride maps axis position to the cell-index stride, kept so
-	// results built from a grid in this process can map cell indices to
-	// groups (see GroupOfCell); results read back from shard files do
-	// not carry it.
+	// aggregates built from a grid in this process can map cell indices
+	// to groups (see Accumulator.GroupOfCell); results read back from
+	// shard files do not carry it.
 	cellStride []int
 	// names and ids intern metric names to dense sample-slice indices.
 	names []string
@@ -213,12 +198,6 @@ func (c *Collapsed) fold(p Point, rec *Recorder) {
 	if p.Index == g.firstIndex {
 		g.First = p
 		g.hasFirst = true
-		if len(rec.labelKeys) > 0 {
-			g.Extra = make(map[string]string, len(rec.labelKeys))
-			for k := range rec.labelKeys {
-				g.Extra[rec.labelKeys[k]] = rec.labelVals[k]
-			}
-		}
 	}
 }
 
@@ -241,28 +220,6 @@ func (c *Collapsed) MetricNames() []string {
 	names := append([]string(nil), c.names...)
 	sort.Strings(names)
 	return names
-}
-
-// Cells returns the size of the grid the result describes (the full
-// grid, not the subset of cells this result ran).
-func (c *Collapsed) Cells() int { return c.cells }
-
-// GroupOfCell maps a grid cell index to the index of the group the
-// cell folds into. It is only available on results built from a Grid
-// in this process (Skeleton, RunCells, RunCollapsed); results read
-// back from shard files do not carry the grid geometry and report
-// ok=false, as do out-of-range cell indices.
-func (c *Collapsed) GroupOfCell(cell int) (gi int, ok bool) {
-	if len(c.cellStride) == 0 || cell < 0 || cell >= c.cells {
-		return 0, false
-	}
-	prev := c.cells
-	for d, s := range c.cellStride {
-		size := prev / s
-		gi += (cell / s) % size * c.groupStride[d]
-		prev = s
-	}
-	return gi, true
 }
 
 // RunCollapsed executes the grid (or the shard of it selected by

@@ -30,7 +30,7 @@ func encodeAll(t *testing.T, c *Collapsed) string {
 }
 
 // TestRunCollapsedGroups checks group structure: grid order, labels,
-// counts, first-cell extras and typed access through First.
+// counts and typed access through First.
 func TestRunCollapsedGroups(t *testing.T) {
 	g := NewGrid(Strings("variant", "a", "b"), Reps(4))
 	cell := func(pt Point, rec *Recorder) error {
@@ -39,7 +39,6 @@ func TestRunCollapsedGroups(t *testing.T) {
 			v *= 2
 		}
 		rec.Observe("x", v)
-		rec.Label("tag", "first-of-"+pt.Label("variant"))
 		return nil
 	}
 	col, err := RunCollapsed(g, cell, Options{Parallel: 2, Seed: 1}, RepAxis)
@@ -61,9 +60,6 @@ func TestRunCollapsedGroups(t *testing.T) {
 	}
 	if got := b.Metrics["x"].Mean; got != 3.0 {
 		t.Fatalf("variant b mean = %v, want 3", got)
-	}
-	if a.Extra["tag"] != "first-of-a" || b.Extra["tag"] != "first-of-b" {
-		t.Fatalf("extras = %v, %v", a.Extra, b.Extra)
 	}
 	if a.First.Label("variant") != "a" || b.First.Label("variant") != "b" {
 		t.Fatal("First point does not carry the group's coordinates")

@@ -48,7 +48,7 @@ func runLocal(g Grid, run CellFunc, sc *SweepCache, opts Options, collapse []str
 // slice runs exactly those cells (each at most once), which is how the
 // distributed worker executes a leased batch. Every group of the grid
 // is present in the result even if none of its cells ran, so partial
-// results align for merging (see Merge and MergeSubsets).
+// results align for merging (see Merge and Accumulator).
 //
 // Each worker goroutine owns one reusable Recorder. The first error in
 // grid order — not completion order — wins; remaining in-flight cells
@@ -123,17 +123,4 @@ func runCell(run CellFunc, p Point, rec *Recorder) (err error) {
 		}
 	}()
 	return run(p, rec)
-}
-
-// Skeleton returns the empty collapsed-result skeleton of the grid —
-// every group present, no cells folded. The distributed coordinator
-// uses it to validate uploaded lease results against the sweep's group
-// structure without running any cell itself.
-func Skeleton(g Grid, seed uint64, collapse ...string) (*Collapsed, error) {
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	c := newCollapsed(&g, seed, collapse)
-	c.finalize()
-	return c, nil
 }

@@ -37,8 +37,8 @@ func TestRunCellsRecoversPanic(t *testing.T) {
 
 // TestRunCellsSubsetsMerge is the distributed-execution contract with
 // the network removed: any partition of the grid's cells into RunCells
-// batches merges (via MergeSubsets, in any batch order) into output
-// byte-identical to a single-process sweep.
+// batches folds (through an Accumulator, in any batch order) into
+// output byte-identical to a single-process sweep.
 func TestRunCellsSubsetsMerge(t *testing.T) {
 	rng := sim.NewRNG(99)
 	for trial := 0; trial < 20; trial++ {
@@ -62,12 +62,16 @@ func TestRunCellsSubsetsMerge(t *testing.T) {
 			parts = append(parts, part)
 			cells = rest
 		}
-		perm := rng.Perm(len(parts))
-		shuffled := make([]*Collapsed, len(parts))
-		for i, p := range perm {
-			shuffled[i] = parts[p]
+		acc, err := NewAccumulator(g, seed, collapse...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		merged, err := MergeSubsets(shuffled...)
+		for _, p := range rng.Perm(len(parts)) {
+			if err := acc.Absorb(parts[p]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged, err := acc.Merged()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +106,9 @@ func TestRunCellsValidation(t *testing.T) {
 	}
 }
 
-// TestMergeSubsetsValidation rejects overlapping, incomplete and
-// shard-sliced parts.
+// TestMergeSubsetsValidation: folding RunCells parts through an
+// Accumulator rejects empty, incomplete, overlapping and gapped
+// partitions and shard-sliced parts, and accepts exact ones.
 func TestMergeSubsetsValidation(t *testing.T) {
 	g := testGrid(2)
 	part := func(cells ...int) *Collapsed {
@@ -113,33 +118,48 @@ func TestMergeSubsetsValidation(t *testing.T) {
 		}
 		return c
 	}
+	// fold absorbs the parts in order and finalizes; the first error
+	// from either step is the verdict.
+	fold := func(parts ...*Collapsed) error {
+		acc, err := NewAccumulator(g, 1, RepAxis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts {
+			if err := acc.Absorb(p); err != nil {
+				return err
+			}
+		}
+		_, err = acc.Merged()
+		return err
+	}
 	all := make([]int, g.Size())
 	for i := range all {
 		all[i] = i
 	}
-	if _, err := MergeSubsets(); err == nil {
-		t.Fatal("empty subset merge accepted")
+	if err := fold(); err == nil {
+		t.Fatal("empty fold accepted")
 	}
-	if _, err := MergeSubsets(part(all[:2]...)); err == nil {
+	if err := fold(part(all[:2]...)); err == nil {
 		t.Fatal("incomplete single part accepted")
 	}
-	if _, err := MergeSubsets(part(all[:2]...), part(all[1:]...)); err == nil {
+	if err := fold(part(all[:2]...), part(all[1:]...)); err == nil {
 		t.Fatal("overlapping parts accepted")
 	}
-	if _, err := MergeSubsets(part(all[:2]...), part(all[3:]...)); err == nil {
+	if err := fold(part(all[:2]...), part(all[3:]...)); err == nil {
 		t.Fatal("gapped parts accepted")
 	}
 	sharded, err := RunCollapsed(g, synthCell, Options{Seed: 1, Shard: Shard{Index: 0, Count: 2}}, RepAxis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeSubsets(sharded); err == nil {
-		t.Fatal("shard slice accepted by subset merge")
+	if err := fold(sharded); err == nil || !strings.Contains(err.Error(), "shard slice") {
+		t.Fatalf("shard slice absorbed: %v", err)
 	}
-	if _, err := MergeSubsets(part(all[:2]...), part(all[2:]...)); err != nil {
+	if err := fold(part(all[:2]...), part(all[2:]...)); err != nil {
 		t.Fatalf("valid subset partition rejected: %v", err)
 	}
-	if _, err := MergeSubsets(part(all...)); err != nil {
+	if err := fold(part(all...)); err != nil {
 		t.Fatalf("full single part rejected: %v", err)
 	}
 }
@@ -180,14 +200,14 @@ func TestGroupOfCell(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomGrid(rng)
 		collapse := randomCollapse(rng, g)
-		skel, err := Skeleton(g, 1, collapse...)
+		acc, err := NewAccumulator(g, 1, collapse...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cell := 0; cell < g.Size(); cell++ {
-			want, ok := skel.GroupOfCell(cell)
+			want, ok := acc.GroupOfCell(cell)
 			if !ok {
-				t.Fatalf("trial %d: GroupOfCell(%d) unavailable on skeleton", trial, cell)
+				t.Fatalf("trial %d: GroupOfCell(%d) unavailable on a grid accumulator", trial, cell)
 			}
 			one, err := RunCells(g, propertyCell, 1, 1, []int{cell}, collapse...)
 			if err != nil {
@@ -199,10 +219,10 @@ func TestGroupOfCell(t *testing.T) {
 				}
 			}
 		}
-		if _, ok := skel.GroupOfCell(-1); ok {
+		if _, ok := acc.GroupOfCell(-1); ok {
 			t.Fatal("negative cell mapped")
 		}
-		if _, ok := skel.GroupOfCell(g.Size()); ok {
+		if _, ok := acc.GroupOfCell(g.Size()); ok {
 			t.Fatal("out-of-range cell mapped")
 		}
 	}

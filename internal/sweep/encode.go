@@ -58,7 +58,6 @@ type jsonAggregate struct {
 	Labels  map[string]string          `json:"labels"`
 	Count   int                        `json:"count"`
 	Metrics map[string]metrics.Summary `json:"metrics"`
-	Extra   map[string]string          `json:"extra,omitempty"`
 }
 
 // WriteJSON writes the result as an indented JSON document.
@@ -68,16 +67,12 @@ func (c *Collapsed) WriteJSON(w io.Writer) error {
 		Cells []jsonAggregate `json:"cells"`
 	}{Seed: c.Seed}
 	for _, g := range c.Groups {
-		ja := jsonAggregate{
+		out.Cells = append(out.Cells, jsonAggregate{
 			Key:     g.Key,
 			Labels:  g.Labels,
 			Count:   g.Count,
 			Metrics: g.Metrics,
-		}
-		if len(g.Extra) > 0 {
-			ja.Extra = g.Extra
-		}
-		out.Cells = append(out.Cells, ja)
+		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -93,7 +92,6 @@ type shardGroup struct {
 	Count    int               `json:"count"`
 	First    int               `json:"first"`
 	HasFirst bool              `json:"has_first,omitempty"`
-	Extra    map[string]string `json:"extra,omitempty"`
 	// Samples is indexed like Metrics; groups missing a metric carry
 	// null/short rows.
 	Samples [][]float64 `json:"samples"`
@@ -119,7 +117,6 @@ func (c *Collapsed) WriteShard(w io.Writer) error {
 			Count:    g.Count,
 			First:    g.firstIndex,
 			HasFirst: g.hasFirst,
-			Extra:    g.Extra,
 			Samples:  g.samples,
 		}
 	}
@@ -137,7 +134,7 @@ func ReadShard(r io.Reader) (*Collapsed, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("sweep: shard file: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("sweep: shard file: trailing data after result (two shards in one file?)")
 	}
 	if f.Version != shardFileVersion {
@@ -193,7 +190,6 @@ func ReadShard(r io.Reader) (*Collapsed, error) {
 			Key:        g.Key,
 			Labels:     g.Labels,
 			Count:      g.Count,
-			Extra:      g.Extra,
 			firstIndex: g.First,
 			hasFirst:   g.HasFirst,
 			samples:    g.Samples,
@@ -204,137 +200,31 @@ func ReadShard(r io.Reader) (*Collapsed, error) {
 }
 
 // Merge combines the shards of one sweep into the full result. It
-// accepts the shards in any order and produces — via the shared
-// Summarize path, which orders sample multisets before computing — the
-// byte-identical output of a single-process run for every encoder. All
-// shards of the split must be present exactly once; a single unsharded
-// result passes through unchanged.
+// accepts the shards in any order and produces the byte-identical
+// output of a single-process run for every encoder. All shards of the
+// split must be present exactly once; a lone result must be unsharded.
+// The shards then fold through an Accumulator, which rejects shards of
+// different sweeps, overlapping slices and — since shard files can be
+// edited or truncated — a set that does not cover every grid cell.
 func Merge(shards ...*Collapsed) (*Collapsed, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("sweep: merge of no shards")
 	}
-	first := shards[0]
-	if len(shards) == 1 {
-		if first.Shard.Count > 1 {
-			return nil, fmt.Errorf("sweep: shard %s merged alone (want all %d shards)",
-				first.Shard, first.Shard.Count)
-		}
-		return first, nil
-	}
 	seen := make([]bool, len(shards))
 	for _, s := range shards {
-		if s.Shard.Count != len(shards) {
+		if max(s.Shard.Count, 1) != len(shards) {
 			return nil, fmt.Errorf("sweep: shard %s in a merge of %d files", s.Shard, len(shards))
 		}
 		if seen[s.Shard.Index] {
-			return nil, fmt.Errorf("sweep: shard %d/%d present twice", s.Shard.Index, s.Shard.Count)
+			return nil, fmt.Errorf("sweep: shard %s present twice", s.Shard)
 		}
 		seen[s.Shard.Index] = true
 	}
-	return mergeParts(shards)
-}
-
-// MergeSubsets combines disjoint partial results of one sweep — e.g.
-// the lease results a distributed coordinator collects from its
-// workers — into the full result. Unlike Merge it does not require the
-// parts to form an i/n shard partition: any set of RunCells results
-// covering every grid cell exactly once merges — in any order — into
-// output byte-identical to a single-process run.
-//
-// Validation is necessarily partial: a Collapsed does not record which
-// cells it ran, so MergeSubsets checks that the parts describe the
-// same sweep, that the total number of cell runs equals the grid size,
-// and that at most one part ran each group's first cell. A pathological
-// overlap balanced by an equal-sized gap within one group passes those
-// checks; callers that hand out the cell partition (the coordinator
-// validates every lease result's per-group counts) own true
-// disjointness.
-func MergeSubsets(parts ...*Collapsed) (*Collapsed, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("sweep: merge of no parts")
-	}
-	for _, p := range parts {
-		if p.Shard.Count > 1 {
-			return nil, fmt.Errorf("sweep: subset merge of shard slice %s (use Merge)", p.Shard)
+	acc := accumulatorLike(shards[0])
+	for _, s := range shards {
+		if err := acc.absorb(s); err != nil {
+			return nil, fmt.Errorf("%w (shard %s)", err, s.Shard)
 		}
 	}
-	out := parts[0]
-	if len(parts) > 1 {
-		var err error
-		if out, err = mergeParts(parts); err != nil {
-			return nil, err
-		}
-	}
-	ran := 0
-	for _, g := range out.Groups {
-		ran += g.Count
-	}
-	if ran != out.cells {
-		return nil, fmt.Errorf("sweep: subset merge covers %d cell runs of a %d-cell grid", ran, out.cells)
-	}
-	return out, nil
-}
-
-// mergeParts combines per-group counts, sample multisets and
-// first-cell extras of parts describing the same sweep. Callers
-// validate how the parts partition the grid; mergeParts itself rejects
-// parts of different sweeps and parts that both ran a group's first
-// cell (a sure sign of overlap).
-func mergeParts(parts []*Collapsed) (*Collapsed, error) {
-	first := parts[0]
-	for _, s := range parts {
-		if s.Seed != first.Seed || s.cells != first.cells ||
-			!slices.Equal(s.CollapsedAxes, first.CollapsedAxes) ||
-			!slices.Equal(s.GroupAxes, first.GroupAxes) ||
-			len(s.Groups) != len(first.Groups) {
-			return nil, fmt.Errorf("sweep: part %s is not a slice of the same sweep", s.Shard)
-		}
-	}
-	out := &Collapsed{
-		Seed:          first.Seed,
-		CollapsedAxes: first.CollapsedAxes,
-		GroupAxes:     first.GroupAxes,
-		cells:         first.cells,
-		cellStride:    first.cellStride,
-		ids:           make(map[string]int),
-	}
-	out.Groups = make([]*Group, len(first.Groups))
-	for gi, fg := range first.Groups {
-		g := &Group{Key: fg.Key, Labels: fg.Labels, firstIndex: fg.firstIndex}
-		for _, s := range parts {
-			sg := s.Groups[gi]
-			if sg.Key != fg.Key || sg.firstIndex != fg.firstIndex {
-				return nil, fmt.Errorf("sweep: part %s group %d is %q, want %q",
-					s.Shard, gi, sg.Key, fg.Key)
-			}
-			g.Count += sg.Count
-			for id, samples := range sg.samples {
-				if len(samples) == 0 {
-					continue
-				}
-				name := s.names[id]
-				oid, ok := out.ids[name]
-				if !ok {
-					oid = len(out.names)
-					out.ids[name] = oid
-					out.names = append(out.names, name)
-				}
-				for oid >= len(g.samples) {
-					g.samples = append(g.samples, nil)
-				}
-				g.samples[oid] = append(g.samples[oid], samples...)
-			}
-			if sg.hasFirst {
-				if g.hasFirst {
-					return nil, fmt.Errorf("sweep: group %d first cell present in two parts (overlapping slices)", gi)
-				}
-				g.hasFirst = true
-				g.Extra = sg.Extra
-				g.First = sg.First
-			}
-		}
-		out.Groups[gi] = g
-	}
-	out.finalize()
-	return out, nil
+	return acc.Merged()
 }

