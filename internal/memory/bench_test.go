@@ -102,3 +102,30 @@ func BenchmarkReclaim(b *testing.B) {
 		m.Release()
 	}
 }
+
+// BenchmarkTouchChunkedAlloc follows one map task through the manager:
+// its alloc stage faults a 2 GB space 8 MB at a time, then its process
+// stage reads 1 GB of input through the page cache in 8 MB HDFS chunks.
+// Each fault continues the anonymous extent and page run the previous
+// one left, and each fill the cache extent — the edits a two-job cell
+// makes most.
+func BenchmarkTouchChunkedAlloc(b *testing.B) {
+	const region, input, chunk = 2 << 30, 1 << 30, 8 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, m := benchManager(b)
+		if _, err := m.Register(1, region); err != nil {
+			b.Fatal(err)
+		}
+		for off := int64(0); off < region; off += chunk {
+			if _, err := m.Touch(1, off, chunk, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for read := int64(0); read < input; read += chunk {
+			m.CacheFill(chunk)
+		}
+		m.Unregister(1)
+		m.Release()
+	}
+}
