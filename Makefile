@@ -55,8 +55,9 @@ bench-golden:
 			> BENCH_sweep.json
 
 # Sweep determinism (mirrors the CI sweep-determinism job): -parallel
-# 1 and 8 and a merge of 3 shard files agree byte for byte, and the
-# shard-file decoder survives 10 s of fuzzing.
+# 1 and 8 and a merge of 3 shard files agree byte for byte, a shard
+# file is the same bytes at -parallel 1 and 8, and the shard-file
+# decoder survives 10 s of fuzzing.
 sweep-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -sweep twojob -parallel 1 -format csv -seed 1 > /tmp/sweep-p1.csv
@@ -67,6 +68,9 @@ sweep-check:
 	/tmp/hadoopsim-ci -merge -format csv \
 		/tmp/sweep-shard-2.json /tmp/sweep-shard-0.json /tmp/sweep-shard-1.json > /tmp/sweep-merged.csv
 	cmp /tmp/sweep-p1.csv /tmp/sweep-merged.csv
+	/tmp/hadoopsim-ci -sweep twojob -seed 1 -shard 0/2 -parallel 1 > /tmp/sweep-shard-p1.json
+	/tmp/hadoopsim-ci -sweep twojob -seed 1 -shard 0/2 -parallel 8 > /tmp/sweep-shard-p8.json
+	cmp /tmp/sweep-shard-p1.json /tmp/sweep-shard-p8.json
 	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s
 
 # Backend parity (mirrors the CI backend-parity job): sim backend,

@@ -19,11 +19,14 @@ type extList struct {
 	buf []frameExt
 	gs  int // physical index where the gap starts (== logical index)
 	gl  int // gap length
-	// hint is the last search result. The clock hand and the allocator
-	// revisit the same neighbourhood, so checking it (and its successor)
-	// first turns most binary searches into one or two comparisons.
-	// Correctness never depends on it: extents are disjoint, so a
-	// containment hit is the right entry no matter how indices shifted.
+	// hint is the last search result; search checks it and its
+	// successor before bisecting. Counted over the seed-1, 20-rep
+	// grids, that answers 18% of searches on twojob, 77% on pressure,
+	// 19-20% on the cluster, evict and primitive grids, 62% on
+	// scenarios and 12% on trace replay; a 4-entry cache of recent
+	// results measured slower on replay. Correctness never depends on
+	// it: extents are disjoint, so a containment hit is the right entry
+	// no matter how indices shifted.
 	hint int
 }
 

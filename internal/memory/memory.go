@@ -26,10 +26,14 @@
 // owner and referenced bit collapse into extents, so touching a 2 GB
 // region, clearing the referenced bits of a suspended process, or sweeping
 // the reclaim clock all cost O(state transitions) instead of O(pages).
-// The semantics are bit-for-bit those of the per-page clock algorithm the
-// runs replace (preserved as refManager in reference_test.go); the
-// differential property test drives both through randomized scripts and
-// asserts identical byte accounting.
+// An edit covering a proper prefix or suffix of one extent (a prefix of
+// one run) that continues the neighbour on that side grows the
+// neighbour in place, so a fault or cache fill next to the last one
+// inserts and deletes nothing. The semantics are bit-for-bit those of
+// the per-page clock algorithm the runs replace (preserved as
+// refManager in reference_test.go); the differential property test
+// drives both through randomized scripts and asserts identical byte
+// accounting.
 package memory
 
 import (
@@ -975,7 +979,40 @@ func (m *Manager) coalesceExts(from, to int) {
 
 // replaceExts overwrites the extent coverage of [lo, hi) with ne.
 func (m *Manager) replaceExts(lo, hi int32, ne frameExt) {
-	i := m.splitExtAt(m.extIdx(lo), lo)
+	i := m.extIdx(lo)
+	// A fault or cache fill usually takes a proper prefix (or, off a
+	// descending free stack, a suffix) of a free extent and continues the
+	// neighbour on that side: grow the neighbour and shrink the extent,
+	// which is what the split, overwrite and coalesce below would leave.
+	if e := m.exts.at(i); e.kind != ne.kind {
+		switch {
+		case e.start == lo && hi < e.end() && i > 0:
+			p := m.exts.at(i - 1)
+			if d, ok := canMergeExts(*p, ne); ok {
+				p.n += hi - lo
+				if p.kind == extAnon {
+					p.pdir = d
+				}
+				if e.kind == extAnon {
+					e.page = e.pageAt(hi)
+				}
+				e.start, e.n = hi, e.end()-hi
+				return
+			}
+		case e.start < lo && hi == e.end() && i+1 < m.exts.len():
+			next := m.exts.at(i + 1)
+			if d, ok := canMergeExts(ne, *next); ok {
+				ne.n += next.n
+				if ne.kind == extAnon {
+					ne.pdir = d
+				}
+				*next = ne
+				e.n = lo - e.start
+				return
+			}
+		}
+	}
+	i = m.splitExtAt(i, lo)
 	j := i
 	for j < m.exts.len() && m.exts.at(j).start < hi {
 		j++
@@ -1108,7 +1145,25 @@ func (s *Space) coalesceRuns(from, to int) {
 
 // replaceRuns overwrites the run coverage of pages [lo, hi) with nr.
 func (s *Space) replaceRuns(lo, hi int32, nr pageRun) {
-	i := s.splitRunAt(s.runIdx(lo), lo)
+	i := s.runIdx(lo)
+	// A fault chunk usually takes a proper prefix of an untouched run and
+	// continues the resident run before it: grow that run in place, as
+	// replaceExts grows its neighbour.
+	if r := &s.runs[i]; r.state != nr.state && r.start == lo && hi < r.end() && i > 0 {
+		if d, ok := canMergeRuns(s.runs[i-1], nr); ok {
+			p := &s.runs[i-1]
+			p.n += hi - lo
+			if p.state == pageResident {
+				p.fdir = d
+			}
+			if r.state == pageResident {
+				r.frame += int32(r.fdir) * (hi - lo)
+			}
+			r.start, r.n = hi, r.end()-hi
+			return
+		}
+	}
+	i = s.splitRunAt(i, lo)
 	j := i
 	for j < len(s.runs) && s.runs[j].start < hi {
 		j++

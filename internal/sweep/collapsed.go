@@ -201,7 +201,10 @@ func (c *Collapsed) fold(p Point, rec *Recorder) {
 	}
 }
 
-// finalize computes every group's summaries from its sample multisets.
+// finalize sorts every group's sample rows in place and computes the
+// summaries from them. Workers fold cells in completion order; sorted
+// rows make a shard file written afterwards the same bytes at any
+// parallelism.
 func (c *Collapsed) finalize() {
 	for _, g := range c.Groups {
 		g.Metrics = make(map[string]metrics.Summary, len(g.samples))
@@ -209,6 +212,7 @@ func (c *Collapsed) finalize() {
 			if len(s) == 0 {
 				continue
 			}
+			sort.Float64s(s)
 			g.Metrics[c.names[id]] = metrics.Summarize(s)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"hadooppreempt/internal/sim"
 )
@@ -258,6 +259,38 @@ func TestMergeRejectsShortShardSet(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%d cell runs of a %d-cell grid", g.Size()-1, g.Size()); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name the shortfall %q", err, want)
+	}
+}
+
+// TestShardBytesIndependentOfParallelism: a shard file is the same
+// bytes at any worker count. Each cell sleeps longer the earlier it
+// comes in the grid, so a wide pool completes cells out of grid order
+// and the folded sample rows arrive permuted.
+func TestShardBytesIndependentOfParallelism(t *testing.T) {
+	g := NewGrid(Strings("mode", "a", "b"), Reps(8))
+	run := func(pt Point, rec *Recorder) error {
+		time.Sleep(time.Duration(g.Size()-pt.Index) * time.Millisecond)
+		rec.Observe("index", float64(pt.Index))
+		rec.Observe("draw", pt.RNG().Float64())
+		return nil
+	}
+	var want []byte
+	for _, parallel := range []int{1, 4, 16} {
+		col, err := RunCollapsed(g, run, Options{Parallel: parallel, Seed: 3}, RepAxis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := col.WriteShard(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("-parallel %d shard file differs from -parallel 1:\n%s\nwant:\n%s", parallel, buf.Bytes(), want)
+		}
 	}
 }
 
