@@ -1,16 +1,46 @@
-// Package atomicio provides atomic file replacement for the durable
-// state the harness persists — coordinator checkpoints and cell-result
-// cache entries. Both writers guarantee a reader never observes a torn
-// file: the data lands in a temp file in the target directory first and
-// is renamed over the destination, so the destination either holds the
-// previous complete contents or the new complete contents.
+// Package atomicio writes and verifies the durable state the harness
+// persists — coordinator checkpoints and cell-result cache entries.
+// Both writers guarantee a reader never observes a torn file: the data
+// lands in a temp file in the target directory first and is renamed
+// over the destination, so the destination either holds the previous
+// complete contents or the new complete contents. On the way back in,
+// Checksum and DecodeStrict let a reader reject a file whose content
+// does not match its recorded checksum or that holds more than one
+// value.
 package atomicio
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 )
+
+// Checksum is the content checksum stored beside persisted state: the
+// hex SHA-256 of raw.
+func Checksum(raw []byte) string {
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
+
+// DecodeStrict unmarshals exactly one JSON value from raw into v and
+// rejects trailing data, so a torn concatenation of two files cannot
+// half-parse into a plausible value. what names the value in the
+// trailing-data error ("trailing data after " + what).
+func DecodeStrict(raw []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err == nil {
+		return fmt.Errorf("trailing data after %s", what)
+	}
+	return nil
+}
 
 // WriteFileDurable atomically replaces path with data: write a temp
 // file, fsync it, rename it over path, then fsync the parent directory

@@ -2,8 +2,6 @@ package coord
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -106,7 +104,7 @@ func (c *Coordinator) saveCheckpoint() {
 	}
 	env, err := json.Marshal(checkpointEnvelope{
 		Version: checkpointVersion,
-		Sum:     checksumHex(raw),
+		Sum:     atomicio.Checksum(raw),
 		State:   raw,
 	})
 	if err != nil {
@@ -156,17 +154,17 @@ func (c *Coordinator) Restore(path string) error {
 		return fmt.Errorf("coord: resume: %w", err)
 	}
 	var env checkpointEnvelope
-	if err := strictDecode(raw, &env); err != nil {
+	if err := atomicio.DecodeStrict(raw, &env, "checkpoint"); err != nil {
 		return fmt.Errorf("coord: resume %s: truncated or corrupt checkpoint: %v", path, err)
 	}
 	if env.Version != checkpointVersion {
 		return fmt.Errorf("coord: resume %s: checkpoint version %d, want %d", path, env.Version, checkpointVersion)
 	}
-	if checksumHex(env.State) != env.Sum {
+	if atomicio.Checksum(env.State) != env.Sum {
 		return fmt.Errorf("coord: resume %s: checkpoint checksum mismatch (file tampered or torn)", path)
 	}
 	var st checkpointState
-	if err := strictDecode(env.State, &st); err != nil {
+	if err := atomicio.DecodeStrict(env.State, &st, "checkpoint"); err != nil {
 		return fmt.Errorf("coord: resume %s: corrupt checkpoint state: %v", path, err)
 	}
 	if st.Proto != protocolVersion {
@@ -276,25 +274,5 @@ func (c *Coordinator) restoreSweep(s *sweepState, cs checkpointSweep) error {
 		return fmt.Errorf("unknown sweep state %q", cs.State)
 	}
 	c.logf("sweep %d restored: %d/%d leases done", s.index, len(done), len(s.leases))
-	return nil
-}
-
-// checksumHex is the checkpoint content checksum: hex sha256.
-func checksumHex(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
-
-// strictDecode unmarshals exactly one JSON value and rejects trailing
-// data, so a torn concatenation of two checkpoints cannot half-parse.
-func strictDecode(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err == nil {
-		return fmt.Errorf("trailing data after checkpoint")
-	}
 	return nil
 }

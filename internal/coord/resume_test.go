@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hadooppreempt/internal/atomicio"
 	"hadooppreempt/internal/sim"
 	"hadooppreempt/internal/sweep"
 )
@@ -238,7 +239,7 @@ func resign(t *testing.T, st checkpointState) []byte {
 	}
 	env, err := json.Marshal(checkpointEnvelope{
 		Version: checkpointVersion,
-		Sum:     checksumHex(raw),
+		Sum:     atomicio.Checksum(raw),
 		State:   raw,
 	})
 	if err != nil {

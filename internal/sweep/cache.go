@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -208,14 +207,14 @@ func (sc *SweepCache) Load(cell int, rec *Recorder) bool {
 		return false
 	}
 	var e cacheEntry
-	if err := strictDecodeJSON(raw, &e); err != nil ||
+	if err := atomicio.DecodeStrict(raw, &e, "entry"); err != nil ||
 		e.Version != cacheVersion || e.Key != sc.key || e.Cell != cell ||
-		checksumHex(e.Payload) != e.Sum {
+		atomicio.Checksum(e.Payload) != e.Sum {
 		sc.cache.misses.Add(1)
 		return false
 	}
 	var p cachePayload
-	if err := strictDecodeJSON(e.Payload, &p); err != nil || len(p.Names) != len(p.Vals) {
+	if err := atomicio.DecodeStrict(e.Payload, &p, "entry"); err != nil || len(p.Names) != len(p.Vals) {
 		sc.cache.misses.Add(1)
 		return false
 	}
@@ -240,7 +239,7 @@ func (sc *SweepCache) Store(cell int, rec *Recorder) {
 		Version: cacheVersion,
 		Key:     sc.key,
 		Cell:    cell,
-		Sum:     checksumHex(payload),
+		Sum:     atomicio.Checksum(payload),
 		Payload: payload,
 	})
 	if err != nil {
@@ -301,25 +300,4 @@ func (sc *SweepCache) Replay(g Grid, cells []int, collapse ...string) (*Collapse
 	}
 	c.finalize()
 	return c, true
-}
-
-// checksumHex is the entry content checksum: hex sha256.
-func checksumHex(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
-
-// strictDecodeJSON unmarshals exactly one JSON value and rejects
-// trailing data, so a torn concatenation of two entries cannot
-// half-parse into a plausible result.
-func strictDecodeJSON(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err == nil {
-		return fmt.Errorf("trailing data after entry")
-	}
-	return nil
 }
