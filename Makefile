@@ -76,7 +76,7 @@ sweep-check:
 # Backend parity (mirrors the CI backend-parity job): sim backend,
 # every figure and the pressure and cluster grids byte-identical to the
 # committed 20-rep goldens, the evict, primitive and scenario grids and
-# the fair/hfsp replay hashing to goldens/cluster_cells.sha256, replay
+# the fifo/fair/hfsp replay hashing to goldens/cluster_cells.sha256, replay
 # backend deterministic across -parallel and -shard/-merge, real
 # backend smoke run.
 backend-check:
@@ -91,7 +91,7 @@ backend-check:
 			| cmp goldens/grid_$${s}_reps20.csv - || exit 1; done
 	for s in evict primitive scenarios; do \
 		/tmp/hadoopsim-ci -sweep $$s -reps 20 -seed 1 -format csv > /tmp/cells-$$s.csv || exit 1; done
-	for s in fair hfsp; do \
+	for s in fifo fair hfsp; do \
 		/tmp/hadoopsim-ci -backend replay -trace-gen 250 -trace-shards 1 -replay-timescale 10 \
 			-replay-window 64 -reps 2 -seed 1 -replay-sched $$s -format csv > /tmp/cells-replay-$$s.csv || exit 1; done
 	cd /tmp && sha256sum -c $(CURDIR)/goldens/cluster_cells.sha256

@@ -76,6 +76,45 @@ func TestDecideMatchesCorePolicies(t *testing.T) {
 	}
 }
 
+// TestDecidePermutationInvariant checks that Decide picks the same task
+// and primitive however its candidates are ordered, for every policy.
+// The keys collide often but the IDs are distinct, as task IDs are, so
+// the pick is the unique minimum under (policy order, ID). Schedulers
+// rely on this to gather candidates in whatever order is cheapest: HFSP's
+// check offers them in submission order, not size order.
+func TestDecidePermutationInvariant(t *testing.T) {
+	rng := sim.NewRNG(11)
+	for _, p := range allPolicies {
+		adv, err := advisor.New(advisor.Config{
+			Policy: p, KillBelow: 0.05, WaitAbove: 0.95, PressureKillBelow: 0.6,
+		})
+		if err != nil {
+			t.Fatalf("New(%v): %v", p, err)
+		}
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(12)
+			cs := randomCandidates(rng, n)
+			for i, k := range rng.Perm(n) {
+				cs[i].ID = fmt.Sprintf("job%d_m_%06d", rng.Intn(4), k)
+			}
+			req := advisor.Request{Candidates: cs, FreeBytes: int64(rng.Intn(4)) << 27}
+			want := adv.Decide(req)
+			shuffled := make([]advisor.Candidate, n)
+			for perm := 0; perm < 8; perm++ {
+				for i, k := range rng.Perm(n) {
+					shuffled[k] = cs[i]
+				}
+				got := adv.Decide(advisor.Request{Candidates: shuffled, FreeBytes: req.FreeBytes})
+				if shuffled[got.Victim] != cs[want.Victim] ||
+					got.Primitive != want.Primitive || got.Pressured != want.Pressured {
+					t.Fatalf("%v trial %d: permuted candidates gave %+v (%+v), original order %+v (%+v)",
+						p, trial, shuffled[got.Victim], got, cs[want.Victim], want)
+				}
+			}
+		}
+	}
+}
+
 // TestDecideEmptyAndSingle covers the edges of the candidate set.
 func TestDecideEmptyAndSingle(t *testing.T) {
 	adv, err := advisor.New(advisor.DefaultConfig())

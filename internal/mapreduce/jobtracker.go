@@ -18,6 +18,11 @@ type Job struct {
 
 	tasks []*Task // maps first, then reduces
 	maps  int     // length of the map prefix of tasks
+	// inState counts the job's tasks in each TaskState. Submit starts
+	// every task pending and noteTaskTransition moves one count per
+	// state change, so schedulers and the heartbeat scans can skip a job
+	// without walking its tasks.
+	inState [TaskFailed + 1]int
 
 	submittedAt time.Duration
 	completedAt time.Duration
@@ -49,6 +54,9 @@ func (j *Job) CompletedAt() time.Duration { return j.completedAt }
 // the job's own, not a copy, and callers must not modify it; its
 // capacity is clipped, so an append copies instead of writing into it.
 func (j *Job) Tasks() []*Task { return slices.Clip(j.tasks) }
+
+// TasksIn returns how many of the job's tasks are in state s.
+func (j *Job) TasksIn(s TaskState) int { return j.inState[s] }
 
 // MapTasks returns the job's map tasks, the prefix of Tasks, under the
 // same read-only contract.
@@ -316,6 +324,7 @@ func (jt *JobTracker) Submit(conf JobConf) (*Job, error) {
 		job.tasks = append(job.tasks, t)
 		jt.tasks[t.id] = t
 	}
+	job.inState[TaskPending] = len(job.tasks)
 	jt.jobs[id] = job
 	jt.jobOrder = append(jt.jobOrder, id)
 	jt.jobList = append(jt.jobList, job)
@@ -351,9 +360,13 @@ func (jt *JobTracker) PendingTasks() []*Task {
 }
 
 // PendingTasksInto appends the pending tasks to dst and returns it,
-// letting schedulers reuse one buffer across assignment rounds.
+// letting schedulers reuse one buffer across assignment rounds. Jobs
+// with no pending task are skipped without walking their tasks.
 func (jt *JobTracker) PendingTasksInto(dst []*Task) []*Task {
 	for _, j := range jt.jobList {
+		if j.inState[TaskPending] == 0 {
+			continue
+		}
 		for _, t := range j.tasks {
 			if t.state == TaskPending {
 				dst = append(dst, t)
@@ -363,7 +376,8 @@ func (jt *JobTracker) PendingTasksInto(dst []*Task) []*Task {
 	return dst
 }
 
-// setTaskState transitions a task and notifies listeners.
+// setTaskState transitions a task and notifies listeners. After Submit
+// it is the only writer of Task.state, which keeps Job.inState exact.
 func (jt *JobTracker) setTaskState(t *Task, to TaskState) {
 	from := t.state
 	if from == to {
@@ -377,11 +391,14 @@ func (jt *JobTracker) setTaskState(t *Task, to TaskState) {
 	}
 }
 
-// noteTaskTransition maintains the quiescence bookkeeping on every task
-// state change: the global pending count, and — for tasks bound to a
-// registered tracker — the tracker's command-dirty flag, suspended
-// count and tasksOn cache validity.
+// noteTaskTransition maintains the bookkeeping every task state change
+// must update: the job's per-state task counts (Job.TasksIn), the global
+// pending count, and — for tasks bound to a registered tracker — the
+// tracker's command-dirty flag, suspended count and tasksOn cache
+// validity.
 func (jt *JobTracker) noteTaskTransition(t *Task, from, to TaskState) {
+	t.job.inState[from]--
+	t.job.inState[to]++
 	if from == TaskPending {
 		jt.pendingTasks--
 	}
@@ -677,6 +694,10 @@ func (jt *JobTracker) tasksOn(tracker string) []*Task {
 	}
 	out := jt.onScratch[:0]
 	for _, j := range jt.jobList {
+		if j.inState[TaskRunning]+j.inState[TaskMustSuspend]+j.inState[TaskSuspended]+
+			j.inState[TaskMustResume]+j.inState[TaskKilled] == 0 {
+			continue // no task of this job can be on any tracker
+		}
 		for _, t := range j.tasks {
 			if t.tracker == tracker && (t.state.Live() || t.state == TaskKilled) {
 				out = append(out, t)
@@ -771,10 +792,7 @@ func (jt *JobTracker) noteCleanup(id TaskID, tracker string, start, end time.Dur
 
 // checkJobCompletion promotes a job to SUCCEEDED when all tasks are done.
 func (jt *JobTracker) checkJobCompletion(j *Job) {
-	for _, t := range j.tasks {
-		if t.state != TaskSucceeded {
-			return
-		}
+	if j.inState[TaskSucceeded] == len(j.tasks) {
+		jt.setJobState(j, JobSucceeded)
 	}
-	jt.setJobState(j, JobSucceeded)
 }

@@ -21,6 +21,7 @@ func TestKillJobStopsRunningTasks(t *testing.T) {
 	if err := c.JobTracker().KillJob(job.ID()); err != nil {
 		t.Fatal(err)
 	}
+	checkStateCounts(t, job)
 	if job.State() != JobFailed {
 		t.Fatalf("state = %v, want FAILED", job.State())
 	}
@@ -34,6 +35,7 @@ func TestKillJobStopsRunningTasks(t *testing.T) {
 			t.Fatalf("task %s state = %v, want KILLED", task.ID(), task.State())
 		}
 	}
+	checkStateCounts(t, job)
 }
 
 func TestKillJobOnPendingJob(t *testing.T) {
@@ -48,6 +50,7 @@ func TestKillJobOnPendingJob(t *testing.T) {
 	if err := c.JobTracker().KillJob(queued.ID()); err != nil {
 		t.Fatal(err)
 	}
+	checkStateCounts(t, queued)
 	if queued.State() != JobFailed {
 		t.Fatalf("state = %v, want FAILED", queued.State())
 	}
@@ -89,8 +92,10 @@ func TestKillJobWithSuspendedTask(t *testing.T) {
 	if err := c.JobTracker().KillJob(job.ID()); err != nil {
 		t.Fatal(err)
 	}
+	checkStateCounts(t, job)
 	c.RunUntil(25 * time.Second)
 	if free := c.Node(0).Tracker.FreeMapSlots(); free != 1 {
 		t.Fatalf("free slots = %d, want 1 (suspended victim cleaned up)", free)
 	}
+	checkStateCounts(t, job)
 }

@@ -1,16 +1,51 @@
 package mapreduce
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// stateCountsErr recounts each job's tasks per TaskState and reports the
+// first count that Job.TasksIn disagrees with.
+func stateCountsErr(jobs ...*Job) error {
+	for _, j := range jobs {
+		total := 0
+		for s := TaskPending; s <= TaskFailed; s++ {
+			want := 0
+			for _, t := range j.Tasks() {
+				if t.State() == s {
+					want++
+				}
+			}
+			if got := j.TasksIn(s); got != want {
+				return fmt.Errorf("job %s: TasksIn(%v) = %d, recount %d", j.ID(), s, got, want)
+			}
+			total += want
+		}
+		if total != len(j.Tasks()) {
+			return fmt.Errorf("job %s: %d tasks counted in some state, %d tasks", j.ID(), total, len(j.Tasks()))
+		}
+	}
+	return nil
+}
+
+// checkStateCounts fails t unless every job's per-state task counts
+// match a recount.
+func checkStateCounts(t *testing.T, jobs ...*Job) {
+	t.Helper()
+	if err := stateCountsErr(jobs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPropertyRandomControlNeverCorruptsEngine fires random control
 // actions (suspend/resume/kill-requeue/kill-terminal) at random times
 // into a running two-job cluster and verifies global invariants: the
-// simulation always converges, slot accounting returns to zero, and no
-// task ends in a transition state.
+// simulation always converges, slot accounting returns to zero, no task
+// ends in a transition state, and every job's per-state task counts
+// match a recount after each action and at the end.
 func TestPropertyRandomControlNeverCorruptsEngine(t *testing.T) {
 	type action struct {
 		AtSec  uint8 // virtual second, mod 120
@@ -37,6 +72,7 @@ func TestPropertyRandomControlNeverCorruptsEngine(t *testing.T) {
 		jb, _ := jt.Submit(lightJobConf("b", "/b"))
 		jobs := []*Job{ja, jb}
 		terminalKill := false
+		var countErr error
 		for _, a := range actions {
 			a := a
 			job := jobs[0]
@@ -60,6 +96,9 @@ func TestPropertyRandomControlNeverCorruptsEngine(t *testing.T) {
 				case 3:
 					jt.KillTaskAttempt(task, false)
 				}
+				if err := stateCountsErr(jobs...); err != nil && countErr == nil {
+					countErr = err
+				}
 			})
 		}
 		// A suspended task whose resume never comes would hang the run;
@@ -72,6 +111,13 @@ func TestPropertyRandomControlNeverCorruptsEngine(t *testing.T) {
 			}
 		})
 		c.RunUntil(time.Hour)
+		if countErr == nil {
+			countErr = stateCountsErr(jobs...)
+		}
+		if countErr != nil {
+			t.Log(countErr)
+			return false
+		}
 		for _, job := range jobs {
 			for _, task := range job.MapTasks() {
 				switch task.State() {

@@ -1,9 +1,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"hadooppreempt/internal/advisor"
@@ -73,6 +73,12 @@ type Fair struct {
 	cands     []advisor.Candidate
 	candTasks []*mapreduce.Task
 	candPools []*fairPool
+	// active backs activePools' result.
+	active []*fairPool
+
+	// checkFn is check bound once, so rescheduling the loop allocates
+	// no method value per tick.
+	checkFn func()
 
 	preemptions int
 	resumes     int
@@ -120,7 +126,8 @@ func NewFair(eng *sim.Engine, jt *mapreduce.JobTracker, preemptor *core.Preempto
 		suspended: make(map[mapreduce.TaskID]*suspendedTask),
 		skips:     make(map[mapreduce.TaskID]int),
 	}
-	eng.Schedule(cfg.CheckInterval, f.check)
+	f.checkFn = f.check
+	eng.Schedule(cfg.CheckInterval, f.checkFn)
 	return f, nil
 }
 
@@ -187,34 +194,30 @@ func (f *Fair) JobCompleted(job *mapreduce.Job) {
 // TaskProgressed implements mapreduce.Scheduler.
 func (f *Fair) TaskProgressed(*mapreduce.Task, float64) {}
 
-// poolStats counts a pool's running tasks and total demand.
+// poolStats counts a pool's running tasks and total demand from its
+// jobs' per-state task counts: running is RUNNING plus MUST_SUSPEND, and
+// demand adds the suspended, resuming and pending tasks.
 func (f *Fair) poolStats(p *fairPool) (running, demand int) {
 	for _, job := range p.jobs {
-		for _, t := range job.Tasks() {
-			switch t.State() {
-			case mapreduce.TaskRunning, mapreduce.TaskMustSuspend:
-				running++
-				demand++
-			case mapreduce.TaskMustResume, mapreduce.TaskSuspended:
-				demand++
-			case mapreduce.TaskPending:
-				demand++
-			}
-		}
+		r := job.TasksIn(mapreduce.TaskRunning) + job.TasksIn(mapreduce.TaskMustSuspend)
+		running += r
+		demand += r + job.TasksIn(mapreduce.TaskMustResume) + job.TasksIn(mapreduce.TaskSuspended) +
+			job.TasksIn(mapreduce.TaskPending)
 	}
 	return running, demand
 }
 
-// activePools returns pools with live demand, sorted by name.
+// activePools returns the pools with live demand, sorted by name. The
+// slice is reused: it is valid until the next call.
 func (f *Fair) activePools() []*fairPool {
-	var out []*fairPool
+	out := f.active[:0]
 	for _, p := range f.pools {
-		_, demand := f.poolStats(p)
-		if demand > 0 {
+		if _, demand := f.poolStats(p); demand > 0 {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	slices.SortFunc(out, func(a, b *fairPool) int { return cmp.Compare(a.name, b.name) })
+	f.active = out
 	return out
 }
 
@@ -329,6 +332,9 @@ func (f *Fair) suspendedCount(pool string) int {
 func (f *Fair) pickTask(p *fairPool, tt mapreduce.TaskTrackerInfo, taken map[mapreduce.TaskID]bool) *mapreduce.Task {
 	var fallback *mapreduce.Task
 	for _, job := range p.jobs {
+		if job.TasksIn(mapreduce.TaskPending) == 0 {
+			continue
+		}
 		for _, t := range job.Tasks() {
 			if t.State() != mapreduce.TaskPending || taken[t.ID()] {
 				continue
@@ -372,7 +378,7 @@ func (f *Fair) isLocal(t *mapreduce.Task, node string) bool {
 // over-share pools after the timeout, and apply the resume-locality
 // delayed-kill fallback.
 func (f *Fair) check() {
-	defer f.eng.Schedule(f.cfg.CheckInterval, f.check)
+	defer f.eng.Schedule(f.cfg.CheckInterval, f.checkFn)
 	now := f.eng.Now()
 	active := f.activePools()
 	share := f.share(len(active))
@@ -434,6 +440,9 @@ func (f *Fair) preemptFor(starved *fairPool, active []*fairPool, share float64) 
 			continue
 		}
 		for _, job := range p.jobs {
+			if job.TasksIn(mapreduce.TaskRunning) == 0 {
+				continue
+			}
 			for _, t := range job.Tasks() {
 				if t.State() != mapreduce.TaskRunning {
 					continue

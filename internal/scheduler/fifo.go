@@ -9,6 +9,11 @@ import (
 // simply queues behind running work.
 type FIFO struct {
 	jt *mapreduce.JobTracker
+
+	// Scratch buffers reused across Assign rounds (the JobTracker consumes
+	// the returned assignments before the next round).
+	pending []*mapreduce.Task
+	assigns []mapreduce.Assignment
 }
 
 var _ mapreduce.Scheduler = (*FIFO)(nil)
@@ -29,9 +34,10 @@ func (f *FIFO) TaskProgressed(*mapreduce.Task, float64) {}
 
 // Assign implements mapreduce.Scheduler.
 func (f *FIFO) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
-	var out []mapreduce.Assignment
+	f.pending = f.jt.PendingTasksInto(f.pending[:0])
+	out := f.assigns[:0]
 	free := tt.FreeMapSlots
-	for _, t := range f.jt.PendingTasks() {
+	for _, t := range f.pending {
 		if free <= 0 {
 			break
 		}
@@ -41,5 +47,6 @@ func (f *FIFO) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 		out = append(out, mapreduce.Assignment{Task: t.ID()})
 		free--
 	}
+	f.assigns = out
 	return out
 }

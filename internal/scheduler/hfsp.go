@@ -48,8 +48,8 @@ type HFSP struct {
 	starvedSince map[mapreduce.JobID]time.Duration
 	suspended    map[mapreduce.TaskID]mapreduce.JobID
 
-	// Scratch reused across calls: ordered's sort keys and result, and
-	// Assign's rank of each live job.
+	// Scratch reused across calls: the size keys of ordered and check,
+	// ordered's result, and Assign's rank of each job it orders.
 	keys []sizeKey
 	live []*mapreduce.Job
 	rank map[mapreduce.JobID]int
@@ -58,6 +58,10 @@ type HFSP struct {
 	// decision allocates nothing; candTasks parallels cands.
 	cands     []advisor.Candidate
 	candTasks []*mapreduce.Task
+
+	// checkFn is check bound once, so rescheduling the loop allocates
+	// no method value per tick.
+	checkFn func()
 
 	preemptions int
 	resumes     int
@@ -69,12 +73,23 @@ type hfspJob struct {
 	input int64
 }
 
-// sizeKey is ordered's sort key for a live job: remaining size, then
+// sizeKey places a live job in HFSP's order: remaining size, then
 // position in submission order.
 type sizeKey struct {
 	rem float64
 	seq int
 	job *mapreduce.Job
+}
+
+// compareSizeKeys orders smallest remaining size first, ties by
+// submission. (remaining size, submission) is a total order, so sorting
+// by it equals a stable sort by remaining size, and the minimum of any
+// set of keys is unique.
+func compareSizeKeys(a, b sizeKey) int {
+	if c := cmp.Compare(a.rem, b.rem); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 var _ mapreduce.Scheduler = (*HFSP)(nil)
@@ -102,7 +117,8 @@ func NewHFSP(eng *sim.Engine, jt *mapreduce.JobTracker, preemptor *core.Preempto
 		suspended:    make(map[mapreduce.TaskID]mapreduce.JobID),
 		rank:         make(map[mapreduce.JobID]int),
 	}
-	eng.Schedule(cfg.CheckInterval, h.check)
+	h.checkFn = h.check
+	eng.Schedule(cfg.CheckInterval, h.checkFn)
 	return h, nil
 }
 
@@ -140,24 +156,29 @@ func remainingSize(j hfspJob) float64 {
 	return rem
 }
 
-// ordered returns live jobs ordered by remaining size (smallest first,
-// ties by submission). The slice is reused: it is valid until the next
-// call.
+// isLive reports whether a job is neither succeeded nor failed.
+func isLive(j *mapreduce.Job) bool {
+	s := j.State()
+	return s == mapreduce.JobPending || s == mapreduce.JobRunning
+}
+
+// ordered returns the live jobs with a pending, suspended or resuming
+// task, smallest remaining size first (ties by submission). Assign
+// needs no other job: one with none of those tasks has nothing to launch
+// or resume, and leaving it out keeps the relative order of the rest, so
+// bestResume, smallerJobWaiting and the assignment loop decide as they
+// would over every live job. The slice is reused: it is valid until the
+// next call.
 func (h *HFSP) ordered() []*mapreduce.Job {
 	h.keys = h.keys[:0]
 	for i, j := range h.jobs {
-		if s := j.job.State(); s == mapreduce.JobPending || s == mapreduce.JobRunning {
-			h.keys = append(h.keys, sizeKey{rem: remainingSize(j), seq: i, job: j.job})
+		if !isLive(j.job) || j.job.TasksIn(mapreduce.TaskPending)+j.job.TasksIn(mapreduce.TaskSuspended)+
+			j.job.TasksIn(mapreduce.TaskMustResume) == 0 {
+			continue
 		}
+		h.keys = append(h.keys, sizeKey{rem: remainingSize(j), seq: i, job: j.job})
 	}
-	// (remaining size, submission) is a total order, so this equals a
-	// stable sort by remaining size.
-	slices.SortFunc(h.keys, func(a, b sizeKey) int {
-		if c := cmp.Compare(a.rem, b.rem); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
+	slices.SortFunc(h.keys, compareSizeKeys)
 	h.live = h.live[:0]
 	for _, k := range h.keys {
 		h.live = append(h.live, k.job)
@@ -203,6 +224,9 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 		if free <= 0 {
 			break
 		}
+		if job.TasksIn(mapreduce.TaskPending) == 0 {
+			continue
+		}
 		for _, t := range job.Tasks() {
 			if free <= 0 {
 				break
@@ -224,57 +248,63 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 // tasks.
 func (h *HFSP) smallerJobWaiting(ordered []*mapreduce.Job, r int) bool {
 	for i := 0; i < r && i < len(ordered); i++ {
-		for _, t := range ordered[i].Tasks() {
-			if t.State() == mapreduce.TaskPending {
-				return true
-			}
+		if ordered[i].TasksIn(mapreduce.TaskPending) > 0 {
+			return true
 		}
 	}
 	return false
 }
 
-// check preempts tasks of larger jobs when a smaller job has been starved
-// past the delay.
+// check preempts a task of a larger job when a smaller job has been
+// starved past the delay. It sorts nothing: one pass over the jobs
+// counts the live ones and finds the starved job, the live job with a
+// pending task whose (remaining size, submission) key is smallest. The
+// victims are the running tasks of the live jobs whose key is larger.
+// They reach the advisor in submission order, not size order, and the
+// pick is the same: Decide returns the unique minimum under (policy
+// order, task ID), whatever order its candidates come in.
 func (h *HFSP) check() {
-	defer h.eng.Schedule(h.cfg.CheckInterval, h.check)
+	defer h.eng.Schedule(h.cfg.CheckInterval, h.checkFn)
 	now := h.eng.Now()
-	ordered := h.ordered()
-	if len(ordered) < 2 {
+	// keys holds the jobs that can be starved or preempted: those with
+	// a pending or a running task.
+	h.keys = h.keys[:0]
+	nlive, starved := 0, -1
+	for i, j := range h.jobs {
+		if !isLive(j.job) {
+			continue
+		}
+		nlive++
+		pending := j.job.TasksIn(mapreduce.TaskPending) > 0
+		if !pending && j.job.TasksIn(mapreduce.TaskRunning) == 0 {
+			continue
+		}
+		h.keys = append(h.keys, sizeKey{rem: remainingSize(j), seq: i, job: j.job})
+		if pending && (starved < 0 || compareSizeKeys(h.keys[len(h.keys)-1], h.keys[starved]) < 0) {
+			starved = len(h.keys) - 1
+		}
+	}
+	if nlive < 2 || starved < 0 {
 		return
 	}
-	// Find the smallest job with pending work.
-	var starved *mapreduce.Job
-	starvedRank := -1
-	for i, j := range ordered {
-		for _, t := range j.Tasks() {
-			if t.State() == mapreduce.TaskPending {
-				starved = j
-				starvedRank = i
-				break
-			}
-		}
-		if starved != nil {
-			break
-		}
-	}
-	if starved == nil {
-		return
-	}
-	since, ok := h.starvedSince[starved.ID()]
+	sk := h.keys[starved]
+	since, ok := h.starvedSince[sk.job.ID()]
 	if !ok {
-		h.starvedSince[starved.ID()] = now
+		h.starvedSince[sk.job.ID()] = now
 		return
 	}
 	if now-since < h.cfg.PreemptionDelay {
 		return
 	}
-	// Victims: running tasks of jobs ranked below the starved job. The
-	// candidate slices are reused scratch: one decision allocates
+	// The candidate slices are reused scratch: one decision allocates
 	// nothing.
 	h.cands = h.cands[:0]
 	h.candTasks = h.candTasks[:0]
-	for i := starvedRank + 1; i < len(ordered); i++ {
-		for _, t := range ordered[i].Tasks() {
+	for _, k := range h.keys {
+		if k.job.TasksIn(mapreduce.TaskRunning) == 0 || compareSizeKeys(k, sk) <= 0 {
+			continue
+		}
+		for _, t := range k.job.Tasks() {
 			if t.State() != mapreduce.TaskRunning {
 				continue
 			}
@@ -296,7 +326,7 @@ func (h *HFSP) check() {
 		return
 	}
 	h.preemptions++
-	delete(h.starvedSince, starved.ID())
+	delete(h.starvedSince, sk.job.ID())
 	if h.preemptor.Primitive() == core.Suspend || h.preemptor.Primitive() == core.Checkpoint {
 		h.suspended[vt.ID()] = vt.Job().ID()
 	}

@@ -9,6 +9,7 @@ import (
 	"hadooppreempt/internal/core"
 	"hadooppreempt/internal/mapreduce"
 	"hadooppreempt/internal/scheduler"
+	"hadooppreempt/internal/sim"
 )
 
 // testClusterWith builds a small cluster with no scheduler installed.
@@ -339,6 +340,81 @@ func TestAssignAllocsIndependentOfJobCount(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWarmTicksAndFIFOAssignAllocateNothing checks that once warm, a
+// fair or hfsp preemption-check tick and a FIFO Assign allocate nothing.
+// The check loops run on an engine of their own, so stepping it fires
+// exactly one tick, and the cluster's state holds still between ticks:
+// running and pending tasks in two pools, with the preemption timeout
+// and delay far away so every tick does the full scan and preempts
+// nothing.
+func TestWarmTicksAndFIFOAssignAllocateNothing(t *testing.T) {
+	setup := func(t *testing.T) *mapreduce.Cluster {
+		c := testClusterWith(t, 1, 2)
+		t.Cleanup(c.Close)
+		return c
+	}
+	load := func(t *testing.T, c *mapreduce.Cluster) {
+		for i, pool := range []string{"batch", "batch", "prod", "prod"} {
+			path := fmt.Sprintf("/in%d", i)
+			if err := c.CreateInput(path, 256<<20); err != nil {
+				t.Fatal(err)
+			}
+			conf := quickJob(fmt.Sprintf("j%d", i), path)
+			conf.Pool = pool
+			conf.MapParseRate = 8e6
+			if _, err := c.JobTracker().Submit(conf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.RunUntil(5 * time.Second)
+	}
+	tick := func(t *testing.T, eng *sim.Engine) {
+		t.Helper()
+		if got := testing.AllocsPerRun(50, func() { eng.Step() }); got != 0 {
+			t.Fatalf("a warm check tick allocates %v objects, want 0", got)
+		}
+	}
+	t.Run("fair", func(t *testing.T) {
+		c := setup(t)
+		eng := sim.New()
+		cfg := scheduler.DefaultFairConfig(2)
+		cfg.PreemptionTimeout = time.Hour
+		f, err := scheduler.NewFair(eng, c.JobTracker(), preemptorFor(t, c, core.Suspend), advisor.Advisor{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.JobTracker().SetScheduler(f)
+		load(t, c)
+		tick(t, eng)
+	})
+	t.Run("hfsp", func(t *testing.T) {
+		c := setup(t)
+		eng := sim.New()
+		cfg := scheduler.DefaultHFSPConfig()
+		cfg.PreemptionDelay = time.Hour
+		h, err := scheduler.NewHFSP(eng, c.JobTracker(), preemptorFor(t, c, core.Suspend), advisor.Advisor{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.JobTracker().SetScheduler(h)
+		load(t, c)
+		tick(t, eng)
+	})
+	t.Run("fifo", func(t *testing.T) {
+		c := setup(t)
+		f := scheduler.NewFIFO(c.JobTracker())
+		c.JobTracker().SetScheduler(f)
+		load(t, c)
+		info := mapreduce.TaskTrackerInfo{Name: "tracker_node01", Node: "node01", FreeMapSlots: 2}
+		if got := len(f.Assign(info)); got != 2 {
+			t.Fatalf("assigned %d tasks, want 2", got)
+		}
+		if got := testing.AllocsPerRun(50, func() { f.Assign(info) }); got != 0 {
+			t.Fatalf("a warm FIFO Assign allocates %v objects, want 0", got)
+		}
+	})
 }
 
 func TestFairConfigValidation(t *testing.T) {
