@@ -55,14 +55,18 @@ bench-golden:
 			> BENCH_sweep.json
 
 # Sweep determinism (mirrors the CI sweep-determinism job): -parallel
-# 1 and 8 and a merge of 3 shard files agree byte for byte, a shard
-# file is the same bytes at -parallel 1 and 8, and the shard-file
-# decoder survives 10 s of fuzzing.
+# 1 and 8 and a merge of 3 shard files agree byte for byte, so does the
+# cluster-scale grid at -parallel 1 and 8, a shard file is the same
+# bytes at -parallel 1 and 8, and the shard-file decoder survives 10 s
+# of fuzzing.
 sweep-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -sweep twojob -parallel 1 -format csv -seed 1 > /tmp/sweep-p1.csv
 	/tmp/hadoopsim-ci -sweep twojob -parallel 8 -format csv -seed 1 > /tmp/sweep-p8.csv
 	cmp /tmp/sweep-p1.csv /tmp/sweep-p8.csv
+	/tmp/hadoopsim-ci -sweep cluster -reps 2 -seed 1 -parallel 1 -format csv > /tmp/sweep-cluster-p1.csv
+	/tmp/hadoopsim-ci -sweep cluster -reps 2 -seed 1 -parallel 8 -format csv > /tmp/sweep-cluster-p8.csv
+	cmp /tmp/sweep-cluster-p1.csv /tmp/sweep-cluster-p8.csv
 	for i in 0 1 2; do \
 		/tmp/hadoopsim-ci -sweep twojob -parallel 4 -seed 1 -shard $$i/3 > /tmp/sweep-shard-$$i.json; done
 	/tmp/hadoopsim-ci -merge -format csv \

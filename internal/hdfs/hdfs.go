@@ -10,6 +10,7 @@
 package hdfs
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -115,20 +116,6 @@ type FileSystem struct {
 	files     map[string][]BlockID
 	blocks    map[BlockID]*blockMeta
 	nextBlock BlockID
-	// lastBlock/lastMeta memoise the most recent lookup: a mapper streams
-	// one block in many chunked reads, so consecutive Read calls hit the
-	// same entry and skip the map.
-	lastBlock BlockID
-	lastMeta  *blockMeta
-	// lastServe/lastRead memoise the node records of the most recent Read:
-	// chunked streaming hits the same server and reader every call, so the
-	// string-keyed node lookups collapse to an ID comparison. Nodes are
-	// never removed individually, so release is the only invalidation
-	// point.
-	lastServeID NodeID
-	lastServeDN *DataNode
-	lastReadID  NodeID
-	lastReadDN  *DataNode
 	// candScratch is reused across placeReplicas calls.
 	candScratch []NodeID
 }
@@ -180,9 +167,6 @@ func (fs *FileSystem) Release() {
 	clear(fs.files)
 	clear(fs.blocks)
 	fs.nodeOrder = fs.nodeOrder[:0]
-	fs.lastBlock, fs.lastMeta = 0, nil
-	fs.lastServeID, fs.lastServeDN = "", nil
-	fs.lastReadID, fs.lastReadDN = "", nil
 	fs.eng, fs.rng = nil, nil
 	fsPool.Put(fs)
 }
@@ -363,92 +347,100 @@ func (fs *FileSystem) Locality(reader NodeID, block BlockID) (Locality, error) {
 	return best, nil
 }
 
-// Read simulates reading [offset, offset+length) of a block from the best
-// replica for the reader. It returns the absolute virtual time at which
-// the data is available and the locality level used. The serving disk is
-// occupied for the transfer; non-local reads are additionally bounded by
-// network bandwidth. The reading node's page cache absorbs the data.
-func (fs *FileSystem) Read(reader NodeID, block BlockID, offset, length int64, stream disk.StreamID) (time.Duration, Locality, error) {
-	meta := fs.lastMeta
-	if block != fs.lastBlock || meta == nil {
-		var ok bool
-		meta, ok = fs.blocks[block]
-		if !ok {
-			return 0, 0, fmt.Errorf("hdfs: no such block %d", block)
-		}
-		fs.lastBlock, fs.lastMeta = block, meta
-	}
-	if offset < 0 || length < 0 || offset+length > meta.size {
-		return 0, 0, fmt.Errorf("hdfs: read [%d,%d) outside block of %d bytes", offset, offset+length, meta.size)
+// BlockReader streams one block to one reading node. Open resolves
+// everything a read needs once: the block size, the serving replica,
+// its disk, the reading node's memory and the locality. A map attempt
+// opens its input block at launch and reads it chunk by chunk, so each
+// Read is a disk submission, a network bound and a cache fill with no
+// lookup. The zero BlockReader fails every Read.
+type BlockReader struct {
+	eng    *sim.Engine
+	size   int64
+	loc    Locality
+	server *disk.Device    // disk of the serving replica's DataNode
+	cache  *memory.Manager // reading node's memory, nil if not modelled
+	netBW  float64         // network bandwidth of a non-local read, 0 if node-local
+}
+
+// errNotOpen is what the zero BlockReader's Read returns.
+var errNotOpen = errors.New("hdfs: read from an unopened block")
+
+// Open returns a reader of block for the given node, served by the
+// closest replica. The reader holds what Open resolved, so Delete does
+// not invalidate it: a reader opened before the block's file is deleted
+// keeps reading from the replica it chose.
+func (fs *FileSystem) Open(reader NodeID, block BlockID) (BlockReader, error) {
+	meta, ok := fs.blocks[block]
+	if !ok {
+		return BlockReader{}, fmt.Errorf("hdfs: no such block %d", block)
 	}
 	server, loc := fs.chooseReplica(reader, meta)
-	dn := fs.lastServeDN
-	if server != fs.lastServeID || dn == nil {
-		dn = fs.nodes[server]
-		fs.lastServeID, fs.lastServeDN = server, dn
+	r := BlockReader{eng: fs.eng, size: meta.size, loc: loc, server: fs.nodes[server].device}
+	switch loc {
+	case RackLocal:
+		r.netBW = fs.cfg.RackLocalBandwidth
+	case OffRack:
+		r.netBW = fs.cfg.OffRackBandwidth
 	}
-	done := dn.device.Submit(disk.Read, length, stream)
+	if dn, ok := fs.nodes[reader]; ok {
+		r.cache = dn.mem
+	}
+	return r, nil
+}
+
+// Locality returns the locality level of the replica the reader reads.
+func (r *BlockReader) Locality() Locality { return r.loc }
+
+// Read simulates reading [offset, offset+length) of the block. It returns
+// the absolute virtual time at which the data is available. The serving
+// disk is occupied for the transfer; non-local reads are additionally
+// bounded by network bandwidth. The reading node's page cache absorbs the
+// data.
+func (r *BlockReader) Read(offset, length int64, stream disk.StreamID) (time.Duration, error) {
+	if r.server == nil {
+		return 0, errNotOpen
+	}
+	if offset < 0 || length < 0 || offset+length > r.size {
+		return 0, fmt.Errorf("hdfs: read [%d,%d) outside block of %d bytes", offset, offset+length, r.size)
+	}
+	done := r.server.Submit(disk.Read, length, stream)
 	// Non-local reads stream over the network; the slower of disk and
 	// network dominates, so extend the completion time if the network is
 	// the bottleneck.
-	var netBW float64
-	switch loc {
-	case RackLocal:
-		netBW = fs.cfg.RackLocalBandwidth
-	case OffRack:
-		netBW = fs.cfg.OffRackBandwidth
-	}
-	if netBW > 0 {
-		netTime := time.Duration(float64(length) / netBW * float64(time.Second))
-		if start := fs.eng.Now(); start+netTime > done {
+	if r.netBW > 0 {
+		netTime := time.Duration(float64(length) / r.netBW * float64(time.Second))
+		if start := r.eng.Now(); start+netTime > done {
 			done = start + netTime
 		}
 	}
 	// The reader's page cache absorbs the streamed data (clean pages,
-	// reclaimed first under pressure). Node-local reads (the common case)
-	// reuse the server's record instead of a second map lookup.
-	rdn := dn
-	if server != reader {
-		rdn = fs.lastReadDN
-		if reader != fs.lastReadID || rdn == nil {
-			rdn = fs.nodes[reader]
-			fs.lastReadID, fs.lastReadDN = reader, rdn
-		}
+	// reclaimed first under pressure).
+	if r.cache != nil {
+		r.cache.CacheFill(length)
 	}
-	if rdn != nil && rdn.mem != nil {
-		rdn.mem.CacheFill(length)
-	}
-	return done, loc, nil
+	return done, nil
 }
 
-// chooseReplica picks the closest replica for the reader.
+// chooseReplica picks the closest replica for the reader: its own, else
+// the first in its rack, else the first listed.
 func (fs *FileSystem) chooseReplica(reader NodeID, meta *blockMeta) (NodeID, Locality) {
-	// The reader's rack is only needed once a non-local replica shows up;
-	// resolving it lazily keeps the node-local fast path lookup-free.
 	readerRack := ""
-	rackKnown := false
-	var rackChoice, anyChoice NodeID
+	if dn, ok := fs.nodes[reader]; ok {
+		readerRack = dn.rack
+	}
+	var rackChoice NodeID
 	for _, nid := range meta.replicas {
 		if nid == reader {
 			return nid, NodeLocal
 		}
-		if !rackKnown {
-			rackKnown = true
-			if dn, ok := fs.nodes[reader]; ok {
-				readerRack = dn.rack
-			}
-		}
 		if rackChoice == "" && readerRack != "" && fs.nodes[nid].rack == readerRack {
 			rackChoice = nid
-		}
-		if anyChoice == "" {
-			anyChoice = nid
 		}
 	}
 	if rackChoice != "" {
 		return rackChoice, RackLocal
 	}
-	return anyChoice, OffRack
+	return meta.replicas[0], OffRack
 }
 
 // Delete removes a file and its blocks.
@@ -463,9 +455,6 @@ func (fs *FileSystem) Delete(path string) error {
 			delete(fs.nodes[nid].blocks, id)
 		}
 		delete(fs.blocks, id)
-		if id == fs.lastBlock {
-			fs.lastBlock, fs.lastMeta = 0, nil
-		}
 	}
 	delete(fs.files, path)
 	return nil

@@ -153,12 +153,16 @@ func TestLocalityLevels(t *testing.T) {
 func TestReadLocalUsesDiskBandwidth(t *testing.T) {
 	tc := newTestCluster(t, 4)
 	locs, _ := tc.fs.Create("/f", 64<<20, "a1")
-	done, loc, err := tc.fs.Read("a1", locs[0].Block, 0, 64<<20, 1)
+	r, err := tc.fs.Open("a1", locs[0].Block)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loc != NodeLocal {
+	if loc := r.Locality(); loc != NodeLocal {
 		t.Fatalf("locality = %v, want node-local", loc)
+	}
+	done, err := r.Read(0, 64<<20, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// 64 MiB (67.1e6 bytes) at 100e6 B/s = ~671 ms + 1 ms seek.
 	want := 672 * time.Millisecond
@@ -185,9 +189,17 @@ func TestReadRemoteIsSlower(t *testing.T) {
 	if reader == "" {
 		t.Skip("all nodes hold replicas")
 	}
-	doneRemote, loc, err := tc.fs.Read(reader, locs[0].Block, 0, 64<<20, 1)
+	r, err := tc.fs.Open(reader, locs[0].Block)
 	if err != nil {
 		t.Fatal(err)
+	}
+	doneRemote, err := r.Read(0, 64<<20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := r.Locality()
+	if want, _ := tc.fs.Locality(reader, locs[0].Block); loc != want {
+		t.Fatalf("reader locality %v, Locality reports %v", loc, want)
 	}
 	if loc == NodeLocal {
 		t.Fatal("expected non-local read")
@@ -203,11 +215,22 @@ func TestReadRemoteIsSlower(t *testing.T) {
 func TestReadOutOfRangeFails(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	locs, _ := tc.fs.Create("/f", 64<<20, "")
-	if _, _, err := tc.fs.Read("a1", locs[0].Block, 0, 65<<20, 1); err == nil {
+	r, err := tc.fs.Open("a1", locs[0].Block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(0, 65<<20, 1); err == nil {
 		t.Fatal("read beyond block should fail")
 	}
-	if _, _, err := tc.fs.Read("a1", BlockID(999), 0, 1, 1); err == nil {
-		t.Fatal("read of unknown block should fail")
+	if _, err := r.Read(-1, 1, 1); err == nil {
+		t.Fatal("read before block start should fail")
+	}
+	if _, err := tc.fs.Open("a1", BlockID(999)); err == nil {
+		t.Fatal("open of unknown block should fail")
+	}
+	var zero BlockReader
+	if _, err := zero.Read(0, 1, 1); err == nil {
+		t.Fatal("read through the zero reader should fail")
 	}
 }
 
@@ -215,7 +238,13 @@ func TestReadFillsReaderCache(t *testing.T) {
 	tc := newTestCluster(t, 4)
 	locs, _ := tc.fs.Create("/f", 64<<20, "a1")
 	before := tc.mem["a1"].CacheBytes()
-	tc.fs.Read("a1", locs[0].Block, 0, 64<<20, 1)
+	r, err := tc.fs.Open("a1", locs[0].Block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(0, 64<<20, 1); err != nil {
+		t.Fatal(err)
+	}
 	after := tc.mem["a1"].CacheBytes()
 	if after <= before {
 		t.Fatalf("cache should grow on read: %d -> %d", before, after)
@@ -225,17 +254,49 @@ func TestReadFillsReaderCache(t *testing.T) {
 func TestDelete(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	locs, _ := tc.fs.Create("/f", 64<<20, "")
+	open, err := tc.fs.Open("a1", locs[0].Block)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tc.fs.Delete("/f"); err != nil {
 		t.Fatal(err)
 	}
 	if tc.fs.Exists("/f") {
 		t.Fatal("file should be gone")
 	}
-	if _, _, err := tc.fs.Read("a1", locs[0].Block, 0, 1, 1); err == nil {
+	if _, err := tc.fs.Open("a1", locs[0].Block); err == nil {
 		t.Fatal("blocks should be gone")
+	}
+	// A reader opened before the delete is not invalidated.
+	if _, err := open.Read(0, 1, 1); err != nil {
+		t.Fatalf("reader opened before Delete: %v", err)
 	}
 	if err := tc.fs.Delete("/f"); err == nil {
 		t.Fatal("double delete should fail")
+	}
+}
+
+// TestWarmReadAllocatesNothing pins the map input path: a chunked Read
+// through an open reader, node-local or remote, allocates nothing.
+func TestWarmReadAllocatesNothing(t *testing.T) {
+	tc := newTestCluster(t, 4)
+	locs, _ := tc.fs.Create("/f", 64<<20, "a1")
+	for _, reader := range []NodeID{"a1", "b1", "c1", "d1"} {
+		r, err := tc.fs.Open(reader, locs[0].Block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Read(0, 8<<20, 1); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := r.Read(8<<20, 8<<20, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s (%v): a warm Read allocates %.1f objects", reader, r.Locality(), allocs)
+		}
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // TestPropertyPlacementInvariants creates files of random sizes on random
 // cluster shapes and verifies placement invariants: block count and sizes
 // partition the file, replicas are distinct live nodes, replication meets
-// min(cluster size, configured factor), and multi-rack clusters spread
-// replicas across at least two racks when possible.
+// min(cluster size, configured factor), multi-rack clusters spread
+// replicas across at least two racks when possible, and every node can
+// open and read every block at the locality Locality reports.
 func TestPropertyPlacementInvariants(t *testing.T) {
 	f := func(nodes, racks uint8, sizeMB uint16, seed uint64) bool {
 		n := int(nodes%8) + 1
@@ -95,8 +96,16 @@ func TestPropertyPlacementInvariants(t *testing.T) {
 		for _, l := range locs {
 			for i := 0; i < n; i++ {
 				reader := NodeID(fmt.Sprintf("n%02d", i))
-				if _, _, err := fs.Read(reader, l.Block, 0, l.Size, 1); err != nil {
+				r, err := fs.Open(reader, l.Block)
+				if err == nil {
+					_, err = r.Read(0, l.Size, 1)
+				}
+				if err != nil {
 					t.Logf("read from %s failed: %v", reader, err)
+					return false
+				}
+				if want, _ := fs.Locality(reader, l.Block); r.Locality() != want {
+					t.Logf("reader on %s reads %v, Locality reports %v", reader, r.Locality(), want)
 					return false
 				}
 			}

@@ -23,6 +23,11 @@ type Job struct {
 	// state change, so schedulers and the heartbeat scans can skip a job
 	// without walking its tasks.
 	inState [TaskFailed + 1]int
+	// doneLo and startHi bound the tasks Progress walks: every task
+	// before doneLo has succeeded, and no task from startHi on has ever
+	// launched. noteTaskTransition advances doneLo when a task succeeds;
+	// a launch raises startHi past the launched task.
+	doneLo, startHi int
 
 	submittedAt time.Duration
 	completedAt time.Duration
@@ -62,13 +67,17 @@ func (j *Job) TasksIn(s TaskState) int { return j.inState[s] }
 // same read-only contract.
 func (j *Job) MapTasks() []*Task { return j.tasks[:j.maps:j.maps] }
 
-// Progress is the mean progress over all tasks.
+// Progress is the mean progress over all tasks. It walks only
+// tasks[doneLo:startHi]: each task before doneLo has succeeded and adds
+// exactly 1, each from startHi on never launched and adds exactly +0,
+// and the rest are added in task order, so the sum is bit-identical to
+// a walk over every task.
 func (j *Job) Progress() float64 {
 	if len(j.tasks) == 0 {
 		return 1
 	}
-	var sum float64
-	for _, t := range j.tasks {
+	sum := float64(j.doneLo)
+	for _, t := range j.tasks[j.doneLo:j.startHi] {
 		if t.state == TaskSucceeded {
 			sum += 1
 		} else {
@@ -134,6 +143,14 @@ type Task struct {
 
 // ID returns the task id.
 func (t *Task) ID() TaskID { return t.id }
+
+// pos returns the task's index in its job's task list, maps first.
+func (t *Task) pos() int {
+	if t.id.Type == ReduceTask {
+		return t.job.maps + t.id.Index
+	}
+	return t.id.Index
+}
 
 // IDString returns the cached String rendering of the task id, for
 // hot paths that would otherwise allocate one per call.
@@ -392,13 +409,19 @@ func (jt *JobTracker) setTaskState(t *Task, to TaskState) {
 }
 
 // noteTaskTransition maintains the bookkeeping every task state change
-// must update: the job's per-state task counts (Job.TasksIn), the global
-// pending count, and — for tasks bound to a registered tracker — the
-// tracker's command-dirty flag, suspended count and tasksOn cache
-// validity.
+// must update: the job's per-state task counts (Job.TasksIn) and its
+// succeeded prefix (Progress), the global pending count, and — for
+// tasks bound to a registered tracker — the tracker's command-dirty
+// flag, suspended count and tasksOn cache validity.
 func (jt *JobTracker) noteTaskTransition(t *Task, from, to TaskState) {
-	t.job.inState[from]--
-	t.job.inState[to]++
+	j := t.job
+	j.inState[from]--
+	j.inState[to]++
+	if to == TaskSucceeded {
+		for j.doneLo < len(j.tasks) && j.tasks[j.doneLo].state == TaskSucceeded {
+			j.doneLo++
+		}
+	}
 	if from == TaskPending {
 		jt.pendingTasks--
 	}
@@ -665,6 +688,9 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 		}
 		free--
 		t.attempts++
+		if i := t.pos(); i >= t.job.startHi {
+			t.job.startHi = i + 1
+		}
 		t.attempt = AttemptID{Task: t.id, Attempt: t.attempts}
 		t.tracker = status.TaskTracker
 		t.progress = 0

@@ -41,8 +41,7 @@ type mapProgram struct {
 	eng    *sim.Engine
 	cfg    *EngineConfig
 	conf   *JobConf
-	fs     *hdfs.FileSystem
-	node   hdfs.NodeID
+	in     hdfs.BlockReader // the input block, opened for this node at launch
 	nodeDV *disk.Device
 	block  hdfs.BlockLocation
 	rt     *taskRuntime
@@ -85,12 +84,15 @@ func newMapProgram(eng *sim.Engine, cfg *EngineConfig, conf *JobConf, fs *hdfs.F
 }
 
 // initMapProgram resets mp (which may be a recycled shell) for a fresh
-// attempt.
+// attempt and opens its input block for the node. An unknown block
+// leaves the zero reader, whose every Read fails, so each chunk then
+// costs its parse time alone.
 func initMapProgram(mp *mapProgram, eng *sim.Engine, cfg *EngineConfig, conf *JobConf, fs *hdfs.FileSystem,
 	node hdfs.NodeID, dev *disk.Device, block hdfs.BlockLocation, rt *taskRuntime, stream disk.StreamID) {
 	rt.inputBytes = block.Size
+	in, _ := fs.Open(node, block.Block)
 	*mp = mapProgram{
-		eng: eng, cfg: cfg, conf: conf, fs: fs, node: node, nodeDV: dev,
+		eng: eng, cfg: cfg, conf: conf, in: in, nodeDV: dev,
 		block: block, rt: rt, stream: stream,
 		chunkParse: time.Duration(float64(cfg.ChunkBytes) / conf.MapParseRate * float64(time.Second)),
 		chunkTouch: time.Duration(float64(cfg.ChunkBytes) / cfg.MemTouchRate * float64(time.Second)),
@@ -148,7 +150,7 @@ func (mp *mapProgram) Next(p *ossim.Process, op *ossim.Op) {
 				chunk = mp.block.Size - mp.rt.processedBytes
 			}
 			// Stream the chunk from HDFS; the read may be remote.
-			done, _, err := mp.fs.Read(mp.node, mp.block.Block, mp.rt.processedBytes, chunk, mp.stream)
+			done, err := mp.in.Read(mp.rt.processedBytes, chunk, mp.stream)
 			var ioWait time.Duration
 			if err == nil {
 				if wait := done - mp.eng.Now(); wait > 0 {

@@ -2,8 +2,9 @@ package memory
 
 // Differential property test: the run-based Manager must be an exact
 // drop-in for the original per-page model (refManager). Both are driven
-// through identical randomized scripts of register/touch/stop/resume/
-// unregister/cache-fill/advance operations over adversarial geometries
+// through identical randomized scripts of register/touch/re-touch/stop/
+// resume/unregister/cache-fill/advance operations over adversarial
+// geometries
 // (tiny swap, swappiness > 0, cache present/absent) and every observable
 // — returned latencies, errors, manager stats, per-space stats, free and
 // cache bytes, swap usage, and the swap device's own counters — must match
@@ -184,6 +185,23 @@ func TestDifferentialRunBasedVsPerPage(t *testing.T) {
 					t.Fatalf("scenario %d step %d: Touch err mismatch: %v vs %v", sc, step, errN, errR)
 				}
 				p.compare(step, "touch")
+				// Re-touch a piece of the range at once: the pages are
+				// resident unless the touch reclaimed from its own space,
+				// so this takes the path that sets referenced bits, or
+				// skips them while the space is all-referenced.
+				if errN == nil && p.n.Space(pid) != nil && rng.Intn(3) == 0 {
+					roff := off + rng.Int63n(length)
+					rlen := 1 + rng.Int63n(off+length-roff)
+					p.touching = pid
+					dN, errN = p.n.Touch(pid, roff, rlen, false)
+					dR, errR = p.r.Touch(pid, roff, rlen, false)
+					p.touching = -100
+					if dN != dR || (errN == nil) != (errR == nil) {
+						t.Fatalf("scenario %d step %d: re-Touch(%d,%d,%d) = %v, %v vs %v, %v",
+							sc, step, pid, roff, rlen, dN, errN, dR, errR)
+					}
+					p.compare(step, "retouch")
+				}
 			case 7:
 				if rng.Intn(2) == 0 {
 					p.n.MarkStopped(pid)
@@ -244,6 +262,12 @@ func TestDifferentialWorstCaseSweep(t *testing.T) {
 			p.touching = 1
 			p.n.Touch(1, 0, tl, true)
 			p.r.Touch(1, 0, tl, true)
+			p.touching = -100
+		})
+		do("re-touch tl", func() {
+			p.touching = 1
+			p.n.Touch(1, 8<<10, 16<<10, false)
+			p.r.Touch(1, 8<<10, 16<<10, false)
 			p.touching = -100
 		})
 		do("stop tl", func() { p.n.MarkStopped(1); p.r.MarkStopped(1) })

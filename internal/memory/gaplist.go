@@ -21,9 +21,13 @@ type extList struct {
 	gl  int // gap length
 	// hint is the last search result; search checks it and its
 	// successor before bisecting. Counted over the seed-1, 20-rep
-	// grids, that answers 18% of searches on twojob, 77% on pressure,
-	// 19-20% on the cluster, evict and primitive grids, 62% on
-	// scenarios and 12% on trace replay; a 4-entry cache of recent
+	// grids, that answers 89% of searches on twojob, 93% on pressure,
+	// 65-66% on the cluster, evict and primitive grids, 80% on
+	// scenarios and 23% on trace replay (the 250-job trace under fifo,
+	// fair and hfsp, 2 reps). Hot re-touches of an all-referenced
+	// space no longer search; while they did, they were 32-40% of all
+	// searches, and the hint answered 12-20% of searches on every grid
+	// but pressure (77%) and scenarios (62%). A 4-entry cache of recent
 	// results measured slower on replay. Correctness never depends on
 	// it: extents are disjoint, so a containment hit is the right entry
 	// no matter how indices shifted.

@@ -39,6 +39,7 @@ package memory
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"hadooppreempt/internal/disk"
@@ -59,10 +60,10 @@ var ErrOutOfMemory = errors.New("memory: out of memory (swap full, nothing recla
 
 // Config describes the physical memory of a node.
 type Config struct {
-	// PageSize is the reclaim granularity in bytes. Real kernels use 4KiB
-	// pages but reclaim in larger batches; simulating at a coarser
-	// granularity keeps frame counts manageable without changing byte
-	// accounting.
+	// PageSize is the reclaim granularity in bytes, a power of two. Real
+	// kernels use 4KiB pages but reclaim in larger batches; simulating at
+	// a coarser granularity keeps frame counts manageable without
+	// changing byte accounting.
 	PageSize int64
 	// RAMBytes is total physical memory.
 	RAMBytes int64
@@ -168,6 +169,12 @@ type Space struct {
 	resident int
 	swapped  int
 	stopped  bool
+	// allRef records that every resident frame of the space has its
+	// referenced bit set. Register sets it and faults keep it, since they
+	// map referenced frames; MarkStopped and the clock's second-chance
+	// pass clear it, and nothing sets it again. While it holds, a touch
+	// of resident pages has no bit to set and skips the extent search.
+	allRef   bool
 	stats    SpaceStats
 	pageSize int64
 }
@@ -232,6 +239,7 @@ type Manager struct {
 	cfg  Config
 
 	nframes    int
+	pageShift  uint8   // log2(cfg.PageSize): byte offsets to pages
 	exts       extList // sorted extents covering [0, nframes)
 	freeStack  []stackExt
 	freeFrames int
@@ -276,8 +284,8 @@ const swapEventRing = 512
 // disk). Managers are drawn from a recycling pool; call Release when the
 // simulation cell is torn down to reuse the internal buffers.
 func New(eng *sim.Engine, swap *disk.Device, cfg Config) (*Manager, error) {
-	if cfg.PageSize <= 0 {
-		return nil, fmt.Errorf("memory: page size %d must be positive", cfg.PageSize)
+	if cfg.PageSize <= 0 || cfg.PageSize&(cfg.PageSize-1) != 0 {
+		return nil, fmt.Errorf("memory: page size %d must be a positive power of two", cfg.PageSize)
 	}
 	if cfg.RAMBytes <= cfg.ReservedBytes {
 		return nil, fmt.Errorf("memory: RAM %d must exceed reserved %d", cfg.RAMBytes, cfg.ReservedBytes)
@@ -288,7 +296,8 @@ func New(eng *sim.Engine, swap *disk.Device, cfg Config) (*Manager, error) {
 	if cfg.PageClusterPages <= 0 {
 		cfg.PageClusterPages = 1
 	}
-	usable := (cfg.RAMBytes - cfg.ReservedBytes) / cfg.PageSize
+	shift := uint8(bits.TrailingZeros64(uint64(cfg.PageSize)))
+	usable := (cfg.RAMBytes - cfg.ReservedBytes) >> shift
 	if usable <= 0 {
 		return nil, fmt.Errorf("memory: no usable frames")
 	}
@@ -299,6 +308,7 @@ func New(eng *sim.Engine, swap *disk.Device, cfg Config) (*Manager, error) {
 	m.eng = eng
 	m.swap = swap
 	m.cfg = cfg
+	m.pageShift = shift
 	m.nframes = int(usable)
 	m.exts.insert(0, frameExt{start: 0, n: int32(usable), kind: extFree})
 	// The free list is seeded high-to-low so frames are handed out in
@@ -307,7 +317,7 @@ func New(eng *sim.Engine, swap *disk.Device, cfg Config) (*Manager, error) {
 	m.freeFrames = int(usable)
 	m.swapOutStream = disk.StreamID(0x5157_4f55) // distinct stream tags for
 	m.swapInStream = disk.StreamID(0x5157_494e)  // swap write and read runs
-	cachePages := int(cfg.InitialCacheBytes / cfg.PageSize)
+	cachePages := int(cfg.InitialCacheBytes >> shift)
 	if cachePages > m.nframes {
 		cachePages = m.nframes
 	}
@@ -346,7 +356,7 @@ func (m *Manager) Register(pid PID, bytes int64) (*Space, error) {
 	if bytes < 0 {
 		return nil, fmt.Errorf("memory: negative space size %d", bytes)
 	}
-	npages := int((bytes + m.cfg.PageSize - 1) / m.cfg.PageSize)
+	npages := int((bytes + m.cfg.PageSize - 1) >> m.pageShift)
 	if npages > 1<<31-1 {
 		return nil, fmt.Errorf("memory: space of %d pages exceeds the supported maximum", npages)
 	}
@@ -360,6 +370,7 @@ func (m *Manager) Register(pid PID, bytes int64) (*Space, error) {
 	}
 	s.pid = pid
 	s.npages = npages
+	s.allRef = true
 	s.pageSize = m.cfg.PageSize
 	if npages > 0 {
 		s.runs = append(s.runs, pageRun{start: 0, n: int32(npages), state: pageUntouched})
@@ -425,6 +436,7 @@ func (m *Manager) MarkStopped(pid PID) {
 		return
 	}
 	s.stopped = true
+	s.allRef = false
 	for _, r := range s.runs {
 		if r.state == pageResident {
 			m.setRef(r.frameLo(), r.frameHi(), false)
@@ -461,7 +473,7 @@ func (m *Manager) SwappedBytes(pid PID) int64 {
 // recycles the cache's own oldest pages, which changes nothing in our
 // accounting.
 func (m *Manager) CacheFill(bytes int64) {
-	pages := min(int(bytes/m.cfg.PageSize), m.freeFrames)
+	pages := min(int(bytes>>m.pageShift), m.freeFrames)
 	if pages <= 0 {
 		return
 	}
@@ -528,9 +540,9 @@ func (m *Manager) Touch(pid PID, offset, length int64, write bool) (time.Duratio
 	if length <= 0 {
 		return 0, nil
 	}
-	first := offset / m.cfg.PageSize
-	last := (offset + length - 1) / m.cfg.PageSize
-	if first < 0 || last >= int64(s.npages) {
+	first := offset >> m.pageShift
+	last := (offset + length - 1) >> m.pageShift
+	if offset < 0 || last >= int64(s.npages) {
 		return 0, fmt.Errorf("memory: pid %d touch [%d,%d) outside %d-byte space",
 			pid, offset, offset+length, s.SizeBytes())
 	}
@@ -551,14 +563,16 @@ func (m *Manager) Touch(pid PID, offset, length int64, write bool) (time.Duratio
 		n := pieceEnd - pg
 		switch r.state {
 		case pageResident:
-			lo := r.frame + int32(r.fdir)*(pg-r.start)
-			hi := lo
-			if r.fdir >= 0 {
-				hi = lo + n
-			} else {
-				lo, hi = lo-(n-1), lo+1
+			if !s.allRef {
+				lo := r.frame + int32(r.fdir)*(pg-r.start)
+				hi := lo
+				if r.fdir >= 0 {
+					hi = lo + n
+				} else {
+					lo, hi = lo-(n-1), lo+1
+				}
+				m.setRef(lo, hi, true)
 			}
-			m.setRef(lo, hi, true)
 			if write && !r.dirty {
 				if r.slot {
 					// Re-dirtied pages invalidate their swap copies
@@ -701,6 +715,9 @@ func (m *Manager) reclaim() time.Duration {
 		case e.ref:
 			step := min(span, budget-scanned)
 			m.setRef(hand, hand+int32(step), false)
+			if s := m.space(e.owner); s != nil {
+				s.allRef = false
+			}
 			m.stats.SecondChanceHit += int64(step)
 			scanned += step
 			m.advanceHand(step)
@@ -746,7 +763,7 @@ func (m *Manager) evictAt(e frameExt, hand int32, limit, want int, freed, dirtyV
 	}
 	k := min(int32(limit), inRun)
 	if r.dirty {
-		avail := (m.cfg.SwapBytes - m.swapUsed) / m.cfg.PageSize
+		avail := (m.cfg.SwapBytes - m.swapUsed) >> m.pageShift
 		if avail <= 0 {
 			// Swap full: dirty pages cannot be evicted; the clock skips
 			// them and keeps looking for clean ones.
@@ -1276,6 +1293,9 @@ func (m *Manager) checkInvariants() error {
 					e := m.exts.at(m.extIdx(f))
 					if e.kind != extAnon || e.owner != pid {
 						return fmt.Errorf("pid %d page %d frame %d not an anon frame of the pid", pid, r.start+k, f)
+					}
+					if s.allRef && !e.ref {
+						return fmt.Errorf("pid %d is marked all-referenced but frame %d of page %d is not", pid, f, r.start+k)
 					}
 					if got := e.pageAt(f); got != r.start+k {
 						return fmt.Errorf("frame %d maps page %d, run says %d", f, got, r.start+k)

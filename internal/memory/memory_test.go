@@ -89,9 +89,17 @@ func TestTouchOutOfRangeFails(t *testing.T) {
 	if _, err := m.Touch(1, 0, 8192, false); err == nil {
 		t.Fatal("touch beyond space should fail")
 	}
-	if _, err := m.Touch(1, -1024, 512, false); err == nil {
-		t.Fatal("negative offset should fail")
+	// An offset within one page below zero must fail too, although it
+	// lies in page 0 when divided towards zero.
+	for _, bad := range [][2]int64{{-1024, 512}, {-1, 1}, {-1024 + 1, 1024}} {
+		if _, err := m.Touch(1, bad[0], bad[1], true); err == nil {
+			t.Fatalf("Touch(%d, %d) before the space should fail", bad[0], bad[1])
+		}
 	}
+	if got := m.ResidentBytes(1); got != 0 {
+		t.Fatalf("failed touches left %d bytes resident", got)
+	}
+	checkInv(t, m)
 }
 
 func TestTouchUnregisteredFails(t *testing.T) {
@@ -134,6 +142,48 @@ func TestRetouchResidentIsFree(t *testing.T) {
 	if d != 0 {
 		t.Fatalf("re-touch cost %v, want 0", d)
 	}
+}
+
+// TestAllReferencedSpaceSkipsSetRef follows a space's all-referenced
+// flag through its transitions: set at Register and kept by faults, so
+// a hot re-touch allocates nothing; cleared by MarkStopped and not set
+// again by MarkRunning; and cleared for a running space whose frames the
+// clock's second-chance pass spares.
+func TestAllReferencedSpaceSkipsSetRef(t *testing.T) {
+	_, m := testSetup(t, 0)
+	s := mustRegister(t, m, 1, 8<<10)
+	if !s.allRef {
+		t.Fatal("a new space should be all-referenced")
+	}
+	mustTouch(t, m, 1, 0, 8<<10, true)
+	if !s.allRef {
+		t.Fatal("faults should keep the space all-referenced")
+	}
+	allocs := testing.AllocsPerRun(100, func() { mustTouch(t, m, 1, 1<<10, 4<<10, true) })
+	if allocs != 0 {
+		t.Fatalf("a hot re-touch allocates %.1f objects", allocs)
+	}
+	checkInv(t, m)
+
+	m.MarkStopped(1)
+	m.MarkRunning(1)
+	if s.allRef {
+		t.Fatal("MarkStopped should clear the flag for good")
+	}
+	mustTouch(t, m, 1, 0, 4<<10, false) // re-references half the frames
+	checkInv(t, m)
+
+	// A second space fills RAM; reclaim first spares its own referenced
+	// frames, clearing its flag, before it evicts anything.
+	s2 := mustRegister(t, m, 2, 64<<10)
+	mustTouch(t, m, 2, 0, 64<<10, true)
+	if m.Stats().SecondChanceHit == 0 {
+		t.Fatal("reclaim spared no referenced frame")
+	}
+	if s2.allRef {
+		t.Fatal("the second-chance pass should clear the flag")
+	}
+	checkInv(t, m)
 }
 
 func TestCacheEvictedFirstAtSwappinessZero(t *testing.T) {
@@ -415,6 +465,7 @@ func TestConfigValidation(t *testing.T) {
 		cfg  Config
 	}{
 		{"zero page size", Config{PageSize: 0, RAMBytes: 1 << 20}},
+		{"page size not a power of two", Config{PageSize: 1000, RAMBytes: 1 << 20}},
 		{"reserved >= RAM", Config{PageSize: 1024, RAMBytes: 1 << 20, ReservedBytes: 1 << 20}},
 		{"bad swappiness", Config{PageSize: 1024, RAMBytes: 1 << 20, Swappiness: 101}},
 	}

@@ -61,7 +61,10 @@ type Fair struct {
 	preemptor *core.Preemptor
 	adv       advisor.Advisor
 
-	pools map[string]*fairPool
+	// pools lists every pool, sorted by name; members maps each job the
+	// pools hold to its pool.
+	pools   []*fairPool
+	members map[*mapreduce.Job]*fairPool
 	// suspended tracks preempted-but-restorable tasks.
 	suspended map[mapreduce.TaskID]*suspendedTask
 	// skips counts declined non-local offers per task (delay
@@ -86,16 +89,61 @@ type Fair struct {
 }
 
 type fairPool struct {
-	name         string
-	jobs         []*mapreduce.Job
-	starvedSince time.Duration
-	starved      bool
+	name string
+	jobs []*mapreduce.Job
+	// running counts the tasks of the pool's jobs that are RUNNING or
+	// MUST_SUSPEND; demand adds those SUSPENDED, MUST_RESUME or PENDING.
+	// JobSubmitted adds a job's tasks and poolCounter moves them as they
+	// change state.
+	running, demand int
+	starvedSince    time.Duration
+	starved         bool
 }
 
 type suspendedTask struct {
 	id          mapreduce.TaskID
-	pool        string
+	pool        *fairPool
 	suspendedAt time.Duration
+}
+
+// taskWeight returns what one task in state s adds to its pool's
+// running and demand counts.
+func taskWeight(s mapreduce.TaskState) (running, demand int) {
+	switch s {
+	case mapreduce.TaskRunning, mapreduce.TaskMustSuspend:
+		return 1, 1
+	case mapreduce.TaskSuspended, mapreduce.TaskMustResume, mapreduce.TaskPending:
+		return 0, 1
+	}
+	return 0, 0
+}
+
+// add counts each of job's tasks into the pool.
+func (p *fairPool) add(job *mapreduce.Job) {
+	for s := mapreduce.TaskPending; s <= mapreduce.TaskFailed; s++ {
+		r, d := taskWeight(s)
+		p.running += r * job.TasksIn(s)
+		p.demand += d * job.TasksIn(s)
+	}
+}
+
+// poolCounter keeps each pool's running and demand counts current: the
+// JobTracker reports every task state change to it.
+type poolCounter struct {
+	mapreduce.NopListener
+	f *Fair
+}
+
+// TaskStateChanged implements mapreduce.Listener.
+func (c poolCounter) TaskStateChanged(t *mapreduce.Task, from, to mapreduce.TaskState, _ time.Duration) {
+	p, ok := c.f.members[t.Job()]
+	if !ok {
+		return
+	}
+	r0, d0 := taskWeight(from)
+	r1, d1 := taskWeight(to)
+	p.running += r1 - r0
+	p.demand += d1 - d0
 }
 
 var _ mapreduce.Scheduler = (*Fair)(nil)
@@ -122,10 +170,11 @@ func NewFair(eng *sim.Engine, jt *mapreduce.JobTracker, preemptor *core.Preempto
 		cfg:       cfg,
 		preemptor: preemptor,
 		adv:       adv,
-		pools:     make(map[string]*fairPool),
+		members:   make(map[*mapreduce.Job]*fairPool),
 		suspended: make(map[mapreduce.TaskID]*suspendedTask),
 		skips:     make(map[mapreduce.TaskID]int),
 	}
+	jt.AddListener(poolCounter{f: f})
 	f.checkFn = f.check
 	eng.Schedule(cfg.CheckInterval, f.checkFn)
 	return f, nil
@@ -166,57 +215,48 @@ func (f *Fair) poolOf(job *mapreduce.Job) *fairPool {
 	if name == "" {
 		name = "default"
 	}
-	p, ok := f.pools[name]
+	i, ok := slices.BinarySearchFunc(f.pools, name, func(p *fairPool, name string) int {
+		return cmp.Compare(p.name, name)
+	})
 	if !ok {
-		p = &fairPool{name: name}
-		f.pools[name] = p
+		f.pools = slices.Insert(f.pools, i, &fairPool{name: name})
 	}
-	return p
+	return f.pools[i]
 }
 
 // JobSubmitted implements mapreduce.Scheduler.
 func (f *Fair) JobSubmitted(job *mapreduce.Job) {
 	p := f.poolOf(job)
 	p.jobs = append(p.jobs, job)
+	p.add(job)
+	f.members[job] = p
 }
 
 // JobCompleted implements mapreduce.Scheduler: a succeeded job leaves
-// its pool. A failed job stays, since its leftover tasks still count
+// its pool, taking nothing from its counts, since every task of it has
+// succeeded. A failed job stays, since its leftover tasks still count
 // toward the pool's demand and are still scheduled.
 func (f *Fair) JobCompleted(job *mapreduce.Job) {
-	if job.State() != mapreduce.JobSucceeded {
+	p, ok := f.members[job]
+	if !ok || job.State() != mapreduce.JobSucceeded {
 		return
 	}
-	p := f.poolOf(job)
+	delete(f.members, job)
 	p.jobs = slices.DeleteFunc(p.jobs, func(j *mapreduce.Job) bool { return j == job })
 }
 
 // TaskProgressed implements mapreduce.Scheduler.
 func (f *Fair) TaskProgressed(*mapreduce.Task, float64) {}
 
-// poolStats counts a pool's running tasks and total demand from its
-// jobs' per-state task counts: running is RUNNING plus MUST_SUSPEND, and
-// demand adds the suspended, resuming and pending tasks.
-func (f *Fair) poolStats(p *fairPool) (running, demand int) {
-	for _, job := range p.jobs {
-		r := job.TasksIn(mapreduce.TaskRunning) + job.TasksIn(mapreduce.TaskMustSuspend)
-		running += r
-		demand += r + job.TasksIn(mapreduce.TaskMustResume) + job.TasksIn(mapreduce.TaskSuspended) +
-			job.TasksIn(mapreduce.TaskPending)
-	}
-	return running, demand
-}
-
 // activePools returns the pools with live demand, sorted by name. The
 // slice is reused: it is valid until the next call.
 func (f *Fair) activePools() []*fairPool {
 	out := f.active[:0]
 	for _, p := range f.pools {
-		if _, demand := f.poolStats(p); demand > 0 {
+		if p.demand > 0 {
 			out = append(out, p)
 		}
 	}
-	slices.SortFunc(out, func(a, b *fairPool) int { return cmp.Compare(a.name, b.name) })
 	f.active = out
 	return out
 }
@@ -252,8 +292,7 @@ func (f *Fair) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 		if !ok || task.State() != mapreduce.TaskSuspended {
 			continue
 		}
-		pool := f.pools[st.pool]
-		running, demand := f.poolStats(pool)
+		running, demand := st.pool.running, st.pool.demand
 		if float64(running) < share && demand > running {
 			if err := f.jt.ResumeTask(tid); err == nil {
 				f.resumes++
@@ -299,9 +338,8 @@ func (f *Fair) neediestPool(active []*fairPool, share float64, extra map[*fairPo
 		if skip[p] {
 			continue
 		}
-		running, demand := f.poolStats(p)
-		running += extra[p]
-		pending := demand - running - f.suspendedCount(p.name)
+		running := p.running + extra[p]
+		pending := p.demand - running - f.suspendedCount(p)
 		if pending <= 0 {
 			continue
 		}
@@ -315,7 +353,7 @@ func (f *Fair) neediestPool(active []*fairPool, share float64, extra map[*fairPo
 }
 
 // suspendedCount counts tasks of a pool currently suspended.
-func (f *Fair) suspendedCount(pool string) int {
+func (f *Fair) suspendedCount(pool *fairPool) int {
 	n := 0
 	for _, st := range f.suspended {
 		if st.pool == pool {
@@ -384,7 +422,7 @@ func (f *Fair) check() {
 	share := f.share(len(active))
 
 	for _, p := range active {
-		running, demand := f.poolStats(p)
+		running, demand := p.running, p.demand
 		want := share
 		if float64(demand) < want {
 			want = float64(demand)
@@ -435,8 +473,7 @@ func (f *Fair) preemptFor(starved *fairPool, active []*fairPool, share float64) 
 		if p == starved {
 			continue
 		}
-		running, _ := f.poolStats(p)
-		if float64(running) <= share {
+		if float64(p.running) <= share {
 			continue
 		}
 		for _, job := range p.jobs {
@@ -470,7 +507,7 @@ func (f *Fair) preemptFor(starved *fairPool, active []*fairPool, share float64) 
 	if f.preemptor.Primitive() == core.Suspend || f.preemptor.Primitive() == core.Checkpoint {
 		f.suspended[vt.ID()] = &suspendedTask{
 			id:          vt.ID(),
-			pool:        f.candPools[d.Victim].name,
+			pool:        f.candPools[d.Victim],
 			suspendedAt: f.eng.Now(),
 		}
 	}

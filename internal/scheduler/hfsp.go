@@ -48,11 +48,9 @@ type HFSP struct {
 	starvedSince map[mapreduce.JobID]time.Duration
 	suspended    map[mapreduce.TaskID]mapreduce.JobID
 
-	// Scratch reused across calls: the size keys of ordered and check,
-	// ordered's result, and Assign's rank of each job it orders.
+	// keys is scratch reused across calls: the size keys of the jobs
+	// Assign or check considers.
 	keys []sizeKey
-	live []*mapreduce.Job
-	rank map[mapreduce.JobID]int
 
 	// Scratch for check's victim selection, reused so a preemption
 	// decision allocates nothing; candTasks parallels cands.
@@ -115,7 +113,6 @@ func NewHFSP(eng *sim.Engine, jt *mapreduce.JobTracker, preemptor *core.Preempto
 		adv:          adv,
 		starvedSince: make(map[mapreduce.JobID]time.Duration),
 		suspended:    make(map[mapreduce.TaskID]mapreduce.JobID),
-		rank:         make(map[mapreduce.JobID]int),
 	}
 	h.checkFn = h.check
 	eng.Schedule(cfg.CheckInterval, h.checkFn)
@@ -162,71 +159,66 @@ func isLive(j *mapreduce.Job) bool {
 	return s == mapreduce.JobPending || s == mapreduce.JobRunning
 }
 
-// ordered returns the live jobs with a pending, suspended or resuming
-// task, smallest remaining size first (ties by submission). Assign
-// needs no other job: one with none of those tasks has nothing to launch
-// or resume, and leaving it out keeps the relative order of the rest, so
-// bestResume, smallerJobWaiting and the assignment loop decide as they
-// would over every live job. The slice is reused: it is valid until the
-// next call.
-func (h *HFSP) ordered() []*mapreduce.Job {
-	h.keys = h.keys[:0]
+// Assign implements mapreduce.Scheduler: slots go to the smallest job
+// first; its suspended tasks on this tracker resume before new launches.
+// It sorts nothing. It keys the live jobs with a pending, suspended or
+// resuming task, since no other job has anything to launch or resume.
+// The resume goes to the suspended task whose job has the smallest key
+// (remaining size, then submission), unless a job with a smaller key
+// has a pending task. Launches then take jobs by repeated minimum of the
+// keys, so they visit jobs in size order, and only as many as the free
+// slots reach.
+func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
+	free := tt.FreeMapSlots
+	keys := h.keys[:0]
 	for i, j := range h.jobs {
 		if !isLive(j.job) || j.job.TasksIn(mapreduce.TaskPending)+j.job.TasksIn(mapreduce.TaskSuspended)+
 			j.job.TasksIn(mapreduce.TaskMustResume) == 0 {
 			continue
 		}
-		h.keys = append(h.keys, sizeKey{rem: remainingSize(j), seq: i, job: j.job})
+		keys = append(keys, sizeKey{rem: remainingSize(j), seq: i, job: j.job})
 	}
-	slices.SortFunc(h.keys, compareSizeKeys)
-	h.live = h.live[:0]
-	for _, k := range h.keys {
-		h.live = append(h.live, k.job)
-	}
-	return h.live
-}
+	h.keys = keys
 
-// Assign implements mapreduce.Scheduler: slots go to the smallest job
-// first; its suspended tasks on this tracker resume before new launches.
-func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
-	free := tt.FreeMapSlots
-	ordered := h.ordered()
-	clear(h.rank)
-	for i, j := range ordered {
-		h.rank[j.ID()] = i
-	}
-
-	// Resume suspended tasks of the highest-ranked (smallest) jobs first.
-	bestRank := len(ordered)
+	// Resume the suspended task of the smallest job first. Keys are
+	// unique, so among one job's tasks the first listed wins.
+	best := -1
 	var bestResume mapreduce.TaskID
 	for _, tid := range tt.SuspendedTasks {
-		if jid, ok := h.suspended[tid]; ok {
-			if r, live := h.rank[jid]; live && r < bestRank {
-				bestRank = r
-				bestResume = tid
+		jid, ok := h.suspended[tid]
+		if !ok {
+			continue
+		}
+		for i := range keys {
+			if keys[i].job.ID() == jid {
+				if best < 0 || compareSizeKeys(keys[i], keys[best]) < 0 {
+					best, bestResume = i, tid
+				}
+				break
 			}
 		}
 	}
-	if bestResume != (mapreduce.TaskID{}) && free > 0 {
-		// Only resume if no smaller job is waiting for this slot.
-		if !h.smallerJobWaiting(ordered, bestRank) {
-			if err := h.jt.ResumeTask(bestResume); err == nil {
-				h.resumes++
-				free--
-				delete(h.suspended, bestResume)
-			}
+	// Only resume if no smaller job is waiting for this slot.
+	if best >= 0 && free > 0 && !smallerJobWaiting(keys, keys[best]) {
+		if err := h.jt.ResumeTask(bestResume); err == nil {
+			h.resumes++
+			free--
+			delete(h.suspended, bestResume)
 		}
 	}
 
 	// Each task is visited once, so no pick repeats within the round.
 	var out []mapreduce.Assignment
-	for _, job := range ordered {
-		if free <= 0 {
-			break
+	keys = slices.DeleteFunc(keys, func(k sizeKey) bool { return k.job.TasksIn(mapreduce.TaskPending) == 0 })
+	for n := 0; n < len(keys) && free > 0; n++ {
+		m := n
+		for i := n + 1; i < len(keys); i++ {
+			if compareSizeKeys(keys[i], keys[m]) < 0 {
+				m = i
+			}
 		}
-		if job.TasksIn(mapreduce.TaskPending) == 0 {
-			continue
-		}
+		keys[n], keys[m] = keys[m], keys[n]
+		job := keys[n].job
 		for _, t := range job.Tasks() {
 			if free <= 0 {
 				break
@@ -244,11 +236,11 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 	return out
 }
 
-// smallerJobWaiting reports whether a job ranked above r has pending
-// tasks.
-func (h *HFSP) smallerJobWaiting(ordered []*mapreduce.Job, r int) bool {
-	for i := 0; i < r && i < len(ordered); i++ {
-		if ordered[i].TasksIn(mapreduce.TaskPending) > 0 {
+// smallerJobWaiting reports whether a job with a key below k has a
+// pending task.
+func smallerJobWaiting(keys []sizeKey, k sizeKey) bool {
+	for _, o := range keys {
+		if o.job.TasksIn(mapreduce.TaskPending) > 0 && compareSizeKeys(o, k) < 0 {
 			return true
 		}
 	}
