@@ -57,8 +57,8 @@ bench-golden:
 # Sweep determinism (mirrors the CI sweep-determinism job): -parallel
 # 1 and 8 and a merge of 3 shard files agree byte for byte, so does the
 # cluster-scale grid at -parallel 1 and 8, a shard file is the same
-# bytes at -parallel 1 and 8, and the shard-file decoder survives 10 s
-# of fuzzing.
+# bytes at -parallel 1 and 8, and the shard-file decoder and the config
+# parser each survive 10 s of fuzzing.
 sweep-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -sweep twojob -parallel 1 -format csv -seed 1 > /tmp/sweep-p1.csv
@@ -76,6 +76,7 @@ sweep-check:
 	/tmp/hadoopsim-ci -sweep twojob -seed 1 -shard 0/2 -parallel 8 > /tmp/sweep-shard-p8.json
 	cmp /tmp/sweep-shard-p1.json /tmp/sweep-shard-p8.json
 	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s
+	$(GO) test ./internal/config -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 
 # Backend parity (mirrors the CI backend-parity job): sim backend,
 # every figure and the pressure and cluster grids byte-identical to the

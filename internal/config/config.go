@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -168,7 +169,7 @@ func (e *Experiment) parseLine(fields []string) error {
 				conf.Priority = p
 			case "rate":
 				r, err := strconv.ParseFloat(v, 64)
-				if err != nil || r <= 0 {
+				if err != nil || !(r > 0) || math.IsInf(r, 1) {
 					return fmt.Errorf("bad rate %q", v)
 				}
 				conf.MapParseRate = r
@@ -224,7 +225,7 @@ func (e *Experiment) parseRule(fields []string) error {
 			return fmt.Errorf("usage: on progress <job> <threshold> <action> <job>")
 		}
 		th, err := strconv.ParseFloat(rest[0], 64)
-		if err != nil || th <= 0 || th >= 1 {
+		if err != nil || !(th > 0 && th < 1) {
 			return fmt.Errorf("bad threshold %q (want 0 < r < 1)", rest[0])
 		}
 		rule.Threshold = th
@@ -258,7 +259,7 @@ func (e *Experiment) parseRule(fields []string) error {
 }
 
 // ParseBytes parses sizes like "512M", "2G", "100K", "42" (bytes) or
-// "2.5G".
+// "2.5G". It rejects negative, non-finite and int64-overflowing sizes.
 func ParseBytes(s string) (int64, error) {
 	if s == "" {
 		return 0, fmt.Errorf("empty size")
@@ -276,10 +277,15 @@ func ParseBytes(s string) (int64, error) {
 		s = s[:len(s)-1]
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
+	if err != nil || !(v >= 0) || math.IsInf(v, 1) {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
-	return int64(v * float64(mult)), nil
+	// Every float64 below 2^63 converts to an int64.
+	b := v * float64(mult)
+	if b >= 1<<63 {
+		return 0, fmt.Errorf("size %q overflows 64 bits", s)
+	}
+	return int64(b), nil
 }
 
 // FormatBytes renders a byte count in the same syntax ParseBytes accepts.

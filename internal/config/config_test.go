@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,12 @@ func TestParseErrors(t *testing.T) {
 		"no submit":         "job a /x",
 		"bad option":        "job a /x bogus=1\nsubmit a",
 		"bad rate":          "job a /x rate=-2\nsubmit a",
+		"NaN size":          "input /x NaN\njob a /x\nsubmit a",
+		"overflowing size":  "input /x 1e30G\njob a /x\nsubmit a",
+		"NaN rate":          "job a /x rate=NaN\nsubmit a",
+		"infinite rate":     "job a /x rate=Inf\nsubmit a",
+		"infinite mem":      "job a /x mem=Inf\nsubmit a",
+		"NaN threshold":     "job a /x\njob b /x\nsubmit a\non progress a NaN submit b",
 	}
 	for name, text := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -88,7 +95,7 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "x", "-5", "12Q4"} {
+	for _, bad := range []string{"", "x", "-5", "12Q4", "NaN", "Inf", "+Inf", "-Inf", "1e30G", "9223372036854775808"} {
 		if _, err := ParseBytes(bad); err == nil {
 			t.Errorf("ParseBytes(%q) should fail", bad)
 		}
@@ -204,4 +211,69 @@ func TestRunnerGanttRowPerMapTask(t *testing.T) {
 			t.Errorf("no running span on row %s:\n%s", m.IDString(), runner.Trace().Gantt(60))
 		}
 	}
+}
+
+// TestRunnerOOMKillOfTheFaultingTaskFailsTheJob runs a job whose task
+// needs more memory than the node's RAM and swap together. The OOM
+// killer picks the faulting task itself on every attempt, and the job
+// must end FAILED once its attempts run out.
+func TestRunnerOOMKillOfTheFaultingTaskFailsTheJob(t *testing.T) {
+	exp, err := Parse(strings.NewReader("input /input/big 64M\njob big /input/big mem=16G\nsubmit big\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mapreduce.DefaultClusterConfig()
+	cluster, err := mapreduce.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	runner, err := NewRunner(exp, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runner.Run(2 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	big := runner.Jobs()["big"]
+	if big.State() != mapreduce.JobFailed {
+		t.Fatalf("job state %v, want FAILED", big.State())
+	}
+	if got := big.MapTasks()[0].Attempts(); got != cfg.Engine.MaxTaskAttempts {
+		t.Fatalf("map task made %d attempts, want %d", got, cfg.Engine.MaxTaskAttempts)
+	}
+}
+
+// FuzzParse feeds arbitrary text to the configuration parser. Parse must
+// never panic, and an experiment it accepts must hold only values a
+// cluster can run: sizes of at least zero, finite positive map rates,
+// and progress thresholds strictly between 0 and 1.
+func FuzzParse(f *testing.F) {
+	f.Add(sampleConfig)
+	f.Add("input /x 2.5G\njob a /x rate=1e7 mem=1M reduces=2 pool=p\nsubmit a\non complete a restore a")
+	f.Add("input /x NaN\njob a /x rate=Inf mem=1e30G\nsubmit a\non progress a 0.999 preempt a")
+	f.Fuzz(func(t *testing.T, text string) {
+		exp, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for _, in := range exp.Inputs {
+			if in.Size < 0 {
+				t.Fatalf("input %s accepted with size %d", in.Path, in.Size)
+			}
+		}
+		for name, conf := range exp.Jobs {
+			if conf.ExtraMemoryBytes < 0 {
+				t.Fatalf("job %s accepted with memory %d", name, conf.ExtraMemoryBytes)
+			}
+			if !(conf.MapParseRate > 0) || math.IsInf(conf.MapParseRate, 0) {
+				t.Fatalf("job %s accepted with rate %v", name, conf.MapParseRate)
+			}
+		}
+		for _, r := range exp.Rules {
+			if r.Event == "progress" && !(r.Threshold > 0 && r.Threshold < 1) {
+				t.Fatalf("rule on %s accepted with threshold %v", r.EventJob, r.Threshold)
+			}
+		}
+	})
 }

@@ -129,3 +129,47 @@ func BenchmarkTouchChunkedAlloc(b *testing.B) {
 		m.Release()
 	}
 }
+
+// BenchmarkUnregister tears down a space of 32 runs whose frames
+// interleave with two other spaces', on a list of about 100 extents:
+// the shape a task exit meets in a trace replay. Each iteration
+// rebuilds the space off the timer; the teardown leaves its frames on
+// the free stack, so the rebuild maps the same frame ranges again.
+func BenchmarkUnregister(b *testing.B) {
+	const chunk, runs = 1 << 20, 32
+	_, m := benchManager(b)
+	for pid := PID(1); pid <= 3; pid++ {
+		if _, err := m.Register(pid, runs*chunk); err != nil {
+			b.Fatal(err)
+		}
+	}
+	touch := func(pid PID, i int) {
+		if _, err := m.Touch(pid, int64(i)*chunk, chunk, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < runs; i++ {
+		for pid := PID(1); pid <= 3; pid++ {
+			touch(pid, i)
+		}
+	}
+	if n := m.exts.len(); n < 90 || n > 110 {
+		b.Fatalf("%d extents, want about 100", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Unregister(2)
+		b.StopTimer()
+		if _, err := m.Register(2, runs*chunk); err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < runs; r++ {
+			touch(2, r)
+		}
+		if n := len(m.Space(2).runs); n != runs {
+			b.Fatalf("rebuilt space has %d runs, want %d", n, runs)
+		}
+		b.StartTimer()
+	}
+}

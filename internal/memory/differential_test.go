@@ -29,15 +29,11 @@ type diffPair struct {
 	n    *Manager
 	r    *refManager
 	pids []PID
-	// touching guards the OOM handlers: killing the pid that is mid-Touch
-	// would leave the reference model faulting into a freed space, a
-	// pathological state with no observable contract.
-	touching PID
 }
 
 func newDiffPair(t *testing.T, cfg Config, dcfg disk.Config, pids []PID) *diffPair {
 	t.Helper()
-	p := &diffPair{t: t, engN: sim.New(), engR: sim.New(), pids: pids, touching: -100}
+	p := &diffPair{t: t, engN: sim.New(), engR: sim.New(), pids: pids}
 	p.devN = disk.New(p.engN, "swapN", dcfg)
 	p.devR = disk.New(p.engR, "swapR", dcfg)
 	var err error
@@ -54,9 +50,6 @@ func newDiffPair(t *testing.T, cfg Config, dcfg disk.Config, pids []PID) *diffPa
 			victim := PID(-1)
 			var maxR int64 = -1
 			for _, pid := range pids {
-				if pid == p.touching {
-					continue
-				}
 				if r := resident(pid); r > maxR {
 					maxR = r
 					victim = pid
@@ -173,10 +166,8 @@ func TestDifferentialRunBasedVsPerPage(t *testing.T) {
 				off := rng.Int63n(size)
 				length := 1 + rng.Int63n(size-off)
 				write := rng.Intn(2) == 0
-				p.touching = pid
 				dN, errN := p.n.Touch(pid, off, length, write)
 				dR, errR := p.r.Touch(pid, off, length, write)
-				p.touching = -100
 				if dN != dR {
 					t.Fatalf("scenario %d step %d: Touch(%d,%d,%d,%v) latency %v vs %v",
 						sc, step, pid, off, length, write, dN, dR)
@@ -192,10 +183,8 @@ func TestDifferentialRunBasedVsPerPage(t *testing.T) {
 				if errN == nil && p.n.Space(pid) != nil && rng.Intn(3) == 0 {
 					roff := off + rng.Int63n(length)
 					rlen := 1 + rng.Int63n(off+length-roff)
-					p.touching = pid
 					dN, errN = p.n.Touch(pid, roff, rlen, false)
 					dR, errR = p.r.Touch(pid, roff, rlen, false)
-					p.touching = -100
 					if dN != dR || (errN == nil) != (errR == nil) {
 						t.Fatalf("scenario %d step %d: re-Touch(%d,%d,%d) = %v, %v vs %v, %v",
 							sc, step, pid, roff, rlen, dN, errN, dR, errR)
@@ -259,41 +248,31 @@ func TestDifferentialWorstCaseSweep(t *testing.T) {
 		const tl, th = 48 << 10, 56 << 10
 		do("register tl", func() { p.n.Register(1, tl); p.r.Register(1, tl) })
 		do("alloc tl", func() {
-			p.touching = 1
 			p.n.Touch(1, 0, tl, true)
 			p.r.Touch(1, 0, tl, true)
-			p.touching = -100
 		})
 		do("re-touch tl", func() {
-			p.touching = 1
 			p.n.Touch(1, 8<<10, 16<<10, false)
 			p.r.Touch(1, 8<<10, 16<<10, false)
-			p.touching = -100
 		})
 		do("stop tl", func() { p.n.MarkStopped(1); p.r.MarkStopped(1) })
 		do("register th", func() { p.n.Register(2, th); p.r.Register(2, th) })
 		for off := int64(0); off < th; off += 8 << 10 {
 			do("alloc th", func() {
-				p.touching = 2
 				p.n.Touch(2, off, 8<<10, true)
 				p.r.Touch(2, off, 8<<10, true)
-				p.touching = -100
 			})
 		}
 		do("drain", func() { p.engN.RunFor(5 * time.Second); p.engR.RunFor(5 * time.Second) })
 		do("read th", func() {
-			p.touching = 2
 			p.n.Touch(2, 0, th, false)
 			p.r.Touch(2, 0, th, false)
-			p.touching = -100
 		})
 		do("exit th", func() { p.n.Unregister(2); p.r.Unregister(2) })
 		do("resume tl", func() { p.n.MarkRunning(1); p.r.MarkRunning(1) })
 		do("read tl", func() {
-			p.touching = 1
 			p.n.Touch(1, 0, tl, false)
 			p.r.Touch(1, 0, tl, false)
-			p.touching = -100
 		})
 	}
 }

@@ -21,16 +21,13 @@ type extList struct {
 	gl  int // gap length
 	// hint is the last search result; search checks it and its
 	// successor before bisecting. Counted over the seed-1, 20-rep
-	// grids, that answers 89% of searches on twojob, 93% on pressure,
-	// 65-66% on the cluster, evict and primitive grids, 80% on
-	// scenarios and 23% on trace replay (the 250-job trace under fifo,
-	// fair and hfsp, 2 reps). Hot re-touches of an all-referenced
-	// space no longer search; while they did, they were 32-40% of all
-	// searches, and the hint answered 12-20% of searches on every grid
-	// but pressure (77%) and scenarios (62%). A 4-entry cache of recent
-	// results measured slower on replay. Correctness never depends on
-	// it: extents are disjoint, so a containment hit is the right entry
-	// no matter how indices shifted.
+	// grids, that answers 89% of searches on twojob, 95% on pressure,
+	// 76-77% on the cluster, evict and primitive grids, 89% on
+	// scenarios and 33% on trace replay (the 250-job trace under fifo,
+	// fair and hfsp, 2 reps). A 4-entry cache of recent results
+	// measured slower on replay. Correctness never depends on it:
+	// extents are disjoint, so a containment hit is the right entry no
+	// matter how indices shifted.
 	hint int
 }
 
@@ -101,15 +98,52 @@ func (g *extList) search(f int32) int {
 			}
 		}
 	}
-	lo, hi := 0, n-1
+	// Bisect one physical half of the buffer, without translating each
+	// probe through at: the entries after the gap when f lies at or past
+	// the first of them, else the entries before it.
+	half, base := g.buf[:g.gs], 0
+	if after := g.gs + g.gl; after < len(g.buf) && g.buf[after].start <= f {
+		half, base = g.buf[after:], g.gs
+	}
+	lo, hi := 0, len(half)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if g.at(mid).start <= f {
+		if half[mid].start <= f {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	g.hint = lo
-	return lo
+	g.hint = base + lo
+	return base + lo
+}
+
+// freeOwner turns every anonymous extent of owner into free frames, each
+// merged with its free neighbours, in one pass over the extents that
+// meet [lo, hi), the span of owner's frames. No two free extents are
+// ever adjacent, so this is exactly the list that freeing owner's frames
+// range by range through replaceExts leaves. The pass streams the
+// extents across the gap, which ends up just past the rewritten ones.
+func (g *extList) freeOwner(owner PID, lo, hi int32) {
+	g.moveGap(g.search(lo))
+	w, r := g.gs, g.gs+g.gl // write and read positions in buf
+	for r < len(g.buf) && g.buf[r].start < hi {
+		e := g.buf[r]
+		r++
+		if e.kind == extAnon && e.owner == owner {
+			e = frameExt{start: e.start, n: e.n, kind: extFree}
+		}
+		if e.kind == extFree && w > 0 && g.buf[w-1].kind == extFree {
+			g.buf[w-1].n += e.n
+			continue
+		}
+		g.buf[w] = e
+		w++
+	}
+	// A free extent starting at hi joins the freed one that ends there.
+	if r < len(g.buf) && g.buf[r].kind == extFree && w > 0 && g.buf[w-1].kind == extFree {
+		g.buf[w-1].n += g.buf[r].n
+		r++
+	}
+	g.gs, g.gl = w, r-w
 }

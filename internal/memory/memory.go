@@ -174,7 +174,10 @@ type Space struct {
 	// map referenced frames; MarkStopped and the clock's second-chance
 	// pass clear it, and nothing sets it again. While it holds, a touch
 	// of resident pages has no bit to set and skips the extent search.
-	allRef   bool
+	allRef bool
+	// hint is runIdx's last result, an index that may be out of date;
+	// runIdx checks it before using it.
+	hint     int
 	stats    SpaceStats
 	pageSize int64
 }
@@ -395,16 +398,20 @@ func (m *Manager) Unregister(pid PID) {
 	if pid >= 0 && int(pid) < len(m.dense) {
 		m.dense[pid] = nil
 	}
+	lo, hi := int32(m.nframes), int32(0)
 	for _, r := range s.runs {
 		if r.state == pageResident {
-			m.freeFrameRange(r.frameLo(), r.frameHi())
 			// The per-page model releases frames in page order; mirror
 			// the resulting free-stack layout.
 			m.pushFree(r.frame, r.n, r.fdir)
+			lo, hi = min(lo, r.frameLo()), max(hi, r.frameHi())
 		}
 		if r.slot {
 			m.swapUsed -= int64(r.n) * m.cfg.PageSize
 		}
+	}
+	if lo < hi {
+		m.exts.freeOwner(pid, lo, hi)
 	}
 	s.runs = s.runs[:0]
 	s.resident, s.swapped = 0, 0
@@ -630,7 +637,9 @@ func (m *Manager) faultChunk(s *Space, tc *touchState, pg, maxPages int32, write
 			if m.onOOM != nil {
 				m.onOOM()
 			}
-			if m.freeFrames == 0 {
+			// The OOM killer may have picked the toucher itself: its
+			// space is gone, and so is the touch.
+			if m.freeFrames == 0 || m.space(s.pid) != s {
 				return 0, ErrOutOfMemory
 			}
 		}
@@ -743,15 +752,6 @@ func (m *Manager) reclaim() time.Duration {
 func (m *Manager) evictAt(e frameExt, hand int32, limit, want int, freed, dirtyVictims *int) int {
 	pg := e.pageAt(hand)
 	s := m.space(e.owner)
-	if s == nil {
-		// Orphaned extent (its space vanished mid-touch via the OOM
-		// killer); the clock frees the frames without page bookkeeping.
-		c := int32(min(limit, want-*freed))
-		m.freeFrameRange(hand, hand+c)
-		m.pushFree(hand, c, +1)
-		*freed += int(c)
-		return int(c)
-	}
 	r := s.runs[s.runIdx(pg)]
 	// Pages of this extent are visited in frame order; with pdir -1 that
 	// walks the run towards lower pages.
@@ -1081,8 +1081,21 @@ func (m *Manager) setRef(lo, hi int32, ref bool) {
 // ---------------------------------------------------------------------------
 // Page-run list surgery.
 
-// runIdx returns the index of the run containing pg.
+// runIdx returns the index of the run containing pg. It tries the last
+// result and its successor before bisecting, since touches and faults
+// walk a space's pages in order.
 func (s *Space) runIdx(pg int32) int {
+	if h := s.hint; h < len(s.runs) && s.runs[h].start <= pg {
+		if pg < s.runs[h].end() {
+			return h
+		}
+		// Runs cover the space without gaps, so run h+1 starts where
+		// run h ends.
+		if h+1 < len(s.runs) && pg < s.runs[h+1].end() {
+			s.hint = h + 1
+			return h + 1
+		}
+	}
 	lo, hi := 0, len(s.runs)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -1092,6 +1105,7 @@ func (s *Space) runIdx(pg int32) int {
 			hi = mid - 1
 		}
 	}
+	s.hint = lo
 	return lo
 }
 
@@ -1200,7 +1214,9 @@ func (s *Space) replaceRuns(lo, hi int32, nr pageRun) {
 
 // checkInvariants validates internal consistency; used by tests.
 func (m *Manager) checkInvariants() error {
-	// Frame extents: sorted, non-empty, exactly covering [0, nframes).
+	// Frame extents: sorted, non-empty, exactly covering [0, nframes),
+	// with no two free extents adjacent (Unregister's one-pass rewrite
+	// relies on it).
 	var next int32
 	counts := map[extKind]int{}
 	for i := 0; i < m.exts.len(); i++ {
@@ -1211,13 +1227,13 @@ func (m *Manager) checkInvariants() error {
 		if e.start != next {
 			return fmt.Errorf("extent %d starts at %d, want %d (gap or overlap)", i, e.start, next)
 		}
+		if i > 0 && e.kind == extFree && m.exts.at(i-1).kind == extFree {
+			return fmt.Errorf("free extents %d and %d are adjacent", i-1, i)
+		}
 		next = e.end()
 		counts[e.kind] += int(e.n)
 		if e.kind == extAnon {
 			if _, ok := m.spaces[e.owner]; !ok && e.owner != cacheOwner {
-				// Orphaned extents can only exist transiently while an
-				// OOM-killed toucher finishes its fault; tests never
-				// observe that state.
 				return fmt.Errorf("extent %d owned by unregistered pid %d", i, e.owner)
 			}
 		}

@@ -398,6 +398,41 @@ func TestOOMHandlerCanFreeMemory(t *testing.T) {
 	checkInv(t, m)
 }
 
+// TestOOMKillOfTheToucherEndsTheTouch: a lone process larger than RAM
+// plus swap faults until nothing is reclaimable, and the OOM handler
+// kills that very process. The touch must fail with ErrOutOfMemory
+// instead of faulting on into the freed space, and every frame must be
+// free again.
+func TestOOMKillOfTheToucherEndsTheTouch(t *testing.T) {
+	eng := sim.New()
+	d := disk.New(eng, "swap", disk.Config{
+		SeekTime: time.Millisecond, ReadBandwidth: 1 << 20, WriteBandwidth: 1 << 20,
+	})
+	m, err := New(eng, d, Config{
+		PageSize: 1024, RAMBytes: 16 << 10, SwapBytes: 4 << 10,
+		PageClusterPages: 4, MinorFaultCost: time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRegister(t, m, 1, 32<<10)
+	kills := 0
+	m.SetOOMHandler(func() {
+		kills++
+		m.Unregister(1)
+	})
+	if _, err := m.Touch(1, 0, 32<<10, true); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+	if kills != 1 || m.Space(1) != nil {
+		t.Fatalf("OOM handler ran %d times, space present %v; want one kill of the toucher", kills, m.Space(1) != nil)
+	}
+	if m.FreeBytes() != 16<<10 || m.SwapUsedBytes() != 0 {
+		t.Fatalf("free %d, swap used %d after the kill; want all 16 KiB free and no swap", m.FreeBytes(), m.SwapUsedBytes())
+	}
+	checkInv(t, m)
+}
+
 func TestCacheFillGrowsOnlyIntoFreeFrames(t *testing.T) {
 	_, m := testSetup(t, 0)
 	mustRegister(t, m, 1, 60<<10)

@@ -273,7 +273,7 @@ func (m *refManager) Touch(pid PID, offset, length int64, write bool) (time.Dura
 }
 
 func (m *refManager) faultIn(s *refSpace, i int, write, fromSwap bool) (time.Duration, time.Duration, error) {
-	deadline, frameIdx, err := m.allocFrame()
+	deadline, frameIdx, err := m.allocFrame(s)
 	if err != nil {
 		return 0, deadline, err
 	}
@@ -322,7 +322,9 @@ func (m *refManager) releaseFrame(idx int32) {
 	m.free = append(m.free, idx)
 }
 
-func (m *refManager) allocFrame() (time.Duration, int32, error) {
+// allocFrame takes a free frame for a page of s, reclaiming first if
+// none is free. When the OOM killer picks s itself, the fault fails.
+func (m *refManager) allocFrame(s *refSpace) (time.Duration, int32, error) {
 	if len(m.free) == 0 {
 		deadline := m.reclaim()
 		if len(m.free) == 0 {
@@ -330,7 +332,7 @@ func (m *refManager) allocFrame() (time.Duration, int32, error) {
 			if m.onOOM != nil {
 				m.onOOM()
 			}
-			if len(m.free) == 0 {
+			if len(m.free) == 0 || m.spaces[s.pid] != s {
 				return deadline, 0, ErrOutOfMemory
 			}
 		}
@@ -364,7 +366,6 @@ func (m *refManager) reclaim() time.Duration {
 	n := len(m.frames)
 	for scanned := 0; scanned < 2*n && freed < want; scanned++ {
 		f := &m.frames[m.clockHand]
-		hand := m.clockHand
 		m.clockHand = (m.clockHand + 1) % n
 		if !f.inUse || f.owner == cacheOwner {
 			continue
@@ -375,11 +376,6 @@ func (m *refManager) reclaim() time.Duration {
 			continue
 		}
 		s := m.spaces[f.owner]
-		if s == nil {
-			m.releaseFrame(int32(hand))
-			freed++
-			continue
-		}
 		p := &s.pages[f.page]
 		if p.dirty {
 			if m.swapUsed+m.cfg.PageSize > m.cfg.SwapBytes {

@@ -434,6 +434,44 @@ func TestOOMKillsLargestResident(t *testing.T) {
 	}
 }
 
+// TestLoneProcessBeyondRAMAndSwapIsOOMKilled: a process that writes more
+// than RAM plus swap is the only candidate when reclaim fails, so the
+// OOM killer picks the toucher itself. It must exit with ExitOOM.
+func TestLoneProcessBeyondRAMAndSwapIsOOMKilled(t *testing.T) {
+	eng := sim.New()
+	d := disk.New(eng, "sda", disk.Config{
+		SeekTime: time.Millisecond, ReadBandwidth: 100 << 20, WriteBandwidth: 100 << 20,
+	})
+	m, err := memory.New(eng, d, memory.Config{
+		PageSize: 4096, RAMBytes: 16 << 20, SwapBytes: 1 << 20,
+		PageClusterPages: 8, MinorFaultCost: time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKernel(eng, "node1", 1, m)
+	code := -1
+	wrote := false
+	prog := ProgramFunc(func(_ *Process, op *Op) {
+		if !wrote {
+			wrote = true
+			*op = Op{Mem: &MemOp{Offset: 0, Length: 32 << 20, Write: true}, Compute: time.Second}
+			return
+		}
+		*op = Op{Done: true}
+	})
+	if _, err := k.Spawn("huge", 32<<20, prog, func(_ *Process, c int) { code = c }); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if code != ExitOOM {
+		t.Fatalf("exit = %d, want OOM kill (%d)", code, ExitOOM)
+	}
+	if m.FreeBytes() != 16<<20 || m.SwapUsedBytes() != 0 {
+		t.Fatalf("free %d, swap used %d after the kill; want every frame free and no swap", m.FreeBytes(), m.SwapUsedBytes())
+	}
+}
+
 func TestSpawnFailsWhenMemoryRegisterFails(t *testing.T) {
 	_, k, _ := testKernel(t, 1)
 	if _, err := k.Spawn("bad", -5, computeProgram(1, time.Second, 0), nil); err == nil {

@@ -42,14 +42,20 @@ type HFSP struct {
 	preemptor *core.Preemptor
 	adv       advisor.Advisor
 
-	// jobs holds the jobs not yet completed, in submission order.
-	jobs []hfspJob
+	// The jobs not yet completed, in two lists. fresh holds the jobs
+	// Assign never handed a task of, sorted by (input, submission): a
+	// fresh job has every task pending and progress exactly 0, so its
+	// size key is its input. started holds the others, in the order
+	// they left fresh; their keys are computed per call.
+	started, fresh []hfspJob
+	// submitted numbers the jobs in submission order.
+	submitted int
 	// starvedSince tracks when the currently smallest job started waiting.
 	starvedSince map[mapreduce.JobID]time.Duration
 	suspended    map[mapreduce.TaskID]mapreduce.JobID
 
-	// keys is scratch reused across calls: the size keys of the jobs
-	// Assign or check considers.
+	// keys is scratch reused across calls: the size keys of the started
+	// jobs Assign or check considers.
 	keys []sizeKey
 
 	// Scratch for check's victim selection, reused so a preemption
@@ -65,10 +71,12 @@ type HFSP struct {
 	resumes     int
 }
 
-// hfspJob is a submitted job with its total map input, summed once.
+// hfspJob is a submitted job with its total map input, summed once, and
+// its place in submission order.
 type hfspJob struct {
 	job   *mapreduce.Job
 	input int64
+	seq   int
 }
 
 // sizeKey places a live job in HFSP's order: remaining size, then
@@ -88,6 +96,12 @@ func compareSizeKeys(a, b sizeKey) int {
 		return c
 	}
 	return cmp.Compare(a.seq, b.seq)
+}
+
+// freshKey is the size key of a job in the fresh list: its whole input,
+// which is what remainingSize computes at progress 0.
+func (j hfspJob) freshKey() sizeKey {
+	return sizeKey{rem: float64(j.input), seq: j.seq, job: j.job}
 }
 
 var _ mapreduce.Scheduler = (*HFSP)(nil)
@@ -125,19 +139,32 @@ func (h *HFSP) Preemptions() int { return h.preemptions }
 // Resumes reports issued resumes.
 func (h *HFSP) Resumes() int { return h.resumes }
 
-// JobSubmitted implements mapreduce.Scheduler.
+// JobSubmitted implements mapreduce.Scheduler: the job joins fresh at
+// its place in key order. A job without tasks has nothing to launch
+// and joins started, which holds no such promise.
 func (h *HFSP) JobSubmitted(job *mapreduce.Job) {
 	var input int64
 	for _, t := range job.MapTasks() {
 		input += t.Block().Size
 	}
-	h.jobs = append(h.jobs, hfspJob{job: job, input: input})
+	j := hfspJob{job: job, input: input, seq: h.submitted}
+	h.submitted++
+	if job.TasksIn(mapreduce.TaskPending) == 0 {
+		h.started = append(h.started, j)
+		return
+	}
+	i, _ := slices.BinarySearchFunc(h.fresh, j.freshKey(), func(f hfspJob, k sizeKey) int {
+		return compareSizeKeys(f.freshKey(), k)
+	})
+	h.fresh = slices.Insert(h.fresh, i, j)
 }
 
 // JobCompleted implements mapreduce.Scheduler: the job leaves the
 // scheduler's state, which only ever reads live jobs.
 func (h *HFSP) JobCompleted(job *mapreduce.Job) {
-	h.jobs = slices.DeleteFunc(h.jobs, func(j hfspJob) bool { return j.job == job })
+	drop := func(j hfspJob) bool { return j.job == job }
+	h.started = slices.DeleteFunc(h.started, drop)
+	h.fresh = slices.DeleteFunc(h.fresh, drop)
 	delete(h.starvedSince, job.ID())
 }
 
@@ -161,22 +188,26 @@ func isLive(j *mapreduce.Job) bool {
 
 // Assign implements mapreduce.Scheduler: slots go to the smallest job
 // first; its suspended tasks on this tracker resume before new launches.
-// It sorts nothing. It keys the live jobs with a pending, suspended or
-// resuming task, since no other job has anything to launch or resume.
-// The resume goes to the suspended task whose job has the smallest key
-// (remaining size, then submission), unless a job with a smaller key
-// has a pending task. Launches then take jobs by repeated minimum of the
-// keys, so they visit jobs in size order, and only as many as the free
-// slots reach.
+// It sorts nothing. It keys the started jobs with a pending, suspended
+// or resuming task, since no other started job has anything to launch
+// or resume. The resume goes to the suspended task whose job has the
+// smallest key (remaining size, then submission), unless a job with a
+// smaller key has a pending task. Launches then take started jobs by
+// repeated minimum of the keys, merged with the fresh jobs in their
+// order, so they visit jobs in size order, and only as many as the free
+// slots reach. Each fresh job visited was handed a task, since all its
+// tasks are pending and a job without maps has its reduces ready, so it
+// moves to started. Should the JobTracker skip that launch, the job's
+// key is still its input, so no order changes.
 func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 	free := tt.FreeMapSlots
 	keys := h.keys[:0]
-	for i, j := range h.jobs {
+	for _, j := range h.started {
 		if !isLive(j.job) || j.job.TasksIn(mapreduce.TaskPending)+j.job.TasksIn(mapreduce.TaskSuspended)+
 			j.job.TasksIn(mapreduce.TaskMustResume) == 0 {
 			continue
 		}
-		keys = append(keys, sizeKey{rem: remainingSize(j), seq: i, job: j.job})
+		keys = append(keys, sizeKey{rem: remainingSize(j), seq: j.seq, job: j.job})
 	}
 	h.keys = keys
 
@@ -199,7 +230,7 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 		}
 	}
 	// Only resume if no smaller job is waiting for this slot.
-	if best >= 0 && free > 0 && !smallerJobWaiting(keys, keys[best]) {
+	if best >= 0 && free > 0 && !h.smallerJobWaiting(keys, keys[best]) {
 		if err := h.jt.ResumeTask(bestResume); err == nil {
 			h.resumes++
 			free--
@@ -210,15 +241,27 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 	// Each task is visited once, so no pick repeats within the round.
 	var out []mapreduce.Assignment
 	keys = slices.DeleteFunc(keys, func(k sizeKey) bool { return k.job.TasksIn(mapreduce.TaskPending) == 0 })
-	for n := 0; n < len(keys) && free > 0; n++ {
-		m := n
-		for i := n + 1; i < len(keys); i++ {
-			if compareSizeKeys(keys[i], keys[m]) < 0 {
-				m = i
+	n, f := 0, 0 // keys[:n] and fresh[:f] are visited
+	for free > 0 {
+		if n < len(keys) {
+			m := n
+			for i := n + 1; i < len(keys); i++ {
+				if compareSizeKeys(keys[i], keys[m]) < 0 {
+					m = i
+				}
 			}
+			keys[n], keys[m] = keys[m], keys[n]
 		}
-		keys[n], keys[m] = keys[m], keys[n]
-		job := keys[n].job
+		var job *mapreduce.Job
+		if f < len(h.fresh) && (n == len(keys) || compareSizeKeys(h.fresh[f].freshKey(), keys[n]) < 0) {
+			job = h.fresh[f].job
+			f++
+		} else if n < len(keys) {
+			job = keys[n].job
+			n++
+		} else {
+			break
+		}
 		for _, t := range job.Tasks() {
 			if free <= 0 {
 				break
@@ -233,12 +276,20 @@ func (h *HFSP) Assign(tt mapreduce.TaskTrackerInfo) []mapreduce.Assignment {
 			free--
 		}
 	}
+	if f > 0 {
+		h.started = append(h.started, h.fresh[:f]...)
+		h.fresh = slices.Delete(h.fresh, 0, f)
+	}
 	return out
 }
 
 // smallerJobWaiting reports whether a job with a key below k has a
-// pending task.
-func smallerJobWaiting(keys []sizeKey, k sizeKey) bool {
+// pending task: the first fresh job, whose tasks all are, or a started
+// job among keys.
+func (h *HFSP) smallerJobWaiting(keys []sizeKey, k sizeKey) bool {
+	if len(h.fresh) > 0 && compareSizeKeys(h.fresh[0].freshKey(), k) < 0 {
+		return true
+	}
 	for _, o := range keys {
 		if o.job.TasksIn(mapreduce.TaskPending) > 0 && compareSizeKeys(o, k) < 0 {
 			return true
@@ -248,21 +299,23 @@ func smallerJobWaiting(keys []sizeKey, k sizeKey) bool {
 }
 
 // check preempts a task of a larger job when a smaller job has been
-// starved past the delay. It sorts nothing: one pass over the jobs
-// counts the live ones and finds the starved job, the live job with a
-// pending task whose (remaining size, submission) key is smallest. The
-// victims are the running tasks of the live jobs whose key is larger.
-// They reach the advisor in submission order, not size order, and the
-// pick is the same: Decide returns the unique minimum under (policy
-// order, task ID), whatever order its candidates come in.
+// starved past the delay. It sorts nothing: one pass over the started
+// jobs counts the live ones and finds the started job with a pending
+// task whose (remaining size, submission) key is smallest, and the
+// starved job is that one or the first fresh job, whichever key is
+// smaller. The victims are the running tasks of the started jobs whose
+// key is larger; fresh jobs run nothing. They reach the advisor in
+// started order, not size order, and the pick is the same: Decide
+// returns the unique minimum under (policy order, task ID), whatever
+// order its candidates come in.
 func (h *HFSP) check() {
 	defer h.eng.Schedule(h.cfg.CheckInterval, h.checkFn)
 	now := h.eng.Now()
-	// keys holds the jobs that can be starved or preempted: those with
-	// a pending or a running task.
+	// keys holds the started jobs that can be starved or preempted:
+	// those with a pending or a running task.
 	h.keys = h.keys[:0]
-	nlive, starved := 0, -1
-	for i, j := range h.jobs {
+	nlive, starved := len(h.fresh), -1
+	for _, j := range h.started {
 		if !isLive(j.job) {
 			continue
 		}
@@ -271,15 +324,22 @@ func (h *HFSP) check() {
 		if !pending && j.job.TasksIn(mapreduce.TaskRunning) == 0 {
 			continue
 		}
-		h.keys = append(h.keys, sizeKey{rem: remainingSize(j), seq: i, job: j.job})
+		h.keys = append(h.keys, sizeKey{rem: remainingSize(j), seq: j.seq, job: j.job})
 		if pending && (starved < 0 || compareSizeKeys(h.keys[len(h.keys)-1], h.keys[starved]) < 0) {
 			starved = len(h.keys) - 1
 		}
 	}
-	if nlive < 2 || starved < 0 {
+	var sk sizeKey
+	switch {
+	case nlive < 2:
+		return
+	case len(h.fresh) > 0 && (starved < 0 || compareSizeKeys(h.fresh[0].freshKey(), h.keys[starved]) < 0):
+		sk = h.fresh[0].freshKey()
+	case starved >= 0:
+		sk = h.keys[starved]
+	default:
 		return
 	}
-	sk := h.keys[starved]
 	since, ok := h.starvedSince[sk.job.ID()]
 	if !ok {
 		h.starvedSince[sk.job.ID()] = now

@@ -95,7 +95,9 @@ func (e *Engine) Release() {
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending reports the number of events currently scheduled, excluding
-// cancelled events that have not yet been removed from the queue.
+// cancelled events that have not yet been removed from the queue. Of an
+// AtEach series it counts only the member queued next, not the members
+// after it.
 func (e *Engine) Pending() int { return e.live }
 
 // Fired reports the number of events dispatched so far.
@@ -172,6 +174,47 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 	if t < e.now {
 		t = e.now
 	}
+	tm := e.queue(t, e.seq, fn)
+	e.seq++
+	return tm
+}
+
+// AtEach arranges for fn(i) to run at absolute time at(i), for each i in
+// [0, n). Times must not decrease with i; those in the past are clamped
+// to the current time. Each member fires exactly where n At calls made
+// now would fire it, ties with other events included: AtEach reserves n
+// consecutive sequence numbers, and the heap orders events by (time,
+// sequence). Only the next member waits in the queue, with its reserved
+// number; when member i fires it queues member i+1, so a long series of
+// arrivals costs the heap one entry and the caller one closure.
+func (e *Engine) AtEach(n int, at func(i int) time.Duration, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if at == nil || fn == nil {
+		panic("sim: AtEach called with nil function")
+	}
+	base, from := e.seq, e.now
+	e.seq += uint64(n)
+	next := 0
+	var fire func()
+	fire = func() {
+		i := next
+		next++
+		if next < n {
+			t := max(at(next), from)
+			if t < e.now {
+				panic(fmt.Sprintf("sim: AtEach member %d at %v precedes member %d at %v", next, t, i, e.now))
+			}
+			e.queue(t, base+uint64(next), fire)
+		}
+		fn(i)
+	}
+	e.queue(max(at(0), from), base, fire)
+}
+
+// queue puts fn in the heap at time t with sequence number seq.
+func (e *Engine) queue(t time.Duration, seq uint64, fn func()) Timer {
 	var slot int32
 	if n := len(e.freeSlots); n > 0 {
 		slot = e.freeSlots[n-1]
@@ -184,8 +227,7 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 	s.fn = fn
 	s.at = t
 	s.state = slotPending
-	e.push(heapEntry{at: t, seq: e.seq, slot: slot})
-	e.seq++
+	e.push(heapEntry{at: t, seq: seq, slot: slot})
 	e.live++
 	return Timer{eng: e, slot: slot, gen: s.gen}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -307,6 +309,116 @@ func TestPropertyEventOrdering(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAtEachMatchesAtCalls installs a series of members once through n
+// At calls and once through AtEach, on two engines driven through the
+// same script, and compares the order in which everything fires. Times
+// come from a few instants, so members tie with each other, with
+// events scheduled before and after the install, and with events a
+// member schedules at its own instant or later. The install happens
+// after the clock has advanced, so some members lie in the past and
+// are clamped. n = 0 and n = 1 are covered.
+func TestAtEachMatchesAtCalls(t *testing.T) {
+	rng := NewRNG(17)
+	var members int
+	for trial := 0; trial < 300; trial++ {
+		n := []int{0, 1, 2}[trial%3]
+		if trial >= 30 {
+			n = rng.Intn(24)
+		}
+		members += n
+		instant := func() time.Duration { return time.Duration(rng.Intn(6)) * time.Second }
+		before := make([]time.Duration, rng.Intn(8))
+		for i := range before {
+			before[i] = instant()
+		}
+		installAt := time.Duration(rng.Intn(3)) * time.Second
+		at := make([]time.Duration, n)
+		for i := range at {
+			at[i] = instant()
+		}
+		slices.Sort(at)
+		// follow[i] is what member i schedules: -1 nothing, else a delay.
+		follow := make([]time.Duration, n)
+		for i := range follow {
+			follow[i] = []time.Duration{-1, 0, time.Second}[rng.Intn(3)]
+		}
+		after := make([]time.Duration, rng.Intn(8))
+		for i := range after {
+			after[i] = instant()
+		}
+
+		run := func(each bool) ([]string, uint64) {
+			eng := New()
+			defer eng.Release()
+			var log []string
+			note := func(format string, args ...any) func() {
+				label := fmt.Sprintf(format, args...)
+				return func() { log = append(log, fmt.Sprintf("%s@%v", label, eng.Now())) }
+			}
+			for i, tm := range before {
+				eng.At(tm, note("before%d", i))
+			}
+			eng.RunUntil(installAt)
+			member := func(i int) {
+				note("member%d", i)()
+				if follow[i] >= 0 {
+					eng.Schedule(follow[i], note("follow%d", i))
+				}
+			}
+			if each {
+				eng.AtEach(n, func(i int) time.Duration { return at[i] }, member)
+			} else {
+				for i := range at {
+					eng.At(at[i], func() { member(i) })
+				}
+			}
+			for i, tm := range after {
+				eng.At(tm, note("after%d", i))
+			}
+			eng.Run()
+			return log, eng.Fired()
+		}
+		want, wantFired := run(false)
+		got, gotFired := run(true)
+		if !slices.Equal(got, want) || gotFired != wantFired {
+			t.Fatalf("trial %d (n=%d, install at %v, times %v): AtEach fired %d events\n %v\nn At calls fired %d\n %v",
+				trial, n, installAt, at, gotFired, got, wantFired, want)
+		}
+	}
+	if members < 2000 {
+		t.Fatalf("only %d members exercised", members)
+	}
+}
+
+// TestAtEachQueuesOneMember checks that a series holds one heap entry
+// and one Pending count however long it is, and that a member whose time
+// precedes the one before it panics.
+func TestAtEachQueuesOneMember(t *testing.T) {
+	eng := New()
+	fired := 0
+	eng.AtEach(1000, func(i int) time.Duration { return time.Duration(i) * time.Millisecond }, func(int) {
+		fired++
+		if len(eng.heap) != 1 && fired < 1000 {
+			t.Fatalf("member %d: heap holds %d entries, want 1", fired-1, len(eng.heap))
+		}
+	})
+	if eng.Pending() != 1 || len(eng.heap) != 1 {
+		t.Fatalf("after install: Pending %d, heap %d; want 1 and 1", eng.Pending(), len(eng.heap))
+	}
+	eng.Run()
+	if fired != 1000 || eng.Pending() != 0 {
+		t.Fatalf("fired %d members, %d pending; want 1000 and 0", fired, eng.Pending())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtEach with decreasing times should panic")
+		}
+	}()
+	eng.AtEach(2, func(i int) time.Duration { return time.Duration(2-i) * time.Hour }, func(int) {})
+	eng.Run()
 }
 
 func TestRNGDeterminism(t *testing.T) {

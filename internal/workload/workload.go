@@ -176,16 +176,18 @@ func Install(cluster *mapreduce.Cluster, specs []JobSpec) ([]string, error) {
 // InstallWindowed is Install with bounded input materialization: at most
 // window inputs exist ahead of the submission frontier, so a
 // multi-thousand-job trace no longer allocates every HDFS file up
-// front. Submissions are still all scheduled at install time — engine
-// event ordering is exactly Install's — and inputs are created in spec
-// order (HDFS placement draws from a private RNG consumed only at
+// front. The submissions go in as one sim.Engine.AtEach series: only the
+// next one waits in the event queue, yet each fires exactly where
+// Install's At call would put it, ties included. Inputs are created in
+// spec order (HDFS placement draws from a private RNG consumed only at
 // creation, so deferring creation to any point before the first read
 // leaves block IDs and replica placement unchanged). Output is
 // therefore byte-identical to Install for any window.
 //
 // Windowing requires specs sorted by SubmitAt (the submission frontier
-// is what pulls the next input into existence); unsorted specs fall
-// back to the unbounded path. window <= 0 also means unbounded.
+// is what pulls the next input into existence, and an AtEach series
+// must not go back in time); unsorted specs fall back to Install.
+// window <= 0 also means unbounded.
 func InstallWindowed(cluster *mapreduce.Cluster, specs []JobSpec, window int) ([]string, error) {
 	if window <= 0 || window >= len(specs) || !sortedBySubmit(specs) {
 		return Install(cluster, specs)
@@ -203,24 +205,21 @@ func InstallWindowed(cluster *mapreduce.Cluster, specs []JobSpec, window int) ([
 	}
 	names := make([]string, 0, len(specs))
 	for i := range specs {
-		i := i
-		spec := specs[i]
-		cluster.Engine().At(spec.SubmitAt, func() {
-			// Submissions fire in spec order (nondecreasing times, FIFO
-			// at ties), so creating spec i+window here keeps global
-			// creation order and guarantees every input exists before
-			// its own submission.
-			if i+window < len(specs) {
-				if err := create(i + window); err != nil {
-					panic(err.Error())
-				}
-			}
-			if _, err := cluster.JobTracker().Submit(spec.Conf); err != nil {
-				panic(fmt.Sprintf("workload: submit %s: %v", spec.Conf.Name, err))
-			}
-		})
-		names = append(names, spec.Conf.Name)
+		names = append(names, specs[i].Conf.Name)
 	}
+	cluster.Engine().AtEach(len(specs), func(i int) time.Duration { return specs[i].SubmitAt }, func(i int) {
+		// Submissions fire in spec order, so creating spec i+window here
+		// keeps global creation order and guarantees every input exists
+		// before its own submission.
+		if i+window < len(specs) {
+			if err := create(i + window); err != nil {
+				panic(err.Error())
+			}
+		}
+		if _, err := cluster.JobTracker().Submit(specs[i].Conf); err != nil {
+			panic(fmt.Sprintf("workload: submit %s: %v", specs[i].Conf.Name, err))
+		}
+	})
 	return names, nil
 }
 
