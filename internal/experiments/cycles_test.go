@@ -37,10 +37,7 @@ func TestRunCyclesCountsSuspensions(t *testing.T) {
 func TestCycleSojournGrowsPerCycle(t *testing.T) {
 	// §III-A: the moderate cost of a suspend-resume cycle is multiplied
 	// by the number of cycles. tl's sojourn must grow roughly linearly.
-	res, err := CycleSweep(4, false, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure[[]*CycleResult](t, "cycles", 1)
 	for i := 1; i < len(res); i++ {
 		if res[i].TLSojourn <= res[i-1].TLSojourn {
 			t.Fatalf("sojourn did not grow at cycle %d: %v -> %v",
@@ -61,10 +58,7 @@ func TestCycleSwapAmortizedForColdState(t *testing.T) {
 	// Cold (write-once) state keeps a valid swap slot between cycles, so
 	// repeated suspensions do not multiply write traffic — the §III-A
 	// guarantee that pages go to swap at most once.
-	res, err := CycleSweep(5, false, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure[[]*CycleResult](t, "cycles", 1)
 	one := res[1].TLSwapOut
 	five := res[5].TLSwapOut
 	if five > one*2 {

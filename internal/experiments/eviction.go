@@ -138,78 +138,22 @@ func RunEvictionComparison(policyName string, seed uint64) (*EvictionResult, err
 	}, nil
 }
 
-// EvictionSweep compares victim-selection policies through the harness.
-// The policy axis is seed-paired: every policy faces the identical
-// contention scenario, so outcome differences are pure policy effect.
-func EvictionSweep(policies []string, cfg Config) ([]*EvictionResult, error) {
-	g := sweep.NewGrid(sweep.Strings("policy", policies...)).Pair("policy")
-	out := make([]*EvictionResult, g.Size())
-	_, err := sweep.RunCollapsed(g, func(pt sweep.Point, _ *sweep.Recorder) error {
-		r, err := RunEvictionComparison(pt.Label("policy"), pt.Seed)
-		out[pt.Index] = r
+// victimCell runs one cell of the victim grid under the cell's policy.
+// The victim is recorded as victim_heavy (1 for the heavy job, 0 for the
+// light one), durations and byte counts as whole nanoseconds and bytes,
+// which a float64 holds exactly.
+func victimCell(pt sweep.Point, rec *sweep.Recorder) error {
+	r, err := RunEvictionComparison(pt.Label("policy"), pt.Seed)
+	if err != nil {
 		return err
-	}, cfg.options())
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
-}
-
-// AdvisorResult compares advisor-chosen primitives against fixed ones
-// across the progress sweep.
-type AdvisorResult struct {
-	// R is tl's progress at th's arrival.
-	R float64
-	// Chosen is the primitive the advisor picked.
-	Chosen core.Primitive
-	// Makespans per strategy ("advisor", "wait", "kill", "susp").
-	Makespans map[string]time.Duration
-}
-
-// RunAdvisorSweep evaluates §V-A's cost model: kill freshly started
-// victims, wait for nearly-done ones, suspend the rest. For each r it
-// runs all three fixed primitives through the harness (seed-paired on
-// the primitive axis) and attaches the advisor's choice.
-func RunAdvisorSweep(rs []float64, cfg Config) ([]*AdvisorResult, error) {
-	prims := core.Primitives()
-	g := sweep.NewGrid(
-		sweep.Floats("r", rs...),
-		sweep.Stringers("prim", prims...),
-	).Pair("prim")
-	makespans := make([]time.Duration, g.Size())
-	_, err := sweep.RunCollapsed(g, func(pt sweep.Point, _ *sweep.Recorder) error {
-		p := DefaultTwoJobParams()
-		p.Primitive = pt.Value("prim").(core.Primitive)
-		p.PreemptAt = pt.Float("r")
-		p.Seed = pt.Seed
-		run, err := RunTwoJob(p)
-		if err != nil {
-			return err
-		}
-		// The round trip through float seconds is part of the committed
-		// figure goldens; keeping the exact Duration would move them.
-		makespans[pt.Index] = time.Duration(run.Makespan.Seconds() * float64(time.Second))
-		return nil
-	}, cfg.options())
-	if err != nil {
-		return nil, err
+	heavy := 0.0
+	if r.Victim == "heavy" {
+		heavy = 1
 	}
-	adv, err := advisor.New(advisor.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*AdvisorResult, len(rs))
-	victim := make([]advisor.Candidate, 1)
-	for i, r := range rs {
-		// The prim axis varies fastest, so r's cells are contiguous.
-		ar := &AdvisorResult{R: r, Makespans: make(map[string]time.Duration)}
-		for j, prim := range prims {
-			ar.Makespans[prim.String()] = makespans[i*len(prims)+j]
-		}
-		victim[0] = advisor.Candidate{ID: "tl", Progress: r}
-		ar.Chosen = adv.Decide(advisor.Request{Candidates: victim}).Primitive
-		ar.Makespans["advisor"] = ar.Makespans[ar.Chosen.String()]
-		out[i] = ar
-	}
-	return out, nil
+	rec.Observe("victim_heavy", heavy)
+	rec.Observe("makespan_ns", float64(r.Makespan))
+	rec.Observe("sojourn_th_ns", float64(r.SojournTH))
+	rec.Observe("victim_swap_bytes", float64(r.VictimSwap))
+	return nil
 }

@@ -53,18 +53,17 @@ func TestEvictionUnknownPolicyFails(t *testing.T) {
 }
 
 func TestAdvisorSweepPicksByProgress(t *testing.T) {
-	res, err := RunAdvisorSweep([]float64{0.02, 0.5, 0.97}, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	res := runFigure[[]*AdvisorResult](t, "advisor", 1)
+	want := map[float64]core.Primitive{
+		0.02: core.Kill, 0.25: core.Suspend, 0.5: core.Suspend, 0.75: core.Suspend, 0.97: core.Wait,
 	}
-	if res[0].Chosen != core.Kill {
-		t.Fatalf("at r=2%% advisor chose %v, want kill", res[0].Chosen)
+	if len(res) != len(want) {
+		t.Fatalf("%d points, want %d", len(res), len(want))
 	}
-	if res[1].Chosen != core.Suspend {
-		t.Fatalf("at r=50%% advisor chose %v, want suspend", res[1].Chosen)
-	}
-	if res[2].Chosen != core.Wait {
-		t.Fatalf("at r=97%% advisor chose %v, want wait", res[2].Chosen)
+	for _, r := range res {
+		if r.Chosen != want[r.R] {
+			t.Fatalf("at r=%v%% advisor chose %v, want %v", r.R*100, r.Chosen, want[r.R])
+		}
 	}
 	// The advisor must never be much worse than the best fixed primitive
 	// on makespan.

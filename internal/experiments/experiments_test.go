@@ -6,7 +6,18 @@ import (
 	"time"
 
 	"hadooppreempt/internal/core"
+	"hadooppreempt/internal/sweep"
 )
+
+// runFigure renders the named figure from one repetition under seed.
+func runFigure[T any](t *testing.T, name string, seed uint64) T {
+	t.Helper()
+	res, err := RunFigure(name, 1, sweep.Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(T)
+}
 
 func TestRunTwoJobValidation(t *testing.T) {
 	p := DefaultTwoJobParams()
@@ -54,10 +65,7 @@ func TestRunTwoJobSeedVariesHeartbeatPhase(t *testing.T) {
 // TestFigure2Shapes validates the qualitative claims of Figure 2 with one
 // repetition per point.
 func TestFigure2Shapes(t *testing.T) {
-	res, err := Figure2(Config{Reps: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure[*ComparisonResult](t, "2", 7)
 	wait := res.Sojourn["wait"]
 	kill := res.Sojourn["kill"]
 	susp := res.Sojourn["susp"]
@@ -116,10 +124,7 @@ func TestFigure2Shapes(t *testing.T) {
 // TestFigure3Shapes validates the worst-case ordering: susp pays visible
 // paging overhead but stays between the two extremes on both metrics.
 func TestFigure3Shapes(t *testing.T) {
-	res, err := Figure3(Config{Reps: 1, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure[*ComparisonResult](t, "3", 11)
 	for _, r := range []float64{30, 50, 70} {
 		wait, _ := res.Sojourn["wait"].YAt(r)
 		kill, _ := res.Sojourn["kill"].YAt(r)
@@ -143,11 +148,7 @@ func TestFigure3Shapes(t *testing.T) {
 // memory threshold, superlinear growth past it, overhead correlated with
 // swapped volume.
 func TestFigure4Shapes(t *testing.T) {
-	res, err := Figure4(Config{Reps: 1, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := res.Points
+	pts := runFigure[*Figure4Result](t, "4", 13).Points
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5", len(pts))
 	}
@@ -182,7 +183,7 @@ func TestFigure4Shapes(t *testing.T) {
 }
 
 func TestFigure1GanttCharts(t *testing.T) {
-	res, err := Figure1(Config{Seed: 3})
+	res, err := Figure1(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +205,7 @@ func TestFigure1GanttCharts(t *testing.T) {
 }
 
 func TestNatjamAblation(t *testing.T) {
-	res, err := NatjamAblation(Config{Reps: 1, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runFigure[*NatjamResult](t, "natjam", 17)
 	// OS-assisted suspension has negligible makespan overhead vs wait;
 	// checkpointing pays serialization/deserialization every time.
 	if res.SuspendOverheadFrac > 0.03 {
@@ -220,11 +218,9 @@ func TestNatjamAblation(t *testing.T) {
 }
 
 func TestComparisonFormatting(t *testing.T) {
-	res, err := Figure2(Config{Reps: 1, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatComparison("Figure 2", res)
+	var b strings.Builder
+	Figures["2"].Text(&b, runFigure[*ComparisonResult](t, "2", 23))
+	out := b.String()
 	if !strings.Contains(out, "sojourn") || !strings.Contains(out, "makespan") {
 		t.Fatalf("formatted output incomplete:\n%s", out)
 	}

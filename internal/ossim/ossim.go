@@ -527,12 +527,15 @@ func (k *Kernel) exit(p *Process, code int) {
 }
 
 // oomKill implements the kernel OOM killer: the victim is the live process
-// with the largest resident set.
+// with the largest resident set. Ties go to the larger pid, the newer
+// process: Linux's oom_evaluate_task visits processes oldest first and
+// keeps the last of equal scores. Without the tie-break the victim would
+// follow the process map's random iteration order.
 func (k *Kernel) oomKill() {
 	var victim *Process
 	var max int64 = -1
 	for _, p := range k.procs {
-		if r := k.mem.ResidentBytes(p.pid); r > max {
+		if r := k.mem.ResidentBytes(p.pid); r > max || (r == max && p.pid > victim.pid) {
 			max = r
 			victim = p
 		}

@@ -434,6 +434,56 @@ func TestOOMKillsLargestResident(t *testing.T) {
 	}
 }
 
+// TestOOMKillerBreaksResidentTiesOnPID: two writers fill a node that
+// has no swap with equal resident sets, then a third process faults. The
+// killer must pick the same writer every time, the newer one (larger
+// pid), however the process table happens to iterate.
+func TestOOMKillerBreaksResidentTiesOnPID(t *testing.T) {
+	killed := make(map[string]int)
+	for range 200 {
+		eng := sim.New()
+		d := disk.New(eng, "sda", disk.Config{
+			SeekTime: time.Millisecond, ReadBandwidth: 100 << 20, WriteBandwidth: 100 << 20,
+		})
+		m, err := memory.New(eng, d, memory.Config{
+			PageSize: 4096, RAMBytes: 16 << 20, PageClusterPages: 8, MinorFaultCost: time.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := NewKernel(eng, "node1", 3, m)
+		writer := func(n int64) Program {
+			wrote := false
+			return ProgramFunc(func(_ *Process, op *Op) {
+				if wrote {
+					*op = Op{Done: true}
+					return
+				}
+				wrote = true
+				*op = Op{Mem: &MemOp{Offset: 0, Length: n, Write: true}, Compute: time.Hour}
+			})
+		}
+		onExit := func(p *Process, code int) {
+			if code == ExitOOM {
+				killed[p.Name()]++
+			}
+		}
+		for _, name := range []string{"a", "b"} {
+			if _, err := k.Spawn(name, 8<<20, writer(8<<20), onExit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.RunUntil(time.Second)
+		if _, err := k.Spawn("c", 4<<20, writer(4<<20), onExit); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(10 * time.Second)
+	}
+	if killed["b"] != 200 {
+		t.Fatalf("OOM kills over 200 identical runs: %v, want b (the newer writer) every time", killed)
+	}
+}
+
 // TestLoneProcessBeyondRAMAndSwapIsOOMKilled: a process that writes more
 // than RAM plus swap is the only candidate when reclaim fails, so the
 // OOM killer picks the toucher itself. It must exit with ExitOOM.

@@ -117,7 +117,6 @@ func (a *Accumulator) absorb(part *Collapsed) error {
 		}
 		if pg.hasFirst {
 			g.hasFirst = true
-			g.First = pg.First
 		}
 	}
 	a.ran += ran

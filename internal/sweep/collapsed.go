@@ -56,15 +56,11 @@ type Group struct {
 	// Metrics summarizes each recorded value across the group; it is
 	// populated when the run (or merge) completes.
 	Metrics map[string]metrics.Summary
-	// First is the group's first cell in grid order, for typed axis
-	// access. It is only valid for in-process runs that executed that
-	// cell; results read back from shard files carry a zero Point.
-	First Point
 
-	// firstIndex is the grid index of the group's first cell, used to
-	// decide which part contributes First.
+	// firstIndex is the grid index of the group's first cell.
 	firstIndex int
-	// hasFirst reports whether this result actually ran the first cell.
+	// hasFirst reports whether this result actually ran the first cell;
+	// two parts that both did overlap.
 	hasFirst bool
 	// samples holds the raw sample multiset per interned metric id —
 	// the state that makes merges exact, including percentiles.
@@ -196,7 +192,6 @@ func (c *Collapsed) fold(p Point, rec *Recorder) {
 		g.samples[id] = append(g.samples[id], rec.vals[k])
 	}
 	if p.Index == g.firstIndex {
-		g.First = p
 		g.hasFirst = true
 	}
 }

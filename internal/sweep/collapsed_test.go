@@ -30,7 +30,7 @@ func encodeAll(t *testing.T, c *Collapsed) string {
 }
 
 // TestRunCollapsedGroups checks group structure: grid order, labels,
-// counts and typed access through First.
+// counts and which result ran each group's first cell.
 func TestRunCollapsedGroups(t *testing.T) {
 	g := NewGrid(Strings("variant", "a", "b"), Reps(4))
 	cell := func(pt Point, rec *Recorder) error {
@@ -61,8 +61,11 @@ func TestRunCollapsedGroups(t *testing.T) {
 	if got := b.Metrics["x"].Mean; got != 3.0 {
 		t.Fatalf("variant b mean = %v, want 3", got)
 	}
-	if a.First.Label("variant") != "a" || b.First.Label("variant") != "b" {
-		t.Fatal("First point does not carry the group's coordinates")
+	if a.Labels["variant"] != "a" || b.Labels["variant"] != "b" {
+		t.Fatalf("group labels = %v, %v", a.Labels, b.Labels)
+	}
+	if !a.hasFirst || !b.hasFirst || a.firstIndex != 0 || b.firstIndex != 4 {
+		t.Fatal("a whole run must hold each group's first cell")
 	}
 }
 

@@ -233,8 +233,8 @@ func TestCollapseNothingYieldsOneGroupPerCell(t *testing.T) {
 		t.Fatalf("groups = %d, want %d", len(col.Groups), g.Size())
 	}
 	for i, grp := range col.Groups {
-		if grp.Count != 1 || grp.First.Index != i {
-			t.Fatalf("group %d holds %d cells, first %d; want exactly cell %d", i, grp.Count, grp.First.Index, i)
+		if grp.Count != 1 || grp.firstIndex != i || !grp.hasFirst {
+			t.Fatalf("group %d holds %d cells, first %d; want exactly cell %d", i, grp.Count, grp.firstIndex, i)
 		}
 	}
 }

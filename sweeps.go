@@ -10,10 +10,12 @@ import (
 // SimSweep resolves a named simulator scenario to an execution backend:
 // "twojob", "pressure", "cluster", "evict" (the cluster grid with the
 // eviction-policy axis), "primitive" (the cluster grid with the
-// seed-paired susp-vs-kill axis) or "scenarios" (the generated
-// preemption-scenario grid). The grids are declared by
-// experiments.SimBackend; every cell seed derives from grid
-// coordinates, so output is byte-identical at any parallelism level.
+// seed-paired susp-vs-kill axis), "scenarios" (the generated
+// preemption-scenario grid), or one of the figure grids "worstcase",
+// "footprint", "natjam", "cycles", "victim" and "advisor". The grids
+// are declared by experiments.SimBackend; every cell seed derives from
+// grid coordinates, so output is byte-identical at any parallelism
+// level.
 func SimSweep(scenario string, jobs, reps int) (sweep.Backend, error) {
 	return experiments.SimBackend(scenario, jobs, reps)
 }
