@@ -204,7 +204,8 @@ func ParseSpec(spec string) (Config, error) {
 		}
 		prob := func(dst *float64) error {
 			v, err := strconv.ParseFloat(value, 64)
-			if err != nil || v < 0 || v > 1 {
+			// Written so that NaN, which fails every comparison, is refused.
+			if err != nil || !(v >= 0 && v <= 1) {
 				return fmt.Errorf("chaos: %s=%q is not a probability in [0,1]", key, value)
 			}
 			*dst = v

@@ -33,7 +33,7 @@ func TestParseSpec(t *testing.T) {
 	if cfg, err := ParseSpec(""); err != nil || fmt.Sprintf("%+v", cfg) != fmt.Sprintf("%+v", Config{}) {
 		t.Fatalf("empty spec = (%+v, %v), want zero config", cfg, err)
 	}
-	for _, bad := range []string{"drop=2", "drop=x", "seed=-1", "delay-max=0s", "cell-fails=0", "nope=1", "justakey"} {
+	for _, bad := range []string{"drop=2", "drop=x", "drop=NaN", "cell-err=NaN", "seed=-1", "delay-max=0s", "cell-fails=0", "nope=1", "justakey"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
 		}

@@ -132,12 +132,13 @@ func BenchmarkTouchChunkedAlloc(b *testing.B) {
 
 // BenchmarkUnregister tears down a space of 32 runs whose frames
 // interleave with two other spaces', on a list of about 100 extents:
-// the shape a task exit meets in a trace replay. Each iteration
+// the shape a task exit meets on a node that has paged. Each iteration
 // rebuilds the space off the timer; the teardown leaves its frames on
 // the free stack, so the rebuild maps the same frame ranges again.
 func BenchmarkUnregister(b *testing.B) {
 	const chunk, runs = 1 << 20, 32
 	_, m := benchManager(b)
+	m.buildExts()
 	for pid := PID(1); pid <= 3; pid++ {
 		if _, err := m.Register(pid, runs*chunk); err != nil {
 			b.Fatal(err)

@@ -8,7 +8,8 @@ package memory
 // (tiny swap, swappiness > 0, cache present/absent) and every observable
 // — returned latencies, errors, manager stats, per-space stats, free and
 // cache bytes, swap usage, and the swap device's own counters — must match
-// after every single operation.
+// after every single operation, both before the manager has built its
+// frame-extent list and after.
 
 import (
 	"math/rand"
@@ -29,11 +30,16 @@ type diffPair struct {
 	n    *Manager
 	r    *refManager
 	pids []PID
+	// unbuilt and built count the comparisons made before and after the
+	// manager built its frame-extent list; before records the operations
+	// compared, and whether cache was dropped, while it was unbuilt.
+	unbuilt, built int
+	before         map[string]bool
 }
 
 func newDiffPair(t *testing.T, cfg Config, dcfg disk.Config, pids []PID) *diffPair {
 	t.Helper()
-	p := &diffPair{t: t, engN: sim.New(), engR: sim.New(), pids: pids}
+	p := &diffPair{t: t, engN: sim.New(), engR: sim.New(), pids: pids, before: map[string]bool{}}
 	p.devN = disk.New(p.engN, "swapN", dcfg)
 	p.devR = disk.New(p.engR, "swapR", dcfg)
 	var err error
@@ -75,6 +81,15 @@ func (p *diffPair) compare(step int, op string) {
 	}
 	if err := p.n.checkInvariants(); err != nil {
 		fail("run-based invariants: %v", err)
+	}
+	if p.n.exts.len() == 0 {
+		p.unbuilt++
+		p.before[op] = true
+		if p.n.Stats().CacheDropBytes > 0 {
+			p.before["cache drop"] = true
+		}
+	} else {
+		p.built++
 	}
 	if a, b := p.n.Stats(), p.r.Stats(); a != b {
 		fail("Stats diverged:\n run-based: %+v\n reference: %+v", a, b)
@@ -128,15 +143,29 @@ func diffConfig(rng *rand.Rand) Config {
 	}
 }
 
+// TestDifferentialRunBasedVsPerPage runs 120 scenarios of the adversarial
+// mix, most of which reach the clock within a few steps, and 60 calm ones
+// that open with small spaces under swappiness 0, so that their first
+// clock pass comes after stops, resumes, re-touches, exits and cache
+// drops have edited the runs and stacks alone.
 func TestDifferentialRunBasedVsPerPage(t *testing.T) {
 	const (
 		scenarios = 120
+		calm      = 60
 		opsPer    = 250
 	)
 	pids := []PID{0, 1, 2, 3, 4}
-	for sc := 0; sc < scenarios; sc++ {
+	var unbuilt, built, lateBuilds int
+	for sc := 0; sc < scenarios+calm; sc++ {
 		rng := rand.New(rand.NewSource(int64(1000 + sc)))
 		cfg := diffConfig(rng)
+		calmSteps := 0
+		if sc >= scenarios {
+			calmSteps = 60 + rng.Intn(120)
+			cfg.Swappiness = 0
+			cfg.PageClusterPages = 1 + rng.Intn(4)
+			cfg.InitialCacheBytes = int64(rng.Intn(17)) << 10
+		}
 		dcfg := disk.Config{
 			SeekTime:       time.Millisecond,
 			ReadBandwidth:  1 << 20,
@@ -149,6 +178,9 @@ func TestDifferentialRunBasedVsPerPage(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0, 1:
 				size := int64(rng.Intn(spaceMax))
+				if step < calmSteps {
+					size = int64(rng.Intn(spaceMax / 8))
+				}
 				_, errN := p.n.Register(pid, size)
 				_, errR := p.r.Register(pid, size)
 				if (errN == nil) != (errR == nil) {
@@ -179,7 +211,7 @@ func TestDifferentialRunBasedVsPerPage(t *testing.T) {
 				// Re-touch a piece of the range at once: the pages are
 				// resident unless the touch reclaimed from its own space,
 				// so this takes the path that sets referenced bits, or
-				// skips them while the space is all-referenced.
+				// finds them set.
 				if errN == nil && p.n.Space(pid) != nil && rng.Intn(3) == 0 {
 					roff := off + rng.Int63n(length)
 					rlen := 1 + rng.Int63n(off+length-roff)
@@ -219,6 +251,20 @@ func TestDifferentialRunBasedVsPerPage(t *testing.T) {
 				p.compare(step, "advance")
 			}
 		}
+		late := p.built > 0
+		for _, op := range []string{"stop", "run", "retouch", "unregister", "cache drop"} {
+			late = late && p.before[op]
+		}
+		if late {
+			lateBuilds++
+		}
+		unbuilt += p.unbuilt
+		built += p.built
+	}
+	t.Logf("%d comparisons before the frame-extent list was built, %d after; %d scenarios built it after stops, resumes, re-touches, exits and cache drops",
+		unbuilt, built, lateBuilds)
+	if unbuilt < 8000 || built < 14000 || lateBuilds < 30 {
+		t.Fatalf("too little of one state exercised: %d comparisons unbuilt, %d built, %d late builds", unbuilt, built, lateBuilds)
 	}
 }
 

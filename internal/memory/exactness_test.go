@@ -80,6 +80,10 @@ func TestUnregisterMatchesPerRunTeardown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Both sides keep a frame-extent list from the start, so the
+			// one-pass rewrite runs on every teardown and the per-run one
+			// has a list to edit.
+			m.buildExts()
 			teardown := m.Unregister
 			if side == 1 {
 				teardown = func(pid PID) { unregisterPerRun(m, pid) }

@@ -22,24 +22,41 @@
 // # Run-based accounting
 //
 // The manager keeps no per-page or per-frame tables. Contiguous pages in
-// the same state collapse into runs and contiguous frames with the same
-// owner and referenced bit collapse into extents, so touching a 2 GB
-// region, clearing the referenced bits of a suspended process, or sweeping
-// the reclaim clock all cost O(state transitions) instead of O(pages).
-// An edit covering a proper prefix or suffix of one extent (a prefix of
-// one run) that continues the neighbour on that side grows the
-// neighbour in place, so a fault or cache fill next to the last one
-// inserts and deletes nothing. The semantics are bit-for-bit those of
-// the per-page clock algorithm the runs replace (preserved as
+// the same state, referenced bit included, collapse into runs and
+// contiguous frames with the same owner collapse into extents, so
+// touching a 2 GB region, clearing the referenced bits of a suspended
+// process, or sweeping the reclaim clock all cost O(state transitions)
+// instead of O(pages). An edit covering a proper prefix or suffix of one
+// extent (a prefix of one run) that continues the neighbour on that side
+// grows the neighbour in place, so a fault or cache fill next to the
+// last one inserts and deletes nothing. The semantics are bit-for-bit
+// those of the per-page clock algorithm the runs replace (preserved as
 // refManager in reference_test.go); the differential property test
 // drives both through randomized scripts and asserts identical byte
 // accounting.
+//
+// # Frame order on demand
+//
+// Only the reclaim clock needs frames in physical order: it sweeps them
+// by index, sparing referenced pages and evicting the others. Faults,
+// cache fills and drops, stops and exits need only the free stack, the
+// cache stack and the page runs, which carry the referenced bits. So the
+// frame-extent list starts empty: reclaim builds it from the stacks and
+// the resident runs when it first reaches the clock, and every edit
+// maintains it from then on, for the rest of the manager's life. A node
+// that never pages its anonymous memory, as almost every node of a trace
+// replay, never builds it. The clock decides frame by frame, so any list
+// describing the same frames gives the same evictions in the same order;
+// the maintained list is in fact the canonical one, maximal extents in
+// frame order, which checkInvariants verifies against a fresh build.
 package memory
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"hadooppreempt/internal/disk"
@@ -144,6 +161,7 @@ type pageRun struct {
 	state pageState
 	dirty bool  // modified since last write to swap (resident only)
 	slot  bool  // has a valid copy in swap
+	ref   bool  // referenced bit of the pages' frames (resident only)
 	frame int32 // frame of page `start` (resident only)
 	fdir  int8  // frame stride per page: +1 or -1 (resident only)
 }
@@ -169,12 +187,6 @@ type Space struct {
 	resident int
 	swapped  int
 	stopped  bool
-	// allRef records that every resident frame of the space has its
-	// referenced bit set. Register sets it and faults keep it, since they
-	// map referenced frames; MarkStopped and the clock's second-chance
-	// pass clear it, and nothing sets it again. While it holds, a touch
-	// of resident pages has no bit to set and skips the extent search.
-	allRef bool
 	// hint is runIdx's last result, an index that may be out of date;
 	// runIdx checks it before using it.
 	hint     int
@@ -205,9 +217,9 @@ const (
 	extAnon
 )
 
-// frameExt is a maximal interval of frames with uniform owner and
-// referenced bit. Anonymous extents map back to pages: frame start+i holds
-// page page+pdir*i of owner.
+// frameExt is a maximal interval of frames with uniform owner.
+// Anonymous extents map back to pages: frame start+i holds page
+// page+pdir*i of owner.
 type frameExt struct {
 	start int32
 	n     int32
@@ -215,7 +227,6 @@ type frameExt struct {
 	owner PID   // anon only
 	page  int32 // page held by frame `start` (anon only)
 	pdir  int8  // page stride per frame: +1 or -1 (anon only)
-	ref   bool  // referenced bit (anon only)
 }
 
 func (e frameExt) end() int32 { return e.start + e.n }
@@ -223,6 +234,16 @@ func (e frameExt) end() int32 { return e.start + e.n }
 // pageAt returns the page held by frame f (anon extents).
 func (e frameExt) pageAt(f int32) int32 {
 	return e.page + int32(e.pdir)*(f-e.start)
+}
+
+// pagesAt returns the interval [lo, hi) of pages held by the c frames
+// from f (anon extents).
+func (e frameExt) pagesAt(f, c int32) (lo, hi int32) {
+	lo = e.pageAt(f)
+	if e.pdir >= 0 {
+		return lo, lo + c
+	}
+	return lo - (c - 1), lo + 1
 }
 
 // stackExt is a run of frames on a LIFO stack, recorded in push order:
@@ -241,9 +262,11 @@ type Manager struct {
 	swap *disk.Device
 	cfg  Config
 
-	nframes    int
-	pageShift  uint8   // log2(cfg.PageSize): byte offsets to pages
-	exts       extList // sorted extents covering [0, nframes)
+	nframes   int
+	pageShift uint8 // log2(cfg.PageSize): byte offsets to pages
+	// exts is empty until reclaim first reaches the clock (buildExts);
+	// from then on it holds sorted extents covering [0, nframes).
+	exts       extList
 	freeStack  []stackExt
 	freeFrames int
 	cacheStack []stackExt
@@ -313,7 +336,6 @@ func New(eng *sim.Engine, swap *disk.Device, cfg Config) (*Manager, error) {
 	m.cfg = cfg
 	m.pageShift = shift
 	m.nframes = int(usable)
-	m.exts.insert(0, frameExt{start: 0, n: int32(usable), kind: extFree})
 	// The free list is seeded high-to-low so frames are handed out in
 	// ascending index order, like the per-page model's initial stack.
 	m.freeStack = append(m.freeStack, stackExt{first: int32(usable) - 1, n: int32(usable), dir: -1})
@@ -373,7 +395,6 @@ func (m *Manager) Register(pid PID, bytes int64) (*Space, error) {
 	}
 	s.pid = pid
 	s.npages = npages
-	s.allRef = true
 	s.pageSize = m.cfg.PageSize
 	if npages > 0 {
 		s.runs = append(s.runs, pageRun{start: 0, n: int32(npages), state: pageUntouched})
@@ -410,7 +431,7 @@ func (m *Manager) Unregister(pid PID) {
 			m.swapUsed -= int64(r.n) * m.cfg.PageSize
 		}
 	}
-	if lo < hi {
+	if lo < hi && m.exts.len() > 0 {
 		m.exts.freeOwner(pid, lo, hi)
 	}
 	s.runs = s.runs[:0]
@@ -443,12 +464,11 @@ func (m *Manager) MarkStopped(pid PID) {
 		return
 	}
 	s.stopped = true
-	s.allRef = false
-	for _, r := range s.runs {
-		if r.state == pageResident {
-			m.setRef(r.frameLo(), r.frameHi(), false)
-		}
+	for i := range s.runs {
+		s.runs[i].ref = false
 	}
+	// Runs that differed only in their bits are one run now.
+	s.coalesceRuns(0, len(s.runs)-1)
 }
 
 // MarkRunning clears the stopped flag set by MarkStopped.
@@ -493,8 +513,10 @@ func (m *Manager) CacheFill(bytes int64) {
 func (m *Manager) growCache(n int) {
 	for n > 0 {
 		first, dir, c := m.popFree(int32(n))
-		lo, hi := chunkBounds(first, dir, c)
-		m.replaceExts(lo, hi, frameExt{start: lo, n: c, kind: extCache})
+		if m.exts.len() > 0 {
+			lo, hi := chunkBounds(first, dir, c)
+			m.replaceExts(lo, hi, frameExt{start: lo, n: c, kind: extCache})
+		}
 		pushStack(&m.cacheStack, first, c, dir)
 		m.cachePages += int(c)
 		n -= int(c)
@@ -570,26 +592,20 @@ func (m *Manager) Touch(pid PID, offset, length int64, write bool) (time.Duratio
 		n := pieceEnd - pg
 		switch r.state {
 		case pageResident:
-			if !s.allRef {
-				lo := r.frame + int32(r.fdir)*(pg-r.start)
-				hi := lo
-				if r.fdir >= 0 {
-					hi = lo + n
-				} else {
-					lo, hi = lo-(n-1), lo+1
-				}
-				m.setRef(lo, hi, true)
+			redirty := write && !r.dirty
+			if redirty && r.slot {
+				// Re-dirtied pages invalidate their swap copies (swap
+				// cache behaviour).
+				m.swapUsed -= int64(n) * m.cfg.PageSize
 			}
-			if write && !r.dirty {
-				if r.slot {
-					// Re-dirtied pages invalidate their swap copies
-					// (swap cache behaviour).
-					m.swapUsed -= int64(n) * m.cfg.PageSize
-				}
+			if redirty || !r.ref {
 				nr := r
 				nr.start, nr.n = pg, n
 				nr.frame = r.frame + int32(r.fdir)*(pg-r.start)
-				nr.dirty, nr.slot = true, false
+				nr.ref = true
+				if redirty {
+					nr.dirty, nr.slot = true, false
+				}
 				s.replaceRuns(pg, pieceEnd, nr)
 			}
 			pg = pieceEnd
@@ -645,15 +661,17 @@ func (m *Manager) faultChunk(s *Space, tc *touchState, pg, maxPages int32, write
 		}
 	}
 	first, dir, c := m.popFree(maxPages)
-	lo, hi := chunkBounds(first, dir, c)
-	ext := frameExt{start: lo, n: c, kind: extAnon, owner: s.pid, ref: true, pdir: dir}
-	if dir >= 0 {
-		ext.page = pg
-	} else {
-		ext.page = pg + c - 1
+	if m.exts.len() > 0 {
+		lo, hi := chunkBounds(first, dir, c)
+		ext := frameExt{start: lo, n: c, kind: extAnon, owner: s.pid, pdir: dir}
+		if dir >= 0 {
+			ext.page = pg
+		} else {
+			ext.page = pg + c - 1
+		}
+		m.replaceExts(lo, hi, ext)
 	}
-	m.replaceExts(lo, hi, ext)
-	nr := pageRun{start: pg, n: c, state: pageResident, frame: first, fdir: dir, dirty: write}
+	nr := pageRun{start: pg, n: c, state: pageResident, frame: first, fdir: dir, dirty: write, ref: true}
 	if fromSwap {
 		s.swapped -= int(c)
 		s.stats.MajorFaults += int64(c)
@@ -693,8 +711,10 @@ func (m *Manager) reclaim() time.Duration {
 	}
 	for freed < cacheShare && m.cachePages > 0 {
 		first, dir, c := popStack(&m.cacheStack, int32(cacheShare-freed))
-		lo, hi := chunkBounds(first, dir, c)
-		m.freeFrameRange(lo, hi)
+		if m.exts.len() > 0 {
+			lo, hi := chunkBounds(first, dir, c)
+			m.freeFrameRange(lo, hi)
+		}
 		m.pushFree(first, c, dir)
 		m.cachePages -= int(c)
 		m.stats.CacheDropBytes += int64(c) * m.cfg.PageSize
@@ -705,36 +725,25 @@ func (m *Manager) reclaim() time.Duration {
 	}
 
 	// Phase 2: clock (second chance) over anonymous frames, extent by
-	// extent. Each reclaim pass may sweep the frame space at most twice:
-	// one lap to clear referenced bits, one to collect victims.
+	// extent, in the frame order the first visit builds. Each reclaim
+	// pass may sweep the frame space at most twice: one lap to clear
+	// referenced bits, one to collect victims.
+	if m.exts.len() == 0 {
+		m.buildExts()
+	}
 	dirtyVictims := 0
-	n := m.nframes
-	budget := 2 * n
+	budget := 2 * m.nframes
 	scanned := 0
 	for scanned < budget && freed < want {
 		hand := int32(m.clockHand)
 		e := *m.exts.at(m.extIdx(hand))
-		span := int(e.end() - hand)
-		switch {
-		case e.kind != extAnon:
-			// Free and cache frames are skipped, one scan step each.
-			step := min(span, budget-scanned)
-			scanned += step
-			m.advanceHand(step)
-		case e.ref:
-			step := min(span, budget-scanned)
-			m.setRef(hand, hand+int32(step), false)
-			if s := m.space(e.owner); s != nil {
-				s.allRef = false
-			}
-			m.stats.SecondChanceHit += int64(step)
-			scanned += step
-			m.advanceHand(step)
-		default:
-			adv := m.evictAt(e, hand, min(span, budget-scanned), want, &freed, &dirtyVictims)
-			scanned += adv
-			m.advanceHand(adv)
+		// Free and cache frames are skipped, one scan step each.
+		step := min(int(e.end()-hand), budget-scanned)
+		if e.kind == extAnon {
+			step = m.evictAt(e, hand, step, want, &freed, &dirtyVictims)
 		}
+		scanned += step
+		m.advanceHand(step)
 	}
 
 	var deadline time.Duration
@@ -746,9 +755,11 @@ func (m *Manager) reclaim() time.Duration {
 	return deadline
 }
 
-// evictAt processes one uniform piece of an unreferenced anonymous extent
-// starting at the clock hand: it evicts up to the piece/batch/budget limit
-// and returns how many frames the hand advanced (evicted or skipped).
+// evictAt processes the piece of anonymous extent e from the clock hand
+// that lies in one page run and within limit frames: referenced pages
+// lose their bit (their second chance), unreferenced ones are evicted up
+// to the batch. It returns how many frames the hand advanced (spared,
+// evicted or skipped).
 func (m *Manager) evictAt(e frameExt, hand int32, limit, want int, freed, dirtyVictims *int) int {
 	pg := e.pageAt(hand)
 	s := m.space(e.owner)
@@ -762,6 +773,16 @@ func (m *Manager) evictAt(e frameExt, hand int32, limit, want int, freed, dirtyV
 		inRun = pg - r.start + 1
 	}
 	k := min(int32(limit), inRun)
+	if r.ref {
+		lo, hi := e.pagesAt(hand, k)
+		nr := r
+		nr.start, nr.n = lo, k
+		nr.frame = r.frame + int32(r.fdir)*(lo-r.start)
+		nr.ref = false
+		s.replaceRuns(lo, hi, nr)
+		m.stats.SecondChanceHit += int64(k)
+		return int(k)
+	}
 	if r.dirty {
 		avail := (m.cfg.SwapBytes - m.swapUsed) >> m.pageShift
 		if avail <= 0 {
@@ -791,13 +812,7 @@ func (m *Manager) evictAt(e frameExt, hand int32, limit, want int, freed, dirtyV
 // become swapped (slot-backed) or untouched, and the frames return to the
 // free list in clock order.
 func (m *Manager) unmapPiece(s *Space, e frameExt, hand, c int32, toSwap bool) {
-	pLo := e.pageAt(hand)
-	pHi := pLo
-	if e.pdir >= 0 {
-		pHi = pLo + c
-	} else {
-		pLo, pHi = pLo-(c-1), pLo+1
-	}
+	pLo, pHi := e.pagesAt(hand, c)
 	nr := pageRun{start: pLo, n: c, state: pageUntouched}
 	if toSwap {
 		nr.state, nr.slot = pageSwapped, true
@@ -957,7 +972,7 @@ func canMergeExts(a, b frameExt) (int8, bool) {
 	if a.kind != extAnon {
 		return 0, true
 	}
-	if a.owner != b.owner || a.ref != b.ref {
+	if a.owner != b.owner {
 		return 0, false
 	}
 	for _, d := range [2]int8{1, -1} {
@@ -1051,31 +1066,56 @@ func (m *Manager) freeFrameRange(lo, hi int32) {
 	m.replaceExts(lo, hi, frameExt{start: lo, n: hi - lo, kind: extFree})
 }
 
-// setRef sets the referenced bit of the anonymous frames in [lo, hi).
-func (m *Manager) setRef(lo, hi int32, ref bool) {
-	// Fast path for the dominant access pattern (re-touching a hot,
-	// already-referenced region): when every extent in range carries the
-	// bit already there is nothing to split or merge.
-	i := m.extIdx(lo)
-	j := i
-	for ; j < m.exts.len() && m.exts.at(j).start < hi; j++ {
-		if m.exts.at(j).ref != ref {
-			break
+// buildExts builds the frame-extent list, which is empty until then,
+// from the free stack, the cache stack and the resident runs.
+func (m *Manager) buildExts() {
+	m.exts.assign(m.frameExts(m.exts.buf[:0]))
+}
+
+// frameExts appends to dst the frame-extent list that the free stack,
+// the cache stack and the resident runs describe: an entry for each
+// stack entry and resident run, sorted by frame, with adjacent entries
+// merged wherever canMergeExts allows.
+func (m *Manager) frameExts(dst []frameExt) []frameExt {
+	for _, st := range [2]struct {
+		stack []stackExt
+		kind  extKind
+	}{{m.freeStack, extFree}, {m.cacheStack, extCache}} {
+		for _, se := range st.stack {
+			lo, hi := chunkBounds(se.first, se.dir, se.n)
+			dst = append(dst, frameExt{start: lo, n: hi - lo, kind: st.kind})
 		}
 	}
-	if j >= m.exts.len() || m.exts.at(j).start >= hi {
-		return
-	}
-	i = m.splitExtAt(i, lo)
-	from := i
-	for i < m.exts.len() && m.exts.at(i).start < hi {
-		if m.exts.at(i).end() > hi {
-			m.splitExtAt(i, hi)
+	for pid, s := range m.spaces {
+		for _, r := range s.runs {
+			if r.state != pageResident {
+				continue
+			}
+			e := frameExt{start: r.frameLo(), n: r.n, kind: extAnon, owner: pid, page: r.start, pdir: r.fdir}
+			if r.fdir < 0 {
+				e.page = r.end() - 1
+			}
+			dst = append(dst, e)
 		}
-		m.exts.at(i).ref = ref
-		i++
 	}
-	m.coalesceExts(from, i-1)
+	slices.SortFunc(dst, func(a, b frameExt) int { return cmp.Compare(a.start, b.start) })
+	// Only touching entries merge, so checkInvariants still sees a frame
+	// that two entries describe.
+	w := 0
+	for _, e := range dst {
+		if w > 0 && dst[w-1].end() == e.start {
+			if d, ok := canMergeExts(dst[w-1], e); ok {
+				dst[w-1].n += e.n
+				if e.kind == extAnon {
+					dst[w-1].pdir = d
+				}
+				continue
+			}
+		}
+		dst[w] = e
+		w++
+	}
+	return dst[:w]
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,7 +1178,7 @@ func canMergeRuns(a, b pageRun) (int8, bool) {
 	if a.state != pageResident {
 		return 0, true
 	}
-	if a.dirty != b.dirty || a.slot != b.slot {
+	if a.dirty != b.dirty || a.slot != b.slot || a.ref != b.ref {
 		return 0, false
 	}
 	for _, d := range [2]int8{1, -1} {
@@ -1212,77 +1252,54 @@ func (s *Space) replaceRuns(lo, hi int32, nr pageRun) {
 // ---------------------------------------------------------------------------
 // Invariant checking (used by tests).
 
-// checkInvariants validates internal consistency; used by tests.
+// checkInvariants validates internal consistency; used by tests. It
+// builds the frame-extent list the stacks and runs describe into a list
+// of its own, and leaves the manager's list as it finds it, built or not.
 func (m *Manager) checkInvariants() error {
-	// Frame extents: sorted, non-empty, exactly covering [0, nframes),
-	// with no two free extents adjacent (Unregister's one-pass rewrite
-	// relies on it).
+	// The frames the stacks and the resident runs describe: sorted,
+	// non-empty extents exactly covering [0, nframes), so no frame is
+	// described twice or not at all.
+	built := m.frameExts(nil)
 	var next int32
-	counts := map[extKind]int{}
-	for i := 0; i < m.exts.len(); i++ {
-		e := *m.exts.at(i)
+	var counts [extAnon + 1]int
+	for i, e := range built {
 		if e.n <= 0 {
 			return fmt.Errorf("extent %d empty", i)
 		}
 		if e.start != next {
 			return fmt.Errorf("extent %d starts at %d, want %d (gap or overlap)", i, e.start, next)
 		}
-		if i > 0 && e.kind == extFree && m.exts.at(i-1).kind == extFree {
-			return fmt.Errorf("free extents %d and %d are adjacent", i-1, i)
-		}
 		next = e.end()
 		counts[e.kind] += int(e.n)
-		if e.kind == extAnon {
-			if _, ok := m.spaces[e.owner]; !ok && e.owner != cacheOwner {
-				return fmt.Errorf("extent %d owned by unregistered pid %d", i, e.owner)
-			}
-		}
 	}
 	if next != int32(m.nframes) {
 		return fmt.Errorf("extents cover %d frames, want %d", next, m.nframes)
 	}
 	if counts[extFree] != m.freeFrames {
-		return fmt.Errorf("free accounting: %d extent frames vs %d counter", counts[extFree], m.freeFrames)
+		return fmt.Errorf("free accounting: %d stack frames vs %d counter", counts[extFree], m.freeFrames)
 	}
 	if counts[extCache] != m.cachePages {
-		return fmt.Errorf("cache accounting: %d extent frames vs %d counter", counts[extCache], m.cachePages)
+		return fmt.Errorf("cache accounting: %d stack frames vs %d counter", counts[extCache], m.cachePages)
 	}
-	if counts[extFree]+counts[extCache]+counts[extAnon] != m.nframes {
-		return fmt.Errorf("frame conservation violated")
-	}
-	// Stacks: each stack's frames must be exactly the free/cache extents.
-	for _, chk := range []struct {
-		name  string
-		stack []stackExt
-		kind  extKind
-		total int
-	}{
-		{"free", m.freeStack, extFree, m.freeFrames},
-		{"cache", m.cacheStack, extCache, m.cachePages},
-	} {
-		seen := make(map[int32]bool, chk.total)
-		n := 0
-		for _, se := range chk.stack {
-			for k := int32(0); k < se.n; k++ {
-				f := se.first + int32(se.dir)*k
-				if se.n == 1 {
-					f = se.first
-				}
-				if seen[f] {
-					return fmt.Errorf("%s stack lists frame %d twice", chk.name, f)
-				}
-				seen[f] = true
-				if e := m.exts.at(m.extIdx(f)); e.kind != chk.kind {
-					return fmt.Errorf("%s stack frame %d has extent kind %d", chk.name, f, e.kind)
-				}
-				n++
+	// Once built, the maintained list must be that one entry for entry
+	// (so no two free extents are ever adjacent, which Unregister's
+	// one-pass rewrite relies on). The page stride of a one-frame extent
+	// means nothing and may differ.
+	if m.exts.len() > 0 {
+		if m.exts.len() != len(built) {
+			return fmt.Errorf("maintained list holds %d extents, built one %d", m.exts.len(), len(built))
+		}
+		for i, want := range built {
+			got := *m.exts.at(i)
+			if got.n == 1 {
+				got.pdir = want.pdir
+			}
+			if got != want {
+				return fmt.Errorf("extent %d is %+v, built list has %+v", i, got, want)
 			}
 		}
-		if n != chk.total {
-			return fmt.Errorf("%s stack holds %d frames, want %d", chk.name, n, chk.total)
-		}
 	}
-	// Spaces: run coverage, counters, and the frame mapping round trip.
+	// Spaces: run coverage and counters.
 	var slotBytes int64
 	for pid, s := range m.spaces {
 		var nextPg int32
@@ -1295,27 +1312,14 @@ func (m *Manager) checkInvariants() error {
 				return fmt.Errorf("pid %d run %d starts at %d, want %d", pid, i, r.start, nextPg)
 			}
 			nextPg = r.end()
+			if r.state != pageResident && r.ref {
+				return fmt.Errorf("pid %d pages [%d,%d) referenced but not resident", pid, r.start, r.end())
+			}
 			switch r.state {
 			case pageResident:
 				resident += int(r.n)
 				if r.slot {
 					slotBytes += int64(r.n) * m.cfg.PageSize
-				}
-				for k := int32(0); k < r.n; k++ {
-					f := r.frame + int32(r.fdir)*k
-					if r.n == 1 {
-						f = r.frame
-					}
-					e := m.exts.at(m.extIdx(f))
-					if e.kind != extAnon || e.owner != pid {
-						return fmt.Errorf("pid %d page %d frame %d not an anon frame of the pid", pid, r.start+k, f)
-					}
-					if s.allRef && !e.ref {
-						return fmt.Errorf("pid %d is marked all-referenced but frame %d of page %d is not", pid, f, r.start+k)
-					}
-					if got := e.pageAt(f); got != r.start+k {
-						return fmt.Errorf("frame %d maps page %d, run says %d", f, got, r.start+k)
-					}
 				}
 			case pageSwapped:
 				swapped += int(r.n)

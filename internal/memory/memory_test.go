@@ -144,20 +144,34 @@ func TestRetouchResidentIsFree(t *testing.T) {
 	}
 }
 
-// TestAllReferencedSpaceSkipsSetRef follows a space's all-referenced
-// flag through its transitions: set at Register and kept by faults, so
-// a hot re-touch allocates nothing; cleared by MarkStopped and not set
-// again by MarkRunning; and cleared for a running space whose frames the
-// clock's second-chance pass spares.
+// refPages counts the resident pages of s whose referenced bit is set
+// and clear.
+func refPages(s *Space) (set, clear int) {
+	for _, r := range s.runs {
+		if r.state != pageResident {
+			continue
+		}
+		if r.ref {
+			set += int(r.n)
+		} else {
+			clear += int(r.n)
+		}
+	}
+	return set, clear
+}
+
+// TestAllReferencedSpaceSkipsSetRef follows the referenced bits a space's
+// runs carry through their transitions: faults set them, so a hot
+// re-touch has nothing to set and allocates nothing; MarkStopped clears
+// them and MarkRunning does not set them again; a touch sets the bits of
+// the pages it touches only; and the clock's second-chance pass clears
+// the bits of a running space whose frames it spares.
 func TestAllReferencedSpaceSkipsSetRef(t *testing.T) {
 	_, m := testSetup(t, 0)
 	s := mustRegister(t, m, 1, 8<<10)
-	if !s.allRef {
-		t.Fatal("a new space should be all-referenced")
-	}
 	mustTouch(t, m, 1, 0, 8<<10, true)
-	if !s.allRef {
-		t.Fatal("faults should keep the space all-referenced")
+	if set, clear := refPages(s); set != 8 || clear != 0 {
+		t.Fatalf("after faults %d pages referenced, %d not; want 8 and 0", set, clear)
 	}
 	allocs := testing.AllocsPerRun(100, func() { mustTouch(t, m, 1, 1<<10, 4<<10, true) })
 	if allocs != 0 {
@@ -167,23 +181,81 @@ func TestAllReferencedSpaceSkipsSetRef(t *testing.T) {
 
 	m.MarkStopped(1)
 	m.MarkRunning(1)
-	if s.allRef {
-		t.Fatal("MarkStopped should clear the flag for good")
+	if set, clear := refPages(s); set != 0 || clear != 8 {
+		t.Fatalf("after stop and resume %d pages referenced, %d not; want 0 and 8", set, clear)
 	}
-	mustTouch(t, m, 1, 0, 4<<10, false) // re-references half the frames
+	if len(s.runs) != 1 {
+		t.Fatalf("stopped space keeps %d runs, want them merged into 1", len(s.runs))
+	}
+	mustTouch(t, m, 1, 0, 4<<10, false) // re-references half the pages
+	if set, clear := refPages(s); set != 4 || clear != 4 {
+		t.Fatalf("after re-touching half %d pages referenced, %d not; want 4 and 4", set, clear)
+	}
 	checkInv(t, m)
 
-	// A second space fills RAM; reclaim first spares its own referenced
-	// frames, clearing its flag, before it evicts anything.
+	// A second space fills RAM; reclaim spares its referenced frames,
+	// clearing their bits, before it evicts them.
 	s2 := mustRegister(t, m, 2, 64<<10)
 	mustTouch(t, m, 2, 0, 64<<10, true)
 	if m.Stats().SecondChanceHit == 0 {
 		t.Fatal("reclaim spared no referenced frame")
 	}
-	if s2.allRef {
-		t.Fatal("the second-chance pass should clear the flag")
+	if _, clear := refPages(s2); clear == 0 {
+		t.Fatal("the second-chance pass should clear the second space's bits")
 	}
 	checkInv(t, m)
+}
+
+// TestFrameOrderBuiltOnFirstClockPass: a task's whole lifetime without
+// memory pressure (register, fault, cache fill, stop, resume, re-touch,
+// exit) and reclaim that drops only cache leave the frame-extent list
+// unbuilt; the first reclaim that reaches the clock builds it, the list
+// it maintains from then on matches a fresh build, and a released
+// manager's shell starts unbuilt again.
+func TestFrameOrderBuiltOnFirstClockPass(t *testing.T) {
+	_, m := testSetup(t, 8<<10) // 8 cache frames, 56 free
+	unbuilt := func(when string) {
+		t.Helper()
+		if n := m.exts.len(); n != 0 {
+			t.Fatalf("%s: frame-extent list built with %d extents", when, n)
+		}
+		checkInv(t, m)
+	}
+	unbuilt("after New")
+	mustRegister(t, m, 1, 16<<10)
+	mustTouch(t, m, 1, 0, 16<<10, true)
+	m.CacheFill(8 << 10)
+	m.MarkStopped(1)
+	m.MarkRunning(1)
+	mustTouch(t, m, 1, 4<<10, 8<<10, false)
+	m.Unregister(1)
+	unbuilt("after a task's lifetime")
+
+	// 16 cache frames and 48 free: 64 pages take the free frames and then
+	// the cache, which reclaim drops without the clock; the next pages
+	// need the clock.
+	mustRegister(t, m, 2, 72<<10)
+	mustTouch(t, m, 2, 0, 64<<10, true)
+	if st := m.Stats(); st.ReclaimScans == 0 || st.CacheDropBytes != 16<<10 {
+		t.Fatalf("setup: want cache-only reclaim of all 16 cache frames, stats %+v", st)
+	}
+	unbuilt("after cache-only reclaim")
+
+	mustTouch(t, m, 2, 64<<10, 8<<10, true)
+	if m.exts.len() == 0 {
+		t.Fatal("the first clock pass left the frame-extent list unbuilt")
+	}
+	if m.Stats().SecondChanceHit == 0 {
+		t.Fatal("setup: the clock spared no referenced frame")
+	}
+	checkInv(t, m)
+	m.Unregister(2)
+	checkInv(t, m)
+
+	// A manager shell recycled through Release starts unbuilt again.
+	m.Release()
+	_, m = testSetup(t, 8<<10)
+	unbuilt("after New on a released shell")
 }
 
 func TestCacheEvictedFirstAtSwappinessZero(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -139,13 +140,21 @@ func SynthesizeTrace(n int, seed uint64) ([]TraceJob, error) {
 	return jobs, nil
 }
 
+// parseSeconds converts a trace's seconds field to a duration. It
+// rejects negative and non-finite values, and seconds whose nanoseconds
+// do not fit in an int64.
 func parseSeconds(s string) (time.Duration, error) {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad seconds value %q", s)
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("negative seconds value %q", s)
 	}
-	return time.Duration(v * float64(time.Second)), nil
+	// Every float64 below 2^63 converts to an int64.
+	ns := v * float64(time.Second)
+	if ns >= 1<<63 {
+		return 0, fmt.Errorf("seconds value %q overflows a duration", s)
+	}
+	return time.Duration(ns), nil
 }

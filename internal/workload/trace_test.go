@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -51,22 +52,63 @@ func TestParseTraceGolden(t *testing.T) {
 	}
 }
 
+// badTraces are traces ParseTrace must reject, keyed by what is wrong
+// with them.
+var badTraces = map[string]string{
+	"too few fields":   "j1 0 0 100\n",
+	"duplicate id":     "j1 0 0 100 0 0\nj1 5 5 100 0 0\n",
+	"negative time":    "j1 -3 0 100 0 0\n",
+	"bad byte count":   "j1 0 0 ten 0 0\n",
+	"negative bytes":   "j1 0 0 -100 0 0\n",
+	"empty trace":      "# only a comment\n",
+	"non-number time":  "j1 soon 0 100 0 0\n",
+	"NaN time":         "j1 NaN 0 10 0 0\n",
+	"infinite time":    "j1 Inf 0 10 0 0\n",
+	"overflowing time": "j1 1e300 0 10 0 0\n",
+	"NaN gap":          "j1 0 NaN 10 0 0\n",
+}
+
 // TestParseTraceRejectsBadInput covers the parser's error paths.
 func TestParseTraceRejectsBadInput(t *testing.T) {
-	cases := map[string]string{
-		"too few fields":  "j1 0 0 100\n",
-		"duplicate id":    "j1 0 0 100 0 0\nj1 5 5 100 0 0\n",
-		"negative time":   "j1 -3 0 100 0 0\n",
-		"bad byte count":  "j1 0 0 ten 0 0\n",
-		"negative bytes":  "j1 0 0 -100 0 0\n",
-		"empty trace":     "# only a comment\n",
-		"non-number time": "j1 soon 0 100 0 0\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected an error", name)
+	for name, in := range badTraces {
+		if jobs, err := ParseTrace(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: expected an error, parsed %+v", name, jobs)
 		}
 	}
+}
+
+// FuzzParseTrace feeds arbitrary text to the trace parser, starting from
+// the checked-in sample and the rejected traces. ParseTrace must never
+// panic, and a trace it accepts must hold unique job IDs and
+// non-negative times and sizes.
+func FuzzParseTrace(f *testing.F) {
+	sample, err := os.ReadFile(sampleTracePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(sample))
+	for _, in := range badTraces {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		jobs, err := ParseTrace(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		seen := make(map[string]bool, len(jobs))
+		for _, j := range jobs {
+			if seen[j.ID] {
+				t.Fatalf("job ID %q accepted twice", j.ID)
+			}
+			seen[j.ID] = true
+			if j.SubmitAt < 0 || j.Interarrival < 0 {
+				t.Fatalf("job %s accepted with submit %v, inter-arrival %v", j.ID, j.SubmitAt, j.Interarrival)
+			}
+			if j.InputBytes < 0 || j.ShuffleBytes < 0 || j.OutputBytes < 0 {
+				t.Fatalf("job %s accepted with sizes %d/%d/%d", j.ID, j.InputBytes, j.ShuffleBytes, j.OutputBytes)
+			}
+		}
+	})
 }
 
 // TestParseTraceSkipsCommentsAndBlanks accepts the documented cosmetics
