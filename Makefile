@@ -58,7 +58,8 @@ bench-golden:
 # 1 and 8 and a merge of 3 shard files agree byte for byte, so do the
 # cluster-scale grid and the figures at -parallel 1 and 8, a shard file
 # is the same bytes at -parallel 1 and 8, and the shard-file decoder,
-# the config parser and the trace parser each survive 10 s of fuzzing.
+# the config parser, the trace parser, the cell-cache entry decoder and
+# checkpoint restore each survive 10 s of fuzzing.
 sweep-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -sweep twojob -parallel 1 -format csv -seed 1 > /tmp/sweep-p1.csv
@@ -81,6 +82,8 @@ sweep-check:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s
 	$(GO) test ./internal/config -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s
+	$(GO) test ./internal/coord -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s
 
 # Backend parity (mirrors the CI backend-parity job): sim backend,
 # every figure and the pressure and cluster grids byte-identical to the

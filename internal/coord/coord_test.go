@@ -157,12 +157,12 @@ func TestDistributedMatchesSingleProcessProperty(t *testing.T) {
 // worker that misbehaves (takes a lease and goes silent, or reports
 // very late).
 type rawClient struct {
-	t    *testing.T
+	t    testing.TB
 	base string
 	id   joinResponse
 }
 
-func newRawClient(t *testing.T, c *Coordinator, g sweep.Grid) *rawClient {
+func newRawClient(t testing.TB, c *Coordinator, g sweep.Grid) *rawClient {
 	t.Helper()
 	rc := &rawClient{t: t, base: "http://" + c.Addr()}
 	err := post(context.Background(), http.DefaultClient, rc.base+"/v1/join", joinRequest{
@@ -210,7 +210,7 @@ func (rc *rawClient) send(lease int, shard []byte) resultResponse {
 
 // shardBytes is the shard-file encoding of a result, as a worker
 // uploads it.
-func shardBytes(t *testing.T, col *sweep.Collapsed) []byte {
+func shardBytes(t testing.TB, col *sweep.Collapsed) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := col.WriteShard(&buf); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -88,7 +89,7 @@ func TestCoordinatorKillResumeProperty(t *testing.T) {
 
 // partialCheckpoint runs a coordinator through part of a sweep and
 // kills it, returning the checkpoint path and the sweep parameters.
-func partialCheckpoint(t *testing.T, dir string) (string, sweep.Grid, uint64) {
+func partialCheckpoint(t testing.TB, dir string) (string, sweep.Grid, uint64) {
 	t.Helper()
 	g := sweep.NewGrid(sweep.Strings("a", "x", "y"), sweep.Reps(4))
 	ckpt := filepath.Join(dir, "coord.ckpt")
@@ -227,6 +228,102 @@ func TestCheckpointRobustness(t *testing.T) {
 	if err := resumeWith(t, filepath.Join(dir, "absent.ckpt"), g, seed, 2); err == nil {
 		t.Fatal("resume from a missing file succeeded")
 	}
+}
+
+// FuzzRestore feeds Restore arbitrary checkpoint files, and arbitrary
+// states under a valid envelope and checksum (sign), for the sweep that
+// partialCheckpoint leaves half done. The seeds are that checkpoint and
+// the damaged and forged variants TestCheckpointRobustness rejects.
+// Restore must never panic, and a checkpoint it accepts, saved again by
+// the restored coordinator, must restore again to the same ledger and
+// aggregate.
+func FuzzRestore(f *testing.F) {
+	ckpt, g, seed := partialCheckpoint(f, f.TempDir())
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var env checkpointEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		f.Fatal(err)
+	}
+	var st checkpointState
+	if err := json.Unmarshal(env.State, &st); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw, false)
+	f.Add(raw[:len(raw)/2], false)
+	f.Add(bytes.Replace(raw, []byte(`"boot":0`), []byte(`"boot":7`), 1), false)
+	f.Add([]byte(env.State), true)
+	st.Sweeps[0].DoneLeases = append(st.Sweeps[0].DoneLeases, 1)
+	forged, err := json.Marshal(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(forged, true)
+
+	dir := f.TempDir()
+	in, out := filepath.Join(dir, "in.ckpt"), filepath.Join(dir, "out.ckpt")
+	restore := func(path string) (*Coordinator, error) {
+		c := New(Config{
+			Addr: "127.0.0.1:0", LeaseCells: 2, LeaseTTL: time.Minute,
+			Checkpoint: out, WriteCheckpoint: atomicio.WriteFileAtomic,
+		})
+		if _, err := c.Enqueue(Sweep{Grid: g, Seed: seed, Collapse: []string{"rep"}}); err != nil {
+			return nil, err
+		}
+		return c, c.Restore(path)
+	}
+	// saved re-saves c's checkpoint and returns its sweeps.
+	saved := func(t *testing.T, c *Coordinator) []checkpointSweep {
+		c.mu.Lock()
+		c.saveCheckpoint()
+		c.mu.Unlock()
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env checkpointEnvelope
+		var st checkpointState
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(env.State, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Sweeps
+	}
+	f.Fuzz(func(t *testing.T, data []byte, sign bool) {
+		if sign {
+			// The envelope holds its state compacted, as saveCheckpoint
+			// writes it; sign what it will hold.
+			var state bytes.Buffer
+			if json.Compact(&state, data) != nil {
+				return // not a JSON value
+			}
+			var err error
+			if data, err = json.Marshal(checkpointEnvelope{
+				Version: checkpointVersion, Sum: atomicio.Checksum(state.Bytes()), State: state.Bytes(),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := restore(in)
+		if err != nil {
+			return
+		}
+		first := saved(t, c)
+		again, err := restore(out)
+		if err != nil {
+			t.Fatalf("an accepted checkpoint, saved again, does not restore: %v", err)
+		}
+		if second := saved(t, again); !reflect.DeepEqual(first, second) {
+			t.Fatalf("a re-saved checkpoint restores differently:\n%+v\n%+v", first, second)
+		}
+	})
 }
 
 // resign re-marshals a mutated checkpoint state with a fresh valid

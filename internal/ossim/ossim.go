@@ -15,11 +15,19 @@
 //     back in lazily as the program touches them;
 //   - SIGKILL terminates immediately, releasing memory;
 //   - runnable processes share the node's cores proportionally.
+//
+// An op that waits and then computes costs the simulation two events: the
+// end of its latency and the end of its compute. While a node has no more
+// processes than cores nobody shares a core, so such an op runs as one
+// chained event (sim.Engine.Chain) and costs one dispatch. Whatever could
+// tell the difference (a signal, an exit, a spawn past the core count)
+// first turns the chain back into the two-event form.
 package ossim
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -161,7 +169,12 @@ const (
 	phaseIdle    phase = iota // between operations
 	phaseLatency              // waiting out fixed latency
 	phaseCompute              // CPU work in progress
+	phaseChain                // latency then compute, as one chained event
 )
+
+// chainOps lets ops run as one chained event; tests switch it off to
+// compare against the two-event form.
+var chainOps = true
 
 // Process is a simulated OS process.
 type Process struct {
@@ -176,15 +189,19 @@ type Process struct {
 	pendingCompute   time.Duration // compute part of the op being latency-waited
 	computeRemaining time.Duration // remaining CPU work of current compute phase
 	speed            float64       // current share of a core
-	speedSetAt       time.Duration
+	speedSetAt       time.Duration // in phaseChain: the hop, where compute starts
 	stopAfterLatency bool
+	// entered is the sequence number of the compute timer queued when the
+	// process last entered the compute set; the set is in entry order.
+	entered uint64
 
 	handlers map[Signal]func(*Process) time.Duration
 	onExit   func(*Process, int)
 
 	// latencyDoneFn and computeDoneFn are bound once at spawn so the hot
 	// scheduling paths (rebalance, runNextOp) reuse them instead of
-	// allocating a fresh closure per reschedule.
+	// allocating a fresh closure per reschedule. A chain completes through
+	// computeDoneFn.
 	latencyDoneFn func()
 	computeDoneFn func()
 
@@ -229,17 +246,17 @@ func (p *Process) ExitCode() int { return p.exitCode }
 
 // CPUTime returns the accumulated CPU time consumed. Work since the last
 // settle is accounted lazily: the kernel's rebalance fast path defers
-// banking for processes running at an unchanged full-speed share.
+// banking for processes running at an unchanged full-speed share, and a
+// chained op computes at full speed from its hop.
 func (p *Process) CPUTime() time.Duration {
 	t := p.cpuTime
-	if p.phase == phaseCompute {
-		if elapsed := p.kernel.eng.Now() - p.speedSetAt; elapsed > 0 {
-			done := time.Duration(float64(elapsed) * p.speed)
-			if done > p.computeRemaining {
-				done = p.computeRemaining
-			}
-			t += done
-		}
+	elapsed := p.kernel.eng.Now() - p.speedSetAt
+	switch {
+	case elapsed <= 0:
+	case p.phase == phaseCompute:
+		t += min(time.Duration(float64(elapsed)*p.speed), p.computeRemaining)
+	case p.phase == phaseChain:
+		t += min(elapsed, p.pendingCompute)
 	}
 	return t
 }
@@ -293,6 +310,10 @@ type Kernel struct {
 	// anyone's share and an entrant (while n stays within the cores) only
 	// needs its own timer.
 	fullSpeed bool
+	// chains counts processes in phaseChain. They exist only while the
+	// kernel runs at full speed with no more processes than cores, and a
+	// chain that has hopped is computing without being in active.
+	chains int
 	// oomFn is the oomKill method value, bound once per kernel shell so
 	// re-installing the OOM handler on reuse does not allocate.
 	oomFn func()
@@ -330,6 +351,7 @@ func (k *Kernel) Release() {
 	clear(k.procs)
 	clear(k.active)
 	k.active = k.active[:0]
+	k.chains = 0
 	k.eng, k.mem = nil, nil
 	kernelPool.Put(k)
 }
@@ -377,6 +399,13 @@ func (k *Kernel) Spawn(name string, memBytes int64, prog Program, onExit func(*P
 	p.latencyDoneFn = func() { k.latencyDone(p) }
 	p.computeDoneFn = func() { k.computeDone(p) }
 	k.procs[pid] = p
+	if k.chains > 0 && len(k.procs) > k.cores {
+		// The newcomer may soon share a core: every chain becomes two
+		// events again.
+		for _, q := range k.procs {
+			k.unchain(q)
+		}
+	}
 	// Start executing on the next event so the caller finishes its own
 	// bookkeeping first.
 	k.eng.Schedule(0, func() {
@@ -393,6 +422,7 @@ func (k *Kernel) Signal(pid memory.PID, sig Signal) error {
 	if !ok {
 		return fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
 	}
+	k.unchain(p)
 	var handlerLatency time.Duration
 	if h := p.handlers[sig]; h != nil {
 		handlerLatency = h(p)
@@ -503,6 +533,7 @@ func (k *Kernel) exit(p *Process, code int) {
 	if p.state == StateExited {
 		return
 	}
+	k.unchain(p)
 	if p.phase == phaseCompute {
 		k.leaveCompute(p)
 	}
@@ -583,12 +614,48 @@ func (k *Kernel) runNextOp(p *Process) {
 		}
 	}
 	if latency > 0 {
-		p.phase = phaseLatency
 		p.pendingCompute = op.Compute
+		if op.Compute > 0 && chainOps && k.fullSpeed && len(k.procs) <= k.cores {
+			// Nobody can share a core before this op ends, so its compute
+			// starts at the hop at full speed, as startCompute's fast
+			// path would start it.
+			p.phase = phaseChain
+			p.speedSetAt = k.eng.Now() + latency
+			p.timer = k.eng.Chain(latency, op.Compute, p.computeDoneFn)
+			k.chains++
+			return
+		}
+		p.phase = phaseLatency
 		p.timer = k.eng.Schedule(latency, p.latencyDoneFn)
 		return
 	}
 	k.startCompute(p, op.Compute)
+}
+
+// unchain turns p's chained op, if it has one, into the state the
+// two-event form would be in now. Before the hop that is a latency wait
+// whose completion starts the compute. After it, the compute is under way
+// at full speed since the hop, and p joins the compute set where it
+// entered: its timer took its sequence number at the hop.
+func (k *Kernel) unchain(p *Process) {
+	if p.phase != phaseChain {
+		return
+	}
+	k.chains--
+	if p.timer.Unchain(p.latencyDoneFn) {
+		p.phase = phaseLatency
+		return
+	}
+	p.phase = phaseCompute
+	p.speed = 1
+	p.computeRemaining = p.pendingCompute
+	p.pendingCompute = 0
+	p.entered = p.timer.Seq()
+	i := len(k.active)
+	for i > 0 && k.active[i-1].entered > p.entered {
+		i--
+	}
+	k.active = slices.Insert(k.active, i, p)
 }
 
 // latencyDone fires when the fixed-latency part of an op completes.
@@ -626,9 +693,10 @@ func (k *Kernel) startCompute(p *Process, d time.Duration) {
 		// timer; nobody else's speed changes.
 		p.speed = 1
 		p.timer = k.eng.Schedule(d, p.computeDoneFn)
-		return
+	} else {
+		k.rebalance()
 	}
-	k.rebalance()
+	p.entered = p.timer.Seq()
 }
 
 // leaveCompute removes p from the CPU-sharing set, banking its progress.
@@ -705,9 +773,20 @@ func (k *Kernel) rebalance() {
 	k.fullSpeed = speed == 1
 }
 
-// computeDone fires when a process finishes its compute phase.
+// computeDone fires when a process finishes its compute phase, or its
+// chained op.
 func (k *Kernel) computeDone(p *Process) {
 	p.timer = sim.Timer{}
+	if p.phase == phaseChain {
+		// Signals and exits unchain first, so the process still runs; it
+		// computed at full speed from the hop and never joined active.
+		k.chains--
+		p.cpuTime += p.pendingCompute
+		p.pendingCompute = 0
+		p.phase = phaseIdle
+		k.runNextOp(p)
+		return
+	}
 	if p.state != StateRunning || p.phase != phaseCompute {
 		return
 	}

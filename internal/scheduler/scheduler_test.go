@@ -193,11 +193,19 @@ func TestFairNoPreemptionWhenSharesMet(t *testing.T) {
 	}
 }
 
+// TestFairResumeLocalityDelayedKill reaches fair's resume-locality
+// fallback. One node has two slots, so each of the batch and prod pools
+// is entitled to one. Two long batch tasks hold both slots until a long
+// prod job starves and fair suspends one of them. The batch pool then
+// runs its other task, which keeps it at its share, so the suspended task
+// is never resumed, while the prod task keeps its home slot busy past
+// ResumeLocalityTimeout. Fair must kill it so it can restart, and the
+// batch jobs must still succeed.
 func TestFairResumeLocalityDelayedKill(t *testing.T) {
-	c := testClusterWith(t, 1, 1)
+	c := testClusterWith(t, 1, 2)
 	jt := c.JobTracker()
 	pre := preemptorFor(t, c, core.Suspend)
-	fcfg := scheduler.DefaultFairConfig(1)
+	fcfg := scheduler.DefaultFairConfig(2)
 	fcfg.PreemptionTimeout = 3 * time.Second
 	fcfg.ResumeLocalityTimeout = 10 * time.Second
 	fair, err := scheduler.NewFair(c.Engine(), jt, pre, advisor.Advisor{}, fcfg)
@@ -205,30 +213,34 @@ func TestFairResumeLocalityDelayedKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	jt.SetScheduler(fair)
-	// One long batch job holds the only slot; prod pool starves it out;
-	// with one slot, the suspended batch task waits long enough to hit
-	// the delayed-kill fallback while prod work keeps the slot busy.
-	c.CreateInput("/b", 512<<20)
-	b := quickJob("b", "/b")
-	b.Pool = "batch"
-	b.MapParseRate = 8e6
-	jb, _ := jt.Submit(b)
-	c.RunUntil(10 * time.Second)
-	for i := 0; i < 4; i++ {
-		path := "/p" + string(rune('0'+i))
-		c.CreateInput(path, 128<<20)
-		p := quickJob("prod"+string(rune('0'+i)), path)
-		p.Pool = "prod"
-		jt.Submit(p)
+	var batch []*mapreduce.Job
+	for _, name := range []string{"b1", "b2"} {
+		c.CreateInput("/"+name, 512<<20)
+		conf := quickJob(name, "/"+name)
+		conf.Pool = "batch"
+		conf.MapParseRate = 8e6 // ~64 s
+		j, _ := jt.Submit(conf)
+		batch = append(batch, j)
 	}
+	c.RunUntil(10 * time.Second)
+	c.CreateInput("/p", 512<<20)
+	p := quickJob("prod", "/p")
+	p.Pool = "prod"
+	p.MapParseRate = 8e6
+	jp, _ := jt.Submit(p)
 	if !c.RunUntilJobsDone(30 * time.Minute) {
-		t.Fatalf("jobs did not finish (batch=%v)", jb.State())
+		t.Fatalf("jobs did not finish (b1=%v b2=%v prod=%v)", batch[0].State(), batch[1].State(), jp.State())
+	}
+	if fair.Preemptions() == 0 {
+		t.Fatal("fair should have suspended a batch task for the starved prod pool")
 	}
 	if fair.DelayedKills() == 0 {
-		t.Skip("delayed kill did not trigger in this schedule (timing-sensitive)")
+		t.Fatalf("no delayed kill after %d preemptions and %d resumes", fair.Preemptions(), fair.Resumes())
 	}
-	if jb.State() != mapreduce.JobSucceeded {
-		t.Fatalf("batch job state = %v", jb.State())
+	for _, j := range append(batch, jp) {
+		if j.State() != mapreduce.JobSucceeded {
+			t.Fatalf("job %s state = %v", j.Name(), j.State())
+		}
 	}
 }
 

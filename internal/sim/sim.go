@@ -11,10 +11,16 @@
 // carrying a (slot, generation) pair, so Schedule/At never heap-allocate
 // per call. Generation counters make a stale Timer (one whose event fired
 // or whose slot was recycled) safely inert.
+//
+// A chain (Chain) is an event whose first stage only waits: at its hop the
+// engine moves the clock and re-queues the same heap entry for the second
+// stage, exactly where a nested Schedule would have queued it. A hop is not
+// a dispatch: it runs no function and Fired does not count it.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -24,13 +30,19 @@ const (
 	slotFree uint8 = iota
 	slotPending
 	slotCancelled
+	// slotChained is a chain that has not hopped yet.
+	slotChained
 )
 
 // eventSlot is one arena entry. Slots are recycled: gen increments every
 // time a slot is released, invalidating Timers issued for earlier uses.
 type eventSlot struct {
-	fn    func()
-	at    time.Duration
+	fn func()
+	at time.Duration
+	// then is a chain's second-stage delay, read at its hop.
+	then time.Duration
+	// seq is the sequence number the event is queued under.
+	seq   uint64
 	gen   uint32
 	state uint8
 }
@@ -100,7 +112,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 // after it.
 func (e *Engine) Pending() int { return e.live }
 
-// Fired reports the number of events dispatched so far.
+// Fired reports the number of events dispatched so far. A chain's hop is
+// not a dispatch, so a chain that runs to completion counts once.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Timer is a handle to a scheduled event. It can be used to cancel the
@@ -113,13 +126,14 @@ type Timer struct {
 }
 
 // valid reports whether the timer still refers to its original pending
-// event (the slot has not been recycled for a newer one).
+// event (the slot has not been recycled for a newer one). A chain is
+// pending in either stage.
 func (t Timer) valid() (*eventSlot, bool) {
 	if t.eng == nil || int(t.slot) >= len(t.eng.slots) {
 		return nil, false
 	}
 	s := &t.eng.slots[t.slot]
-	if s.gen != t.gen || s.state != slotPending {
+	if s.gen != t.gen || (s.state != slotPending && s.state != slotChained) {
 		return nil, false
 	}
 	return s, true
@@ -146,13 +160,42 @@ func (t Timer) Pending() bool {
 }
 
 // When reports the virtual time at which the timer fires (meaningful only
-// while Pending).
+// while Pending). For a chain that has not hopped yet it is the hop's time.
 func (t Timer) When() time.Duration {
 	s, ok := t.valid()
 	if !ok {
 		return 0
 	}
 	return s.at
+}
+
+// Seq reports the sequence number the timer's event is queued under
+// (meaningful only while Pending): of two events due at the same instant,
+// the one with the smaller number fires first. A chain takes a new number
+// at its hop, the one its second stage would have been scheduled with.
+func (t Timer) Seq() uint64 {
+	s, ok := t.valid()
+	if !ok {
+		return 0
+	}
+	return s.seq
+}
+
+// Unchain turns a chain that has not hopped yet into an ordinary event that
+// calls fn at the hop, keeping its place in the queue. It reports whether
+// the timer was such a chain; after the hop, or on any other timer, it does
+// nothing and reports false.
+func (t Timer) Unchain(fn func()) bool {
+	s, ok := t.valid()
+	if !ok || s.state != slotChained {
+		return false
+	}
+	if fn == nil {
+		panic("sim: Unchain called with nil function")
+	}
+	s.fn = fn
+	s.state = slotPending
+	return true
 }
 
 // Schedule arranges for fn to run after delay. Negative delays are clamped
@@ -176,6 +219,23 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 	}
 	tm := e.queue(t, e.seq, fn)
 	e.seq++
+	return tm
+}
+
+// Chain arranges for fn to run then after a hop that falls hop from now,
+// exactly where Schedule(hop, func() { Schedule(then, fn) }) would run it,
+// ties with other events included, but without dispatching the hop. The chain waits
+// in the queue under the key the hop event would have. At the hop the
+// engine sets the clock to the hop's time and re-queues the same entry at
+// hop + then, under the sequence number the nested Schedule would have
+// taken. Negative delays are clamped to zero. The returned Timer follows
+// the chain: Cancel before the hop cancels both stages, after it the
+// second; Unchain turns it back into an event at the hop.
+func (e *Engine) Chain(hop, then time.Duration, fn func()) Timer {
+	tm := e.Schedule(hop, fn)
+	s := &e.slots[tm.slot]
+	s.then = max(then, 0)
+	s.state = slotChained
 	return tm
 }
 
@@ -226,6 +286,7 @@ func (e *Engine) queue(t time.Duration, seq uint64, fn func()) Timer {
 	s := &e.slots[slot]
 	s.fn = fn
 	s.at = t
+	s.seq = seq
 	s.state = slotPending
 	e.push(heapEntry{at: t, seq: seq, slot: slot})
 	e.live++
@@ -242,28 +303,11 @@ func (e *Engine) release(slot int32) {
 }
 
 // Step dispatches the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was dispatched.
+// timestamp. It reports whether an event was dispatched. Step does not
+// return at a chain's hop: it sets the clock to the hop's time, as the
+// hop's dispatch would have, and goes on to the next event.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		he := e.pop()
-		s := &e.slots[he.slot]
-		if s.state == slotCancelled {
-			e.release(he.slot)
-			continue
-		}
-		if he.at < e.now {
-			// Cannot happen: At clamps to now. Guard anyway.
-			panic(fmt.Sprintf("sim: event at %v is before current time %v", he.at, e.now))
-		}
-		e.now = he.at
-		fn := s.fn
-		e.release(he.slot)
-		e.live--
-		e.fired++
-		fn()
-		return true
-	}
-	return false
+	return e.StepUntil(math.MaxInt64)
 }
 
 // Run dispatches events until the queue is empty.
@@ -274,7 +318,10 @@ func (e *Engine) Run() {
 
 // StepUntil dispatches the next event if it fires at or before deadline,
 // reporting whether one was dispatched. It fuses the peek and pop root
-// inspections the run loops would otherwise do back to back.
+// inspections the run loops would otherwise do back to back. It passes
+// over hops like Step, except a hop at the deadline itself: there it
+// returns true, as the hop's dispatch did, so that a loop which stops once
+// the clock reaches the deadline stops where it would have stopped.
 func (e *Engine) StepUntil(deadline time.Duration) bool {
 	for len(e.heap) > 0 {
 		he := e.heap[0]
@@ -287,6 +334,13 @@ func (e *Engine) StepUntil(deadline time.Duration) bool {
 		if he.at > deadline {
 			return false
 		}
+		if s.state == slotChained {
+			e.hop(s)
+			if he.at == deadline {
+				return true
+			}
+			continue
+		}
 		e.pop()
 		e.now = he.at
 		fn := s.fn
@@ -297,6 +351,20 @@ func (e *Engine) StepUntil(deadline time.Duration) bool {
 		return true
 	}
 	return false
+}
+
+// hop runs the first stage of the chain at the root of the heap, whose
+// slot is s: the clock moves to the hop's time and the root is re-keyed in
+// place for the second stage, under the next sequence number.
+func (e *Engine) hop(s *eventSlot) {
+	root := &e.heap[0]
+	e.now = root.at
+	s.at = root.at + s.then
+	s.seq = e.seq
+	s.state = slotPending
+	root.at, root.seq = s.at, e.seq
+	e.seq++
+	e.siftDown()
 }
 
 // RunUntil dispatches events with timestamps <= deadline and then advances
@@ -359,13 +427,21 @@ func (e *Engine) push(he heapEntry) {
 	e.heap = h
 }
 
-// pop removes and returns the minimum entry (sift-down).
+// pop removes and returns the minimum entry.
 func (e *Engine) pop() heapEntry {
 	h := e.heap
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h = h[:n]
+	e.heap = h[:n]
+	e.siftDown()
+	return top
+}
+
+// siftDown restores the heap order after the root's key grew.
+func (e *Engine) siftDown() {
+	h := e.heap
+	n := len(h)
 	i := 0
 	for {
 		left := 2*i + 1
@@ -382,6 +458,4 @@ func (e *Engine) pop() heapEntry {
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	e.heap = h
-	return top
 }

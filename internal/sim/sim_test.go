@@ -169,6 +169,17 @@ func TestScheduleStepDoesNotAllocate(t *testing.T) {
 	if avg > 0.01 {
 		t.Fatalf("Schedule+Step allocates %.3f objects/op, want 0", avg)
 	}
+	// A chain hops and completes in one Step; an unchained one fires at
+	// its hop.
+	avg = testing.AllocsPerRun(1000, func() {
+		e.Chain(time.Millisecond, time.Millisecond, fn)
+		e.Step()
+		e.Chain(time.Millisecond, time.Millisecond, fn).Unchain(fn)
+		e.Step()
+	})
+	if avg > 0.01 {
+		t.Fatalf("Chain+hop+Step and Unchain+Step allocate %.3f objects/op, want 0", avg)
+	}
 }
 
 func TestEventsScheduledDuringRunAreDispatched(t *testing.T) {
@@ -419,6 +430,224 @@ func TestAtEachQueuesOneMember(t *testing.T) {
 	}()
 	eng.AtEach(2, func(i int) time.Duration { return time.Duration(2-i) * time.Hour }, func(int) {})
 	eng.Run()
+}
+
+// chainRun drives one random program, built from the same RNG draws
+// whether chains are real (Chain) or stand-ins (the nested Schedule a
+// chain replaces), and logs what fires where.
+type chainRun struct {
+	e       *Engine
+	chained bool
+	rng     *RNG
+	log     []string
+	chains  []*chainRef
+	labels  int
+	// Floors, counted only in chained runs.
+	hopAtDeadline, cancelBefore, cancelAfter, unchainBefore int
+}
+
+// chainRef is one chain of the program. With real chains tm is the chain's
+// Timer; with the nested stand-in it is the current stage's Timer, and
+// unchain, once set, is what the hop event runs instead of queueing the
+// second stage.
+type chainRef struct {
+	tm        Timer
+	hopped    bool
+	unchained bool
+	unchain   func()
+}
+
+func (r *chainRun) note(format string, args ...any) {
+	r.log = append(r.log, fmt.Sprintf(format, args...)+fmt.Sprintf("@%v", r.e.Now()))
+}
+
+// delay draws from a coarse grid, so that ties are common.
+func (r *chainRun) delay() time.Duration { return time.Duration(r.rng.Intn(4)) * time.Second }
+
+// act is what every event does when it fires: zero to two steps, each a
+// new event, a new chain, a cancel or an unchain of a chain made earlier.
+func (r *chainRun) act() {
+	for k := r.rng.Intn(3); k > 0; k-- {
+		r.step(r.rng.Intn(6))
+	}
+}
+
+func (r *chainRun) step(kind int) {
+	if kind < 4 && r.labels >= 80 {
+		return
+	}
+	switch kind {
+	case 0, 1:
+		id := r.labels
+		r.labels++
+		r.e.Schedule(r.delay(), func() { r.note("p%d", id); r.act() })
+	case 2, 3:
+		id := r.labels
+		r.labels++
+		hop, then := r.delay(), r.delay()
+		ref := &chainRef{}
+		r.chains = append(r.chains, ref)
+		done := func() { r.note("c%d", id); r.act() }
+		if r.chained {
+			ref.tm = r.e.Chain(hop, then, done)
+			return
+		}
+		ref.tm = r.e.Schedule(hop, func() {
+			if ref.unchain != nil {
+				ref.unchain()
+				return
+			}
+			ref.hopped = true
+			ref.tm = r.e.Schedule(then, done)
+		})
+	case 4:
+		if len(r.chains) == 0 {
+			return
+		}
+		i := r.rng.Intn(len(r.chains))
+		ref := r.chains[i]
+		if r.chained && !ref.unchained && ref.tm.Pending() {
+			if r.e.slots[ref.tm.slot].state == slotChained {
+				r.cancelBefore++
+			} else {
+				r.cancelAfter++
+			}
+		}
+		r.note("cancel%d:%v", i, ref.tm.Cancel())
+	case 5:
+		if len(r.chains) == 0 {
+			return
+		}
+		i := r.rng.Intn(len(r.chains))
+		ref := r.chains[i]
+		fn := func() { r.note("u%d", i); r.act() }
+		var ok bool
+		if r.chained {
+			ok = ref.tm.Unchain(fn)
+			if ok {
+				r.unchainBefore++
+			}
+		} else if ok = ref.tm.Pending() && !ref.hopped && ref.unchain == nil; ok {
+			ref.unchain = fn
+		}
+		ref.unchained = ref.unchained || ok
+		r.note("unchain%d:%v", i, ok)
+	}
+}
+
+// hopsAt counts chains that have not hopped and hop at t.
+func (r *chainRun) hopsAt(t time.Duration) int {
+	n := 0
+	for _, he := range r.e.heap {
+		if r.e.slots[he.slot].state == slotChained && he.at == t {
+			n++
+		}
+	}
+	return n
+}
+
+// drive installs a few events and chains at time zero, then advances the
+// clock through a random mix of RunUntil, a StepUntil loop that stops once
+// the clock reaches its deadline (as a cluster's run loop does), and
+// single steps up to the next logged event, logging the clock, the
+// pending count and the next event's time after each.
+func (r *chainRun) drive() {
+	for range 6 {
+		r.step(r.rng.Intn(4))
+	}
+	for range 16 {
+		dl := r.e.Now() + time.Duration(r.rng.Intn(3))*time.Second
+		switch r.rng.Intn(3) {
+		case 0:
+			if r.chained {
+				r.hopAtDeadline += r.hopsAt(dl)
+			}
+			r.e.RunUntil(dl)
+			r.note("rununtil")
+		case 1:
+			if r.chained {
+				r.hopAtDeadline += r.hopsAt(dl)
+			}
+			for r.e.Now() < dl {
+				if !r.e.StepUntil(dl) {
+					break
+				}
+			}
+			r.note("loop")
+		case 2:
+			n := len(r.log)
+			for len(r.log) == n && r.e.Step() {
+			}
+			r.note("step")
+		}
+		next, ok := r.e.NextEventAt()
+		r.note("pending%d next%v:%v", r.e.Pending(), next, ok)
+	}
+	r.e.Run()
+	r.note("run")
+}
+
+// TestChainMatchesNestedSchedule runs random programs on a coarse time
+// grid twice, once with Chain and once with the nested Schedule it
+// stands for, and requires the same firing order, the same clock after
+// every RunUntil, StepUntil loop and step, and the same cancel and
+// unchain results. Events tie
+// with chains' hops and completions all the time; chains are cancelled
+// before and after their hops and unchained before them; RunUntil and
+// StepUntil deadlines land on hop times.
+func TestChainMatchesNestedSchedule(t *testing.T) {
+	var floors chainRun
+	for trial := range 400 {
+		run := func(chained bool) *chainRun {
+			r := &chainRun{e: New(), chained: chained, rng: NewRNG(uint64(trial) + 1)}
+			defer r.e.Release()
+			r.drive()
+			return r
+		}
+		want := run(false)
+		got := run(true)
+		if !slices.Equal(got.log, want.log) {
+			t.Fatalf("trial %d: chained run\n %v\nnested Schedule\n %v", trial, got.log, want.log)
+		}
+		floors.hopAtDeadline += got.hopAtDeadline
+		floors.cancelBefore += got.cancelBefore
+		floors.cancelAfter += got.cancelAfter
+		floors.unchainBefore += got.unchainBefore
+	}
+	t.Logf("%d hops at a deadline, %d cancels before and %d after a hop, %d unchains",
+		floors.hopAtDeadline, floors.cancelBefore, floors.cancelAfter, floors.unchainBefore)
+	if floors.hopAtDeadline < 100 || floors.cancelBefore < 100 || floors.cancelAfter < 100 || floors.unchainBefore < 100 {
+		t.Fatalf("too few cases exercised: %d hops at a deadline, %d cancels before and %d after a hop, %d unchains",
+			floors.hopAtDeadline, floors.cancelBefore, floors.cancelAfter, floors.unchainBefore)
+	}
+}
+
+// TestChainTimer checks what a chain's Timer reports in each stage.
+func TestChainTimer(t *testing.T) {
+	e := New()
+	fired := 0
+	tm := e.Chain(2*time.Second, 3*time.Second, func() { fired++ })
+	if !tm.Pending() || tm.When() != 2*time.Second || e.Pending() != 1 {
+		t.Fatalf("before the hop: pending %v, when %v, engine pending %d", tm.Pending(), tm.When(), e.Pending())
+	}
+	e.Schedule(4*time.Second, func() {
+		if !tm.Pending() || tm.When() != 5*time.Second || tm.Unchain(func() {}) {
+			t.Errorf("after the hop: pending %v, when %v", tm.Pending(), tm.When())
+		}
+	})
+	e.Run()
+	if fired != 1 || e.Fired() != 2 || e.Now() != 5*time.Second {
+		t.Fatalf("fired %d, dispatched %d, now %v; want 1, 2 and 5s", fired, e.Fired(), e.Now())
+	}
+	if tm.Pending() || tm.Unchain(func() {}) {
+		t.Fatal("a finished chain is still pending or unchains")
+	}
+	// A negative delay in either stage is clamped to zero.
+	e.Chain(-time.Second, -time.Second, func() { fired++ })
+	e.Run()
+	if fired != 2 || e.Now() != 5*time.Second {
+		t.Fatalf("clamped chain: fired %d, now %v", fired, e.Now())
+	}
 }
 
 func TestRNGDeterminism(t *testing.T) {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,7 +105,7 @@ func TestCachePropertyByteIdentical(t *testing.T) {
 }
 
 // cacheEntryFiles lists every entry file under the cache root.
-func cacheEntryFiles(t *testing.T, cache *Cache) []string {
+func cacheEntryFiles(t testing.TB, cache *Cache) []string {
 	t.Helper()
 	var files []string
 	err := filepath.Walk(cache.Dir(), func(path string, info os.FileInfo, err error) error {
@@ -183,6 +184,55 @@ func TestCacheCorruptEntriesAreSilentMisses(t *testing.T) {
 	if damaged != len(corrupt) {
 		t.Fatal("not every corruption case ran")
 	}
+}
+
+// FuzzCacheEntry feeds SweepCache.Load arbitrary bytes as a cell's entry
+// file. The seeds are the entries a cached run writes and the damaged
+// ones TestCacheCorruptEntriesAreSilentMisses rejects. Load must never
+// panic; an entry it accepts must hold one value per name, and must
+// survive Store then Load unchanged.
+func FuzzCacheEntry(f *testing.F) {
+	g := NewGrid(Strings("mode", "a", "b"), Floats("x", 1, 2), Reps(2))
+	const seed = 9
+	cache, err := NewCache(filepath.Join(f.TempDir(), "cache"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var runs atomic.Int64
+	if _, err := RunBackend(countingBackend(g, &runs), Options{Seed: seed, Cache: cache}, RepAxis); err != nil {
+		f.Fatal(err)
+	}
+	sc := cache.Sweep("prop", "", g, seed)
+	for _, path := range cacheEntryFiles(f, cache) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(0), raw)
+		f.Add(uint8(1), raw[:len(raw)/2])
+		f.Add(uint8(2), append(raw, raw...))
+	}
+	f.Add(uint8(0), []byte(`{"version":99,"key":"","cell":0,"sum":"","payload":{}}`))
+	f.Fuzz(func(t *testing.T, cell uint8, raw []byte) {
+		i := int(cell) % g.Size()
+		if err := os.WriteFile(sc.entryPath(i), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var rec, again Recorder
+		if !sc.Load(i, &rec) {
+			return
+		}
+		if len(rec.names) != len(rec.vals) {
+			t.Fatalf("accepted an entry with %d names and %d values", len(rec.names), len(rec.vals))
+		}
+		sc.Store(i, &rec)
+		if !sc.Load(i, &again) {
+			t.Fatal("an accepted entry, stored again, does not load")
+		}
+		if !slices.Equal(again.names, rec.names) || !slices.Equal(again.vals, rec.vals) {
+			t.Fatalf("an accepted entry changed through Store and Load:\n%v %v\n%v %v", rec.names, rec.vals, again.names, again.vals)
+		}
+	})
 }
 
 // TestCacheKeyspaceIsolation: sweeps differing in grid, backend
