@@ -59,7 +59,8 @@ bench-golden:
 # cluster-scale grid and the figures at -parallel 1 and 8, a shard file
 # is the same bytes at -parallel 1 and 8, and the shard-file decoder,
 # the config parser, the trace parser, the cell-cache entry decoder and
-# checkpoint restore each survive 10 s of fuzzing.
+# checkpoint restore each survive 10 s of fuzzing, with minimization of
+# new inputs capped at 1 s so that the 10 s go to fuzzing.
 sweep-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -sweep twojob -parallel 1 -format csv -seed 1 > /tmp/sweep-p1.csv
@@ -79,11 +80,11 @@ sweep-check:
 	/tmp/hadoopsim-ci -sweep twojob -seed 1 -shard 0/2 -parallel 1 > /tmp/sweep-shard-p1.json
 	/tmp/hadoopsim-ci -sweep twojob -seed 1 -shard 0/2 -parallel 8 > /tmp/sweep-shard-p8.json
 	cmp /tmp/sweep-shard-p1.json /tmp/sweep-shard-p8.json
-	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s
-	$(GO) test ./internal/config -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
-	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s
-	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s
-	$(GO) test ./internal/coord -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/config -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/coord -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Backend parity (mirrors the CI backend-parity job): sim backend,
 # every figure and the pressure and cluster grids byte-identical to the

@@ -2,6 +2,7 @@ package ossim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -22,6 +23,8 @@ type kernelScript struct {
 	sigs             []scriptSig
 	cpuSamples       []time.Duration
 	tstpLat, contLat []time.Duration // per process; negative: no handler
+	// deadlines, ascending, are RunUntil calls made before the final Run.
+	deadlines []time.Duration
 }
 
 type scriptProc struct {
@@ -78,19 +81,33 @@ func randomKernelScript(rng *sim.RNG) kernelScript {
 }
 
 // scriptResult is everything a run of a script shows: a global log of op
-// starts (with the CPU time each process had then), signals, CPU samples
-// and exits, and each process's final accounting.
+// starts (with the CPU time each process had then), signals, CPU samples,
+// exits and returns from RunUntil, and each process's final accounting.
 type scriptResult struct {
 	log   []string
 	procs []string
 	fired uint64
 	// Floors, counted only with chaining on.
 	chained, sigAtHop, overflowHopped, insertedAmong, oomKills int
+	// Floors, counted only with inlining on: ops completed inline, and
+	// runs stopped by an event tied with the op's end, by the deadline, by
+	// an OOM-killed process's exit event and by a spawn. predicted counts
+	// ops whose outcome the script foresaw; mispredicted must stay 0.
+	inlined, stopTie, stopDeadline, stopOOM, stopSpawn, predicted, mispredicted int
 }
 
-func (s kernelScript) run(chained bool) scriptResult {
-	defer func(old bool) { chainOps = old }(chainOps)
-	chainOps = chained
+// prediction is what a script foresees, when a process's op starts, about
+// how the op ends: inline at end, with nothing dispatched meanwhile, or
+// not.
+type prediction struct {
+	inline bool
+	end    time.Duration
+	fired  uint64
+}
+
+func (s kernelScript) run(chained, inlined bool) scriptResult {
+	defer func(c, i bool) { chainOps, inlineOps = c, i }(chainOps, inlineOps)
+	chainOps, inlineOps = chained, inlined
 	eng := sim.New()
 	dev := disk.New(eng, "sda", disk.Config{
 		SeekTime: time.Millisecond, ReadBandwidth: 100 << 20, WriteBandwidth: 100 << 20,
@@ -108,10 +125,36 @@ func (s kernelScript) run(chained bool) scriptResult {
 		r.log = append(r.log, fmt.Sprintf(format, args...)+fmt.Sprintf("@%v", eng.Now()))
 	}
 	procs := make([]*Process, len(s.procs))
+	// deadline is the one the engine is running to; inSignal is set while
+	// a signal is delivered, when a resumed process may not run ahead.
+	deadline := time.Duration(math.MaxInt64)
+	var inSignal bool
+	// lastTouch is the latest op with memory that may run ahead.
+	var lastTouch struct {
+		proc int
+		at   time.Duration
+	}
+	lastTouch.proc = -1
 	for i, sp := range s.procs {
 		eng.At(sp.at, func() {
 			step := 0
+			// foreseen is about the op started last, at startedAt.
+			var foreseen prediction
+			var startedAt time.Duration
 			prog := ProgramFunc(func(p *Process, op *Op) {
+				if inlined && step > 0 {
+					// Nothing was dispatched since the last op started, and
+					// time went on: that op completed inline.
+					if eng.Fired() == foreseen.fired && eng.Now() > startedAt {
+						r.inlined++
+					}
+					if foreseen.inline {
+						r.predicted++
+						if eng.Fired() != foreseen.fired || eng.Now() != foreseen.end {
+							r.mispredicted++
+						}
+					}
+				}
 				if step == len(sp.ops) {
 					*op = Op{Done: true, ExitCode: i}
 					return
@@ -122,9 +165,37 @@ func (s kernelScript) run(chained bool) scriptResult {
 					op.IO.Device = dev
 				}
 				step++
-				if chained && op.Compute > 0 && (op.Sleep > 0 || op.Mem != nil || op.IO != nil) &&
+				if chained && !inlined && op.Compute > 0 && (op.Sleep > 0 || op.Mem != nil || op.IO != nil) &&
 					k.fullSpeed && len(k.procs) <= k.cores {
 					r.chained++
+				}
+				foreseen, startedAt = prediction{fired: eng.Fired()}, eng.Now()
+				if !inlined || inSignal || (op.Compute > 0 && !(k.fullSpeed && len(k.active) < k.cores)) {
+					return
+				}
+				if op.Mem != nil {
+					lastTouch.proc, lastTouch.at = i, eng.Now()
+				}
+				if op.Mem != nil || op.IO != nil || (op.Sleep <= 0 && op.Compute <= 0) {
+					return
+				}
+				// Foresee how an op of known length ends. Peeking drops
+				// cancelled entries from the front of the queue, as a
+				// dispatch would; that lets more ops run inline here than
+				// without the peek, but orders nothing differently.
+				end := eng.Now() + max(op.Sleep, 0) + max(op.Compute, 0)
+				foreseen.end = end
+				next, ok := eng.NextEventAt()
+				switch {
+				case ok && next <= end && slices.ContainsFunc(s.procs, func(q scriptProc) bool { return q.at == next }):
+					r.stopSpawn++
+				case ok && next == end:
+					r.stopTie++
+				case ok && next < end:
+				case end > deadline || eng.Now() >= deadline:
+					r.stopDeadline++
+				default:
+					foreseen.inline = true
 				}
 			})
 			var before []*Process
@@ -139,6 +210,11 @@ func (s kernelScript) run(chained bool) scriptResult {
 				note("p%d exit %d", i, code)
 				if chained && code == ExitOOM {
 					r.oomKills++
+				}
+				if inlined && code == ExitOOM && lastTouch.at == p.exitedAt && lastTouch.proc != i {
+					// Another process's touch killed p; p's exit event
+					// stopped that process's run.
+					r.stopOOM++
 				}
 			})
 			if err != nil {
@@ -187,7 +263,10 @@ func (s kernelScript) run(chained bool) scriptResult {
 			if chained && p.phase == phaseChain && p.speedSetAt == eng.Now() {
 				r.sigAtHop++
 			}
-			note("p%d %v: %v", sg.proc, sg.sig, k.Signal(p.PID(), sg.sig))
+			inSignal = true
+			err := k.Signal(p.PID(), sg.sig)
+			inSignal = false
+			note("p%d %v: %v", sg.proc, sg.sig, err)
 		})
 	}
 	for _, at := range s.cpuSamples {
@@ -199,6 +278,16 @@ func (s kernelScript) run(chained bool) scriptResult {
 			}
 		})
 	}
+	for _, dl := range s.deadlines {
+		deadline = dl
+		eng.RunUntil(dl)
+		for i, p := range procs {
+			if p != nil {
+				note("until: p%d cpu %v", i, p.CPUTime())
+			}
+		}
+	}
+	deadline = math.MaxInt64
 	eng.Run()
 	for i, p := range procs {
 		if p == nil {
@@ -229,8 +318,8 @@ func TestChainedOpsMatchTwoEventForm(t *testing.T) {
 	var saved uint64
 	for trial := range 2000 {
 		s := randomKernelScript(rng)
-		want := s.run(false)
-		got := s.run(true)
+		want := s.run(false, false)
+		got := s.run(true, false)
 		if !slices.Equal(got.log, want.log) || !slices.Equal(got.procs, want.procs) {
 			t.Fatalf("trial %d (%d cores, %d processes): chained\n %v\n %v\ntwo-event form\n %v\n %v",
 				trial, s.cores, len(s.procs), got.log, got.procs, want.log, want.procs)
@@ -269,37 +358,109 @@ func repeatProgram(n int, op Op) Program {
 // sleepCompute is an op of latency and compute.
 var sleepCompute = Op{Sleep: time.Millisecond, Compute: time.Millisecond}
 
-// TestOpDispatchCount pins the events an op of latency and compute costs:
-// one dispatch on a kernel within its core count, two once it runs more
-// processes than cores. Spawn's start event is the one extra dispatch.
+// sleepOnly is an op of latency alone, as long as sleepCompute: a
+// competitor running it ends each op when the worker does, so neither can
+// run ahead.
+var sleepOnly = Op{Sleep: 2 * time.Millisecond}
+
+// TestInlineOpsMatchQueuedOps runs random kernel scripts, with RunUntil
+// deadlines and some negative sleeps added, with ops completed inline and
+// without, and requires identical processes: the same op starts (with the
+// CPU time then), signals, CPU samples, exits, compute-set order after
+// every spawn, CPU time at every deadline and final accounting. Floors
+// make sure that ops do complete inline and that runs stop for each reason
+// a process can meet: an event tied with its op's end, the deadline, the
+// exit event of a process its touch OOM-killed, and a spawn. For ops of
+// known length the script foresees the outcome and checks it.
+func TestInlineOpsMatchQueuedOps(t *testing.T) {
+	rng := sim.NewRNG(43)
+	var floors scriptResult
+	for trial := range 4000 {
+		s := randomKernelScript(rng)
+		if rng.Intn(3) == 0 {
+			// More OOM kills.
+			s.ramMB, s.swapMB = 12, 0
+		}
+		for _, p := range s.procs {
+			for j := range p.ops {
+				if rng.Intn(8) == 0 {
+					// A negative sleep adds no latency.
+					p.ops[j].Sleep = -p.ops[j].Sleep - 100*time.Millisecond
+				}
+			}
+		}
+		for range rng.Intn(6) {
+			s.deadlines = append(s.deadlines, time.Duration(rng.Intn(60))*100*time.Millisecond)
+		}
+		slices.Sort(s.deadlines)
+		want := s.run(true, false)
+		got := s.run(true, true)
+		if !slices.Equal(got.log, want.log) || !slices.Equal(got.procs, want.procs) {
+			t.Fatalf("trial %d (%d cores, %d processes, deadlines %v): inline\n %v\n %v\nqueued\n %v\n %v",
+				trial, s.cores, len(s.procs), s.deadlines, got.log, got.procs, want.log, want.procs)
+		}
+		if got.fired+uint64(got.inlined) > want.fired {
+			t.Fatalf("trial %d: %d dispatches and %d inline ops, queued form %d dispatches",
+				trial, got.fired, got.inlined, want.fired)
+		}
+		if got.mispredicted > 0 {
+			t.Fatalf("trial %d: %d of %d foreseen inline ops did not complete inline", trial, got.mispredicted, got.predicted)
+		}
+		floors.inlined += got.inlined
+		floors.predicted += got.predicted
+		floors.stopTie += got.stopTie
+		floors.stopDeadline += got.stopDeadline
+		floors.stopOOM += got.stopOOM
+		floors.stopSpawn += got.stopSpawn
+	}
+	t.Logf("%d ops inline (%d foreseen); runs stopped by %d ties, %d deadlines, %d OOM exits, %d spawns",
+		floors.inlined, floors.predicted, floors.stopTie, floors.stopDeadline, floors.stopOOM, floors.stopSpawn)
+	if floors.inlined < 12000 || floors.predicted < 8000 || floors.stopTie < 800 || floors.stopDeadline < 600 ||
+		floors.stopOOM < 40 || floors.stopSpawn < 4000 {
+		t.Fatal("too few cases exercised")
+	}
+}
+
+// TestOpDispatchCount pins the events a process's ops cost. Alone, a
+// process runs every op inline from its start event: one dispatch in all.
+// With a competitor whose op ends tie with its own, no op can run inline:
+// within the core count an op of latency and compute is one chained
+// dispatch, past it two. The competitor's ops of latency alone cost one
+// each, and each process's start event one more.
 func TestOpDispatchCount(t *testing.T) {
 	const n = 50
 	eng, k, _ := testKernel(t, 1)
-	k.Spawn("w", 1<<20, repeatProgram(n, sleepCompute), nil)
+	w, _ := k.Spawn("w", 1<<20, repeatProgram(n, sleepCompute), nil)
 	eng.Run()
-	if got := eng.Fired(); got != n+1 {
-		t.Fatalf("within the core count: %d dispatches for %d ops, want %d", got, n, n+1)
+	if got := eng.Fired(); got != 1 || w.CPUTime() != n*sleepCompute.Compute || eng.Now() != n*2*time.Millisecond {
+		t.Fatalf("alone: %d dispatches for %d ops, cpu %v at %v; want 1, %v at %v",
+			got, n, w.CPUTime(), eng.Now(), n*sleepCompute.Compute, n*2*time.Millisecond)
 	}
 
-	eng, k, _ = testKernel(t, 1)
-	k.Spawn("w", 1<<20, repeatProgram(n, sleepCompute), nil)
-	// A second process, asleep until the worker is done, puts the kernel
-	// past its one core.
-	k.Spawn("idle", 1<<20, repeatProgram(1, Op{Sleep: time.Hour, Compute: time.Nanosecond}), nil)
-	eng.Run()
-	// Two spawn events, 2n for the worker, and two for the idle process's
-	// one op.
-	if got := eng.Fired(); got != 2*n+4 {
-		t.Fatalf("past the core count: %d dispatches for %d ops, want %d", got, n, 2*n+4)
+	for _, c := range []struct {
+		cores int
+		perOp uint64
+	}{{2, 1}, {1, 2}} {
+		eng, k, _ = testKernel(t, c.cores)
+		k.Spawn("w", 1<<20, repeatProgram(n, sleepCompute), nil)
+		k.Spawn("c", 1<<20, repeatProgram(n, sleepOnly), nil)
+		eng.Run()
+		if got, want := eng.Fired(), 2+c.perOp*n+n; got != want {
+			t.Fatalf("%d cores, with a competitor: %d dispatches for %d ops, want %d", c.cores, got, n, want)
+		}
 	}
 }
 
 // TestChainedOpAllocatesNothing: once warm, a chained op (its completion,
-// the next op's Next and the new chain) allocates nothing, and Spawn
-// allocates only the Process and its three closures: chains reuse them.
+// the next op's Next and the new chain) and an op completed inline
+// allocate nothing, and Spawn allocates only the Process and its three
+// closures: chains reuse them.
 func TestChainedOpAllocatesNothing(t *testing.T) {
 	eng, k, _ := testKernel(t, 4)
 	k.Spawn("w", 1<<20, repeatProgram(1<<30, sleepCompute), nil)
+	// A competitor keeps the worker from running ahead, so every op is
+	// one chained dispatch.
+	k.Spawn("c", 1<<20, repeatProgram(1<<30, sleepOnly), nil)
 	for range 100 {
 		eng.Step()
 	}
@@ -308,6 +469,20 @@ func TestChainedOpAllocatesNothing(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { eng.Step() }); avg > 0.01 {
 		t.Fatalf("a chained op allocates %.3f objects, want 0", avg)
+	}
+
+	eng, k, _ = testKernel(t, 4)
+	w, _ := k.Spawn("w", 1<<20, repeatProgram(1<<30, sleepCompute), nil)
+	eng.RunUntil(time.Second)
+	// Each RunUntil dispatches the end of the op the last one queued; the
+	// next 49 ops complete inline. AllocsPerRun makes one more call than
+	// it measures.
+	before := w.CPUTime()
+	if avg := testing.AllocsPerRun(100, func() { eng.RunUntil(eng.Now() + 100*time.Millisecond) }); avg > 0.01 {
+		t.Fatalf("50 ops, 49 of them inline, allocate %.3f objects, want 0", avg)
+	}
+	if ran := w.CPUTime() - before; ran != 101*50*sleepCompute.Compute || eng.Fired() != 1+101 {
+		t.Fatalf("ran %v of compute in %d dispatches, want %v in %d", ran, eng.Fired(), 101*50*sleepCompute.Compute, 1+101)
 	}
 
 	eng, k, _ = testKernel(t, 4)
@@ -328,9 +503,10 @@ func TestChainedOpAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkOpDispatch runs one process through 10,000 ops of sleep plus
-// compute on a 4-core kernel.
-func BenchmarkOpDispatch(b *testing.B) {
+// benchOps runs a process through 10,000 ops of sleep plus compute on a
+// 4-core kernel, next to a competitor process of sleeps alone if compete
+// is set.
+func benchOps(b *testing.B, compete bool) {
 	b.ReportAllocs()
 	for range b.N {
 		eng := sim.New()
@@ -343,9 +519,23 @@ func BenchmarkOpDispatch(b *testing.B) {
 		if _, err := k.Spawn("w", 1<<20, repeatProgram(10000, sleepCompute), nil); err != nil {
 			b.Fatal(err)
 		}
+		if compete {
+			if _, err := k.Spawn("c", 1<<20, repeatProgram(10000, sleepOnly), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
 		eng.Run()
 		k.Release()
 		m.Release()
 		eng.Release()
 	}
 }
+
+// BenchmarkOpDispatch runs 10,000 ops whose ends tie with a competitor's,
+// so each op is one chained dispatch (and each of the competitor's ops one
+// plain dispatch).
+func BenchmarkOpDispatch(b *testing.B) { benchOps(b, true) }
+
+// BenchmarkOpInline runs 10,000 ops of a lone process, all inline from its
+// start event.
+func BenchmarkOpInline(b *testing.B) { benchOps(b, false) }

@@ -22,6 +22,13 @@
 // chained event (sim.Engine.Chain) and costs one dispatch. Whatever could
 // tell the difference (a signal, an exit, a spawn past the core count)
 // first turns the chain back into the two-event form.
+//
+// An op costs no dispatch at all when nothing could watch it: if it starts
+// at the end of one of its process's own events, would compute at full
+// speed, and would end before anything else is due, the process completes
+// it inline (sim.Engine.Advance) and goes on to the next. A process alone
+// on its node thus runs back to back until something else is due. Signals
+// never run a process ahead, since their callers go on after them.
 package ossim
 
 import (
@@ -172,9 +179,10 @@ const (
 	phaseChain                // latency then compute, as one chained event
 )
 
-// chainOps lets ops run as one chained event; tests switch it off to
-// compare against the two-event form.
-var chainOps = true
+// chainOps lets ops run as one chained event, and inlineOps lets a process
+// complete ops inline; tests switch them off to compare against the
+// queued forms.
+var chainOps, inlineOps = true, true
 
 // Process is a simulated OS process.
 type Process struct {
@@ -410,7 +418,7 @@ func (k *Kernel) Spawn(name string, memBytes int64, prog Program, onExit func(*P
 	// bookkeeping first.
 	k.eng.Schedule(0, func() {
 		if p.state == StateRunning && p.phase == phaseIdle {
-			k.runNextOp(p)
+			k.runNextOp(p, true)
 		}
 	})
 	return p, nil
@@ -524,7 +532,7 @@ func (k *Kernel) cont(p *Process, handlerLatency time.Duration) {
 		return
 	}
 	if p.phase == phaseIdle {
-		k.runNextOp(p)
+		k.runNextOp(p, false)
 	}
 }
 
@@ -576,52 +584,70 @@ func (k *Kernel) oomKill() {
 	}
 }
 
-// runNextOp pulls and executes the next operation of p.
-func (k *Kernel) runNextOp(p *Process) {
-	if p.state != StateRunning {
-		return
-	}
+// runNextOp pulls and executes the next operations of p. With ahead set,
+// the caller is one of p's own events (the start event, an op's latency
+// or compute completion) and returns right after this call, so an op that
+// nobody could watch may complete inline: if it would compute at full
+// speed and its end would be the next event dispatched, the clock moves
+// there (sim.Engine.Advance), its CPU time is banked and the next op
+// follows. A process thus runs back to back until something else is due.
+// A signal's caller goes on after runNextOp returns, so cont never passes
+// ahead.
+func (k *Kernel) runNextOp(p *Process, ahead bool) {
 	op := &p.op
-	p.prog.Next(p, op)
-	if op.Done {
-		k.exit(p, op.ExitCode)
-		return
-	}
-	latency := op.Sleep
-	if op.Mem != nil {
-		d, err := k.mem.Touch(p.pid, op.Mem.Offset, op.Mem.Length, op.Mem.Write)
-		latency += d
-		if err != nil {
-			if errors.Is(err, memory.ErrOutOfMemory) {
-				// The faulting process may itself have been chosen by the
-				// OOM killer while touching.
-				if p.state != StateExited {
-					k.exit(p, ExitOOM)
-				}
-				return
-			}
-			panic(fmt.Sprintf("ossim: program of %s touched invalid memory: %v", p.name, err))
-		}
-		if p.state == StateExited {
-			// The OOM killer fired during the touch and chose us.
+	for p.state == StateRunning {
+		p.prog.Next(p, op)
+		if op.Done {
+			k.exit(p, op.ExitCode)
 			return
 		}
-	}
-	if op.IO != nil {
-		done := op.IO.Device.Submit(op.IO.Kind, op.IO.Bytes, op.IO.Stream)
-		if wait := done - k.eng.Now(); wait > 0 {
-			latency += wait
+		latency := op.Sleep
+		if op.Mem != nil {
+			d, err := k.mem.Touch(p.pid, op.Mem.Offset, op.Mem.Length, op.Mem.Write)
+			latency += d
+			if err != nil {
+				if errors.Is(err, memory.ErrOutOfMemory) {
+					// The faulting process may itself have been chosen by
+					// the OOM killer while touching.
+					if p.state != StateExited {
+						k.exit(p, ExitOOM)
+					}
+					return
+				}
+				panic(fmt.Sprintf("ossim: program of %s touched invalid memory: %v", p.name, err))
+			}
+			if p.state == StateExited {
+				// The OOM killer fired during the touch and chose us.
+				return
+			}
 		}
-	}
-	if latency > 0 {
-		p.pendingCompute = op.Compute
-		if op.Compute > 0 && chainOps && k.fullSpeed && len(k.procs) <= k.cores {
+		if op.IO != nil {
+			done := op.IO.Device.Submit(op.IO.Kind, op.IO.Bytes, op.IO.Stream)
+			if wait := done - k.eng.Now(); wait > 0 {
+				latency += wait
+			}
+		}
+		latency = max(latency, 0)
+		compute := max(op.Compute, 0)
+		if latency == 0 && compute == 0 {
+			continue
+		}
+		if ahead && inlineOps && k.completeInline(latency, compute) {
+			p.cpuTime += compute
+			continue
+		}
+		if latency == 0 {
+			k.startCompute(p, compute)
+			return
+		}
+		p.pendingCompute = compute
+		if compute > 0 && chainOps && k.fullSpeed && len(k.procs) <= k.cores {
 			// Nobody can share a core before this op ends, so its compute
 			// starts at the hop at full speed, as startCompute's fast
 			// path would start it.
 			p.phase = phaseChain
 			p.speedSetAt = k.eng.Now() + latency
-			p.timer = k.eng.Chain(latency, op.Compute, p.computeDoneFn)
+			p.timer = k.eng.Chain(latency, compute, p.computeDoneFn)
 			k.chains++
 			return
 		}
@@ -629,7 +655,26 @@ func (k *Kernel) runNextOp(p *Process) {
 		p.timer = k.eng.Schedule(latency, p.latencyDoneFn)
 		return
 	}
-	k.startCompute(p, op.Compute)
+}
+
+// completeInline moves the clock to the end of an op of latency and
+// compute (not both zero) if that end would be the next event dispatched
+// and its compute would run at full speed without a rebalance, that is,
+// where startCompute's fast path would take it. It reports whether it did.
+func (k *Kernel) completeInline(latency, compute time.Duration) bool {
+	if compute > 0 && !(k.fullSpeed && len(k.active) < k.cores) {
+		return false
+	}
+	// The queued form takes a sequence number per event: the latency wait
+	// (or a chain's creation) and the compute (or the chain's hop).
+	var seqs uint64
+	if latency > 0 {
+		seqs++
+	}
+	if compute > 0 {
+		seqs++
+	}
+	return k.eng.Advance(k.eng.Now()+latency+compute, seqs)
 }
 
 // unchain turns p's chained op, if it has one, into the state the
@@ -674,16 +719,16 @@ func (k *Kernel) latencyDone(p *Process) {
 	}
 	d := p.pendingCompute
 	p.pendingCompute = 0
+	if d <= 0 {
+		p.phase = phaseIdle
+		k.runNextOp(p, true)
+		return
+	}
 	k.startCompute(p, d)
 }
 
-// startCompute begins (or resumes) CPU work of duration d.
+// startCompute begins (or resumes) CPU work of duration d > 0.
 func (k *Kernel) startCompute(p *Process, d time.Duration) {
-	if d <= 0 {
-		p.phase = phaseIdle
-		k.runNextOp(p)
-		return
-	}
 	p.phase = phaseCompute
 	p.computeRemaining = d
 	p.speedSetAt = k.eng.Now()
@@ -784,7 +829,7 @@ func (k *Kernel) computeDone(p *Process) {
 		p.cpuTime += p.pendingCompute
 		p.pendingCompute = 0
 		p.phase = phaseIdle
-		k.runNextOp(p)
+		k.runNextOp(p, true)
 		return
 	}
 	if p.state != StateRunning || p.phase != phaseCompute {
@@ -797,5 +842,5 @@ func (k *Kernel) computeDone(p *Process) {
 	if !k.fullSpeed {
 		k.rebalance()
 	}
-	k.runNextOp(p)
+	k.runNextOp(p, true)
 }

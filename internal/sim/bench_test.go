@@ -43,3 +43,21 @@ func BenchmarkChainStep(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkAdvance runs one event ahead inside a dispatch: the cost that
+// replaces queueing and dispatching an op's event (BenchmarkScheduleStep,
+// BenchmarkChainStep) while nothing else is due before the op ends.
+func BenchmarkAdvance(b *testing.B) {
+	e := benchEngine()
+	defer e.Release()
+	b.ReportAllocs()
+	e.Schedule(0, func() {
+		b.ResetTimer()
+		for i := range b.N {
+			if !e.Advance(e.Now()+time.Duration(i%7), 2) {
+				b.Fatal("Advance refused")
+			}
+		}
+	})
+	e.Step()
+}

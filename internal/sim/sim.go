@@ -16,6 +16,13 @@
 // engine moves the clock and re-queues the same heap entry for the second
 // stage, exactly where a nested Schedule would have queued it. A hop is not
 // a dispatch: it runs no function and Fired does not count it.
+//
+// A dispatched event may also run ahead (Advance): when the event it would
+// queue next is due before everything already queued and within the
+// deadline of the Step doing the dispatch, it moves the clock there and
+// runs that event's code itself. So one Step may run the code of several
+// events; a loop that steps until the queue empties or the clock reaches
+// its deadline still stops where it would have stopped.
 package sim
 
 import (
@@ -68,6 +75,9 @@ type Engine struct {
 	live int
 	// fired counts events that have been dispatched, for diagnostics.
 	fired uint64
+	// limit is the deadline of the StepUntil call dispatching an event,
+	// and math.MinInt64 outside a dispatch, so that Advance refuses there.
+	limit time.Duration
 }
 
 // enginePool recycles Engine shells released with Release, so a sweep cell
@@ -83,6 +93,7 @@ func New() *Engine {
 	for i := len(e.slots) - 1; i >= 0; i-- {
 		e.freeSlots = append(e.freeSlots, int32(i))
 	}
+	e.limit = math.MinInt64
 	return e
 }
 
@@ -100,6 +111,8 @@ func (e *Engine) Release() {
 	e.freeSlots = e.freeSlots[:0]
 	e.now, e.seq = 0, 0
 	e.live, e.fired = 0, 0
+	// A dispatch that panicked never reset the limit.
+	e.limit = math.MinInt64
 	enginePool.Put(e)
 }
 
@@ -113,7 +126,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Pending() int { return e.live }
 
 // Fired reports the number of events dispatched so far. A chain's hop is
-// not a dispatch, so a chain that runs to completion counts once.
+// not a dispatch, so a chain that runs to completion counts once; an event
+// run ahead with Advance is not one either, and counts nothing.
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Timer is a handle to a scheduled event. It can be used to cancel the
@@ -273,6 +287,32 @@ func (e *Engine) AtEach(n int, at func(i int) time.Duration, fn func(i int)) {
 	e.queue(max(at(0), from), base, fire)
 }
 
+// Advance lets the event being dispatched run ahead to the event it would
+// queue next: one due at t, which reaches t after taking n sequence
+// numbers (an event queued now takes one; a chain takes two, at its
+// creation and at its hop, and the hop must lie before t). If that event
+// would be the next one dispatched, because t is before every queued entry
+// (cancelled ones and chains' hops included; on a tie the entry already
+// queued goes first) and no later than the deadline of the StepUntil call
+// dispatching, which the clock has not reached yet, Advance moves the
+// clock to t, takes the n sequence numbers
+// and reports true: the caller then runs the event's code itself, as the
+// last thing it does, since nothing may run between the two. Otherwise,
+// and outside a dispatch, it does nothing and reports false. A time before
+// now is clamped to now. The event run ahead is not a dispatch: Fired does
+// not count it.
+func (e *Engine) Advance(t time.Duration, n uint64) bool {
+	t = max(t, e.now)
+	// At the deadline itself a loop that stops once the clock reaches it
+	// would not dispatch anything more.
+	if t > e.limit || e.now >= e.limit || (len(e.heap) > 0 && e.heap[0].at <= t) {
+		return false
+	}
+	e.now = t
+	e.seq += n
+	return true
+}
+
 // queue puts fn in the heap at time t with sequence number seq.
 func (e *Engine) queue(t time.Duration, seq uint64, fn func()) Timer {
 	var slot int32
@@ -305,7 +345,9 @@ func (e *Engine) release(slot int32) {
 // Step dispatches the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was dispatched. Step does not
 // return at a chain's hop: it sets the clock to the hop's time, as the
-// hop's dispatch would have, and goes on to the next event.
+// hop's dispatch would have, and goes on to the next event. The event
+// dispatched may run ahead (Advance), so one Step may run the code of
+// several events and leave the clock past the dispatched event's time.
 func (e *Engine) Step() bool {
 	return e.StepUntil(math.MaxInt64)
 }
@@ -321,7 +363,9 @@ func (e *Engine) Run() {
 // inspections the run loops would otherwise do back to back. It passes
 // over hops like Step, except a hop at the deadline itself: there it
 // returns true, as the hop's dispatch did, so that a loop which stops once
-// the clock reaches the deadline stops where it would have stopped.
+// the clock reaches the deadline stops where it would have stopped. The
+// event dispatched may run ahead (Advance) up to the deadline, never past
+// it.
 func (e *Engine) StepUntil(deadline time.Duration) bool {
 	for len(e.heap) > 0 {
 		he := e.heap[0]
@@ -347,7 +391,9 @@ func (e *Engine) StepUntil(deadline time.Duration) bool {
 		e.release(he.slot)
 		e.live--
 		e.fired++
+		e.limit = deadline
 		fn()
+		e.limit = math.MinInt64
 		return true
 	}
 	return false

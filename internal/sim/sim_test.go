@@ -180,6 +180,21 @@ func TestScheduleStepDoesNotAllocate(t *testing.T) {
 	if avg > 0.01 {
 		t.Fatalf("Chain+hop+Step and Unchain+Step allocate %.3f objects/op, want 0", avg)
 	}
+	// An event that runs ahead twice.
+	ahead := func() {
+		for range 2 {
+			if !e.Advance(e.Now()+time.Millisecond, 2) {
+				t.Fatal("Advance refused with nothing queued")
+			}
+		}
+	}
+	avg = testing.AllocsPerRun(1000, func() {
+		e.Schedule(time.Millisecond, ahead)
+		e.Step()
+	})
+	if avg > 0.01 {
+		t.Fatalf("Schedule+Step+Advance allocates %.3f objects/op, want 0", avg)
+	}
 }
 
 func TestEventsScheduledDuringRunAreDispatched(t *testing.T) {
