@@ -57,10 +57,12 @@ bench-golden:
 # Sweep determinism (mirrors the CI sweep-determinism job): -parallel
 # 1 and 8 and a merge of 3 shard files agree byte for byte, so do the
 # cluster-scale grid and the figures at -parallel 1 and 8, a shard file
-# is the same bytes at -parallel 1 and 8, and the shard-file decoder,
-# the config parser, the trace parser, the cell-cache entry decoder and
-# checkpoint restore each survive 10 s of fuzzing, with minimization of
-# new inputs capped at 1 s so that the 10 s go to fuzzing.
+# is the same bytes at -parallel 1 and 8, the shard-file decoder, the
+# config parser, the trace parser, the cell-cache entry decoder and
+# checkpoint restore each survive 10 s of fuzzing, and so do the
+# kernel's stretches of memory-only ops, compared with running them one
+# op at a time; minimization of new inputs is capped at 1 s so that the
+# 10 s go to fuzzing.
 sweep-check:
 	$(GO) build -o /tmp/hadoopsim-ci ./cmd/hadoopsim
 	/tmp/hadoopsim-ci -sweep twojob -parallel 1 -format csv -seed 1 > /tmp/sweep-p1.csv
@@ -85,6 +87,7 @@ sweep-check:
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/coord -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/ossim -run '^$$' -fuzz '^FuzzBatchedOps$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Backend parity (mirrors the CI backend-parity job): sim backend,
 # every figure and the pressure and cluster grids byte-identical to the

@@ -121,6 +121,9 @@ type Task struct {
 	attempts int       // attempts started so far
 	attempt  AttemptID // current (or last) attempt
 	tracker  string    // TaskTracker of the current/last attempt
+	// tt is the registered TaskTracker named tracker, resolved at launch
+	// so state changes skip the name lookup; nil if none was registered.
+	tt *TaskTracker
 
 	progress float64
 	block    hdfs.BlockLocation // input block for maps
@@ -428,11 +431,11 @@ func (jt *JobTracker) noteTaskTransition(t *Task, from, to TaskState) {
 	if to == TaskPending {
 		jt.pendingTasks++
 	}
-	if t.tracker == "" {
-		return
+	tt := t.tt
+	if tt == nil && t.tracker != "" {
+		tt = jt.trackers[t.tracker]
 	}
-	tt, ok := jt.trackers[t.tracker]
-	if !ok {
+	if tt == nil {
 		return
 	}
 	tt.jtOnValid = false
@@ -609,7 +612,10 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 	// empty under those conditions, so skipping it is invisible: the
 	// heartbeat timer, progress reports and acknowledgements above are
 	// untouched, and output stays byte-identical with the path disabled.
-	tt := jt.trackers[status.TaskTracker]
+	tt := status.tracker
+	if tt == nil {
+		tt = jt.trackers[status.TaskTracker]
+	}
 	if tt != nil && !jt.cfg.DisableQuiescentHeartbeats && !tt.jtCmdDirty &&
 		(status.FreeMapSlots == 0 || (jt.pendingTasks == 0 && tt.jtSuspended == 0)) {
 		jt.actionScratch = jt.actionScratch[:0]
@@ -619,7 +625,7 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 	// 3. Pending commands for this tracker. tasksOn is computed once per
 	// heartbeat; step 4 re-filters it by current state rather than walking
 	// the jobs again.
-	on := jt.tasksOn(status.TaskTracker)
+	on := jt.tasksOn(status.TaskTracker, tt)
 	actions := jt.actionScratch[:0]
 	resumes := 0
 	for _, t := range on {
@@ -692,7 +698,7 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 			t.job.startHi = i + 1
 		}
 		t.attempt = AttemptID{Task: t.id, Attempt: t.attempts}
-		t.tracker = status.TaskTracker
+		t.tracker, t.tt = status.TaskTracker, tt
 		t.progress = 0
 		if t.attempts == 1 {
 			t.firstLaunchAt = now
@@ -708,13 +714,12 @@ func (jt *JobTracker) Heartbeat(status HeartbeatStatus) []Action {
 }
 
 // tasksOn returns live tasks whose current attempt is on the tracker, in
-// deterministic order. For registered trackers the sorted list is cached
-// and invalidated incrementally on task state changes (noteTaskTransition),
-// so back-to-back heartbeats with unchanged task state skip the job walk
-// and the sort. The returned slice is valid until the next call or state
-// change.
-func (jt *JobTracker) tasksOn(tracker string) []*Task {
-	tt := jt.trackers[tracker]
+// deterministic order. For registered trackers (tt, nil for others) the
+// sorted list is cached and invalidated incrementally on task state
+// changes (noteTaskTransition), so back-to-back heartbeats with unchanged
+// task state skip the job walk and the sort. The returned slice is valid
+// until the next call or state change.
+func (jt *JobTracker) tasksOn(tracker string, tt *TaskTracker) []*Task {
 	if tt != nil && tt.jtOnValid {
 		return tt.jtOn
 	}

@@ -95,13 +95,64 @@ func initMapProgram(mp *mapProgram, eng *sim.Engine, cfg *EngineConfig, conf *Jo
 		eng: eng, cfg: cfg, conf: conf, in: in, nodeDV: dev,
 		block: block, rt: rt, stream: stream,
 		chunkParse: time.Duration(float64(cfg.ChunkBytes) / conf.MapParseRate * float64(time.Second)),
-		chunkTouch: time.Duration(float64(cfg.ChunkBytes) / cfg.MemTouchRate * float64(time.Second)),
+		chunkTouch: touchCompute(cfg, cfg.ChunkBytes),
 	}
 }
 
 // totalMemory returns the full address-space size.
 func (mp *mapProgram) totalMemory() int64 {
 	return mp.conf.JVMBaseBytes + mp.conf.ExtraMemoryBytes
+}
+
+// touchTime is touchCompute of a chunk, cached for a full one.
+func (mp *mapProgram) touchTime(chunk int64) time.Duration {
+	if chunk == mp.cfg.ChunkBytes {
+		return mp.chunkTouch
+	}
+	return touchCompute(mp.cfg, chunk)
+}
+
+// touchCompute is the compute of touching bytes of memory at the engine's
+// memory bandwidth.
+func touchCompute(cfg *EngineConfig, bytes int64) time.Duration {
+	return time.Duration(float64(bytes) / cfg.MemTouchRate * float64(time.Second))
+}
+
+// Stretch implements ossim.StretchProgram: the alloc chunks after the one
+// Next has just returned, or the finalize chunks.
+func (mp *mapProgram) Stretch(st *ossim.Stretch) bool {
+	var rest int64
+	switch mp.stage {
+	case stageAlloc:
+		rest = mp.totalMemory() - mp.allocDone
+	case stageFinalize:
+		rest = mp.conf.ExtraMemoryBytes - mp.finalDone
+	}
+	if rest <= 0 {
+		return false
+	}
+	*st = memStretch(mp.cfg, mp.totalMemory(), rest)
+	return true
+}
+
+// Skip implements ossim.StretchProgram.
+func (mp *mapProgram) Skip(n int) {
+	bytes := int64(n) * mp.cfg.ChunkBytes
+	switch mp.stage {
+	case stageAlloc:
+		mp.allocDone = min(mp.allocDone+bytes, mp.totalMemory())
+	case stageFinalize:
+		mp.finalDone = min(mp.finalDone+bytes, mp.conf.ExtraMemoryBytes)
+	}
+}
+
+// memStretch describes the chunks that touch the rest bytes before end.
+func memStretch(cfg *EngineConfig, end, rest int64) ossim.Stretch {
+	st := ossim.Stretch{End: end, Chunk: cfg.ChunkBytes, Compute: touchCompute(cfg, cfg.ChunkBytes)}
+	if last := rest % cfg.ChunkBytes; last > 0 {
+		st.LastCompute = touchCompute(cfg, last)
+	}
+	return st
 }
 
 // Next implements ossim.Program as a resumable state machine. Each call
@@ -123,19 +174,12 @@ func (mp *mapProgram) Next(p *ossim.Process, op *ossim.Op) {
 		// chunk, at memory bandwidth. Page faults add their own latency.
 		total := mp.totalMemory()
 		if mp.allocDone < total {
-			chunk := mp.cfg.ChunkBytes
-			if mp.allocDone+chunk > total {
-				chunk = total - mp.allocDone
-			}
-			touch := mp.chunkTouch
-			if chunk != mp.cfg.ChunkBytes {
-				touch = time.Duration(float64(chunk) / mp.cfg.MemTouchRate * float64(time.Second))
-			}
+			chunk := min(mp.cfg.ChunkBytes, total-mp.allocDone)
 			mp.memOp = ossim.MemOp{Offset: mp.allocDone, Length: chunk, Write: true}
 			*op = ossim.Op{
 				Label:   "alloc",
 				Mem:     &mp.memOp,
-				Compute: touch,
+				Compute: mp.touchTime(chunk),
 			}
 			mp.allocDone += chunk
 			return
@@ -207,19 +251,12 @@ func (mp *mapProgram) Next(p *ossim.Process, op *ossim.Op) {
 		// read their memory when finalizing), faulting in anything that
 		// was paged out.
 		if mp.conf.ExtraMemoryBytes > 0 && mp.finalDone < mp.conf.ExtraMemoryBytes {
-			chunk := mp.cfg.ChunkBytes
-			if mp.finalDone+chunk > mp.conf.ExtraMemoryBytes {
-				chunk = mp.conf.ExtraMemoryBytes - mp.finalDone
-			}
-			touch := mp.chunkTouch
-			if chunk != mp.cfg.ChunkBytes {
-				touch = time.Duration(float64(chunk) / mp.cfg.MemTouchRate * float64(time.Second))
-			}
+			chunk := min(mp.cfg.ChunkBytes, mp.conf.ExtraMemoryBytes-mp.finalDone)
 			mp.memOp = ossim.MemOp{Offset: mp.conf.JVMBaseBytes + mp.finalDone, Length: chunk, Write: false}
 			*op = ossim.Op{
 				Label:   "finalize",
 				Mem:     &mp.memOp,
-				Compute: touch,
+				Compute: mp.touchTime(chunk),
 			}
 			mp.finalDone += chunk
 			return
@@ -298,17 +335,14 @@ func (rp *reduceProgram) Next(p *ossim.Process, op *ossim.Op) {
 		return
 
 	case stageAlloc:
-		total := rp.conf.JVMBaseBytes + rp.conf.ExtraMemoryBytes
+		total := rp.totalMemory()
 		if rp.allocDone < total {
-			chunk := rp.cfg.ChunkBytes
-			if rp.allocDone+chunk > total {
-				chunk = total - rp.allocDone
-			}
+			chunk := min(rp.cfg.ChunkBytes, total-rp.allocDone)
 			rp.memOp = ossim.MemOp{Offset: rp.allocDone, Length: chunk, Write: true}
 			*op = ossim.Op{
 				Label:   "alloc",
 				Mem:     &rp.memOp,
-				Compute: time.Duration(float64(chunk) / rp.cfg.MemTouchRate * float64(time.Second)),
+				Compute: touchCompute(rp.cfg, chunk),
 			}
 			rp.allocDone += chunk
 			return
@@ -366,6 +400,27 @@ func (rp *reduceProgram) Next(p *ossim.Process, op *ossim.Op) {
 	default:
 		*op = ossim.Op{Done: true, ExitCode: ossim.ExitOK}
 	}
+}
+
+// totalMemory returns the full address-space size.
+func (rp *reduceProgram) totalMemory() int64 {
+	return rp.conf.JVMBaseBytes + rp.conf.ExtraMemoryBytes
+}
+
+// Stretch implements ossim.StretchProgram: the alloc chunks after the one
+// Next has just returned.
+func (rp *reduceProgram) Stretch(st *ossim.Stretch) bool {
+	rest := rp.totalMemory() - rp.allocDone
+	if rp.stage != stageAlloc || rest <= 0 {
+		return false
+	}
+	*st = memStretch(rp.cfg, rp.totalMemory(), rest)
+	return true
+}
+
+// Skip implements ossim.StretchProgram.
+func (rp *reduceProgram) Skip(n int) {
+	rp.allocDone = min(rp.allocDone+int64(n)*rp.cfg.ChunkBytes, rp.totalMemory())
 }
 
 // cleanupProgram removes the temporary output of a killed attempt. It is

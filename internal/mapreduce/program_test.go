@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"reflect"
 	"testing"
 
 	"hadooppreempt/internal/disk"
@@ -222,5 +223,87 @@ func TestCleanupProgramSingleOp(t *testing.T) {
 	cp.Next(nil, &op)
 	if !op.Done {
 		t.Fatal("second op should be Done")
+	}
+}
+
+// checkStretches drives prog to its end op by op, as the kernel does
+// without stretches. After each memory-only op it asks for a stretch and
+// checks, on copies of the program taken there (fork), that the ops Next
+// returns next are the ones described and that Skip(n) leaves the program
+// where n calls of Next leave it, as state shows it. It returns how many
+// stretches were described.
+func checkStretches(t *testing.T, prog ossim.StretchProgram, fork func() ossim.StretchProgram, state func(ossim.StretchProgram) any) int {
+	t.Helper()
+	described := 0
+	for range 10000 {
+		var op ossim.Op
+		prog.Next(nil, &op)
+		if op.Done {
+			return described
+		}
+		var st ossim.Stretch
+		if op.Mem == nil || op.Sleep != 0 || op.IO != nil || !prog.Stretch(&st) {
+			continue
+		}
+		described++
+		var want []ossim.Op
+		for off := op.Mem.Offset + op.Mem.Length; off < st.End; off += st.Chunk {
+			length, compute := min(st.Chunk, st.End-off), st.Compute
+			if length < st.Chunk {
+				compute = st.LastCompute
+			}
+			want = append(want, ossim.Op{Mem: &ossim.MemOp{Offset: off, Length: length, Write: op.Mem.Write}, Compute: compute})
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s op at %d: a stretch of no ops", op.Label, op.Mem.Offset)
+		}
+		stepped := fork()
+		for i, w := range want {
+			var got ossim.Op
+			stepped.Next(nil, &got)
+			if got.Mem == nil || *got.Mem != *w.Mem || got.Compute != w.Compute || got.Sleep != 0 || got.IO != nil {
+				t.Fatalf("%s op at %d: op %d of the stretch is %+v (mem %+v), described %+v (mem %+v)",
+					op.Label, op.Mem.Offset, i, got, got.Mem, w, *w.Mem)
+			}
+			skipped := fork()
+			skipped.Skip(i + 1)
+			if a, b := state(skipped), state(stepped); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s op at %d: Skip(%d) leaves %+v, %d calls of Next %+v", op.Label, op.Mem.Offset, i+1, a, i+1, b)
+			}
+		}
+	}
+	t.Fatal("program did not finish")
+	return 0
+}
+
+// TestProgramStretches checks that map and reduce programs describe their
+// alloc and finalize chunks as stretches exactly, regions that are no
+// whole number of chunks included.
+func TestProgramStretches(t *testing.T) {
+	h := newProgHarness(t, 16<<20)
+	cfg := DefaultEngineConfig()
+	conf := &JobConf{
+		Name: "j", InputPath: "/in", MapParseRate: 8e6, NumReduces: 1, ReduceRate: 8e6, ShuffleSortRate: 8e6,
+		JVMBaseBytes: 20<<20 + 4096, ExtraMemoryBytes: 27 << 20,
+	}
+	mp := newMapProgram(h.eng, &cfg, conf, h.fs, "n1", h.dev, h.block, &taskRuntime{}, 1)
+	n := checkStretches(t, mp, func() ossim.StretchProgram { c := *mp; return &c }, func(p ossim.StretchProgram) any {
+		c := *p.(*mapProgram)
+		c.memOp = ossim.MemOp{}
+		return c
+	})
+	// 47 MB of alloc chunks (6 ops) and 27 MB of finalize chunks (4):
+	// every op but the last of each stage starts a stretch.
+	if n != 5+3 {
+		t.Fatalf("map program described %d stretches, want 8", n)
+	}
+	rp := newReduceProgram(h.eng, &cfg, conf, h.dev, &taskRuntime{}, 1, 32<<20, 100e6)
+	n = checkStretches(t, rp, func() ossim.StretchProgram { c := *rp; return &c }, func(p ossim.StretchProgram) any {
+		c := *p.(*reduceProgram)
+		c.memOp = ossim.MemOp{}
+		return c
+	})
+	if n != 5 {
+		t.Fatalf("reduce program described %d stretches, want 5", n)
 	}
 }

@@ -183,6 +183,7 @@ func (tt *TaskTracker) heartbeat() {
 	tt.heartbeats++
 	status := HeartbeatStatus{
 		TaskTracker:  tt.name,
+		tracker:      tt,
 		FreeMapSlots: tt.mapSlots - tt.slotsUsed,
 		Completed:    tt.completed,
 		Failed:       tt.failed,

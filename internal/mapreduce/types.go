@@ -238,6 +238,10 @@ type HeartbeatStatus struct {
 	// heartbeat. Wasted carries the CPU time thrown away by kills.
 	Completed []AttemptID
 	Failed    []AttemptID
+	// tracker is the sender, set by a TaskTracker so the JobTracker skips
+	// the name lookup, as AttemptReport.task skips the task's. A status
+	// built by name alone resolves through the registered trackers.
+	tracker *TaskTracker
 }
 
 // ActionKind selects the command carried by an Action.

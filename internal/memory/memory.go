@@ -55,8 +55,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
+	"strings"
 	"time"
 
 	"hadooppreempt/internal/disk"
@@ -636,6 +638,39 @@ func (m *Manager) Touch(pid PID, offset, length int64, write bool) (time.Duratio
 	}
 	m.flushIn(&tc, s)
 	return m.finishTouch(&tc), nil
+}
+
+// Untouched reports how many pages of pid's [offset, offset+length) a Touch
+// would fault in from nothing: pages never touched or dropped clean. Each
+// costs MinorFaultCost and a free frame. It reports false instead where
+// the range holds a swapped page, lies outside the space or pid has none:
+// a Touch there would read swap or fail. It changes nothing.
+func (m *Manager) Untouched(pid PID, offset, length int64) (int, bool) {
+	s := m.space(pid)
+	if s == nil {
+		return 0, false
+	}
+	if length <= 0 {
+		return 0, true
+	}
+	first := offset >> m.pageShift
+	last := (offset + length - 1) >> m.pageShift
+	if offset < 0 || last >= int64(s.npages) {
+		return 0, false
+	}
+	n := 0
+	for pg, end := int32(first), int32(last)+1; pg < end; {
+		r := &s.runs[s.runIdx(pg)]
+		pieceEnd := min(r.end(), end)
+		switch r.state {
+		case pageSwapped:
+			return 0, false
+		case pageUntouched:
+			n += int(pieceEnd - pg)
+		}
+		pg = pieceEnd
+	}
+	return n, true
 }
 
 // faultChunk faults up to maxPages pages of s starting at pg into freshly
@@ -1251,6 +1286,32 @@ func (s *Space) replaceRuns(lo, hi int32, nr pageRun) {
 
 // ---------------------------------------------------------------------------
 // Invariant checking (used by tests).
+
+// Layout checks the manager's internal consistency, as checkInvariants
+// does for this package's tests, and describes the state it holds: the
+// free and cache stacks, the clock hand, the counters and every space's
+// page runs, in pid order. Managers in the same state describe it alike,
+// so the tests of the layers above compare a run against a reference this
+// way. A one-page run's frame stride, which means nothing, is left out.
+func (m *Manager) Layout() (string, error) {
+	if err := m.checkInvariants(); err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "free %d %v cache %d %v hand %d swap %d %+v",
+		m.freeFrames, m.freeStack, m.cachePages, m.cacheStack, m.clockHand, m.swapUsed, m.stats)
+	for _, pid := range slices.Sorted(maps.Keys(m.spaces)) {
+		s := m.spaces[pid]
+		fmt.Fprintf(&b, "\npid %d stopped %v %+v:", pid, s.stopped, s.Stats())
+		for _, r := range s.runs {
+			if r.n == 1 {
+				r.fdir = 0
+			}
+			fmt.Fprintf(&b, " %+v", r)
+		}
+	}
+	return b.String(), nil
+}
 
 // checkInvariants validates internal consistency; used by tests. It
 // builds the frame-extent list the stacks and runs describe into a list

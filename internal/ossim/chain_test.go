@@ -166,11 +166,11 @@ func (s kernelScript) run(chained, inlined bool) scriptResult {
 				}
 				step++
 				if chained && !inlined && op.Compute > 0 && (op.Sleep > 0 || op.Mem != nil || op.IO != nil) &&
-					k.fullSpeed && len(k.procs) <= k.cores {
+					len(k.procs) <= k.cores {
 					r.chained++
 				}
 				foreseen, startedAt = prediction{fired: eng.Fired()}, eng.Now()
-				if !inlined || inSignal || (op.Compute > 0 && !(k.fullSpeed && len(k.active) < k.cores)) {
+				if !inlined || inSignal || (op.Compute > 0 && len(k.active) >= k.cores) {
 					return
 				}
 				if op.Mem != nil {
@@ -452,9 +452,9 @@ func TestOpDispatchCount(t *testing.T) {
 }
 
 // TestChainedOpAllocatesNothing: once warm, a chained op (its completion,
-// the next op's Next and the new chain) and an op completed inline
-// allocate nothing, and Spawn allocates only the Process and its three
-// closures: chains reuse them.
+// the next op's Next and the new chain), an op completed inline and a
+// stretch allocate nothing, and Spawn allocates only the Process and its
+// three closures: chains reuse them.
 func TestChainedOpAllocatesNothing(t *testing.T) {
 	eng, k, _ := testKernel(t, 4)
 	k.Spawn("w", 1<<20, repeatProgram(1<<30, sleepCompute), nil)
@@ -483,6 +483,27 @@ func TestChainedOpAllocatesNothing(t *testing.T) {
 	}
 	if ran := w.CPUTime() - before; ran != 101*50*sleepCompute.Compute || eng.Fired() != 1+101 {
 		t.Fatalf("ran %v of compute in %d dispatches, want %v in %d", ran, eng.Fired(), 101*50*sleepCompute.Compute, 1+101)
+	}
+
+	// A lone process reads back a resident 32 MB region, over and over, in
+	// 1 MB chunks of 1 ms compute. Each RunUntil dispatches the end of the
+	// op the last one queued, and the ops after it, up to the deadline,
+	// run as stretches, one per region.
+	eng, k, _ = testKernel(t, 4)
+	phases := []stretchPhase{{to: 32 << 20, chunk: 1 << 20, write: true, compute: time.Millisecond}}
+	for range 400 {
+		phases = append(phases, stretchPhase{to: 32 << 20, chunk: 1 << 20, compute: time.Millisecond})
+	}
+	region := &regionProgram{phases: phases}
+	w, _ = k.Spawn("w", 32<<20, region, nil)
+	eng.RunUntil(time.Second)
+	before, fired, skips := w.CPUTime(), eng.Fired(), region.skips
+	if avg := testing.AllocsPerRun(100, func() { eng.RunUntil(eng.Now() + 100*time.Millisecond) }); avg > 0.01 {
+		t.Fatalf("a stretch allocates %.3f objects, want 0", avg)
+	}
+	if ran := w.CPUTime() - before; ran != 101*100*time.Millisecond || eng.Fired() != fired+101 || region.skips < skips+101 {
+		t.Fatalf("ran %v of compute in %d dispatches and %d stretches, want %v in %d and at least %d",
+			ran, eng.Fired()-fired, region.skips-skips, 101*100*time.Millisecond, 101, 101)
 	}
 
 	eng, k, _ = testKernel(t, 4)

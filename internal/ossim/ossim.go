@@ -29,6 +29,19 @@
 // it inline (sim.Engine.Advance) and goes on to the next. A process alone
 // on its node thus runs back to back until something else is due. Signals
 // never run a process ahead, since their callers go on after them.
+//
+// A stretch of such ops costs no more than one: when Next returns a
+// memory-only op (a touch and a compute, no sleep, no I/O) on the inline
+// path and the program is a StretchProgram, the kernel asks it which
+// chunks come next and completes them together, with one Touch over their
+// union and one Advance to the last one's end. With no reclaim and no swap
+// read nothing reaches the disk: an op's latency is then its untouched
+// pages times the minor-fault cost, and one Touch leaves the memory
+// manager as the ops' touches would. So the stretch is cut before the
+// first op that would touch a swapped page, fault more pages than were
+// free when it began, or end past the bound Advance accepts
+// (sim.Engine.Horizon). The kernel never calls Next ahead: a program's
+// next op may read a file, filling the page cache.
 package ossim
 
 import (
@@ -164,6 +177,29 @@ type Program interface {
 	Next(p *Process, op *Op)
 }
 
+// Stretch describes memory-only ops, each a touch and a compute with no
+// sleep and no I/O, that a program returns one after another right after
+// the one its Next has just returned: they touch the bytes from that op's
+// end up to End, Chunk bytes each (the last may touch fewer), with that
+// op's access, and each computes Compute, or LastCompute if it touches
+// fewer than Chunk bytes.
+type Stretch struct {
+	End, Chunk           int64
+	Compute, LastCompute time.Duration
+}
+
+// StretchProgram is a Program that can say which memory-only ops come
+// next, so that the kernel may run them as one stretch (see the package
+// comment). Right after Next has returned a memory-only op, the kernel may
+// call Stretch, which describes the ops that follow it and reports false
+// if none do, and then Skip(n), which moves the program past the first n
+// of them as n calls of Next would. The kernel never calls Next ahead.
+type StretchProgram interface {
+	Program
+	Stretch(st *Stretch) bool
+	Skip(n int)
+}
+
 // ProgramFunc adapts a function to the Program interface.
 type ProgramFunc func(p *Process, op *Op)
 
@@ -179,10 +215,10 @@ const (
 	phaseChain                // latency then compute, as one chained event
 )
 
-// chainOps lets ops run as one chained event, and inlineOps lets a process
-// complete ops inline; tests switch them off to compare against the
-// queued forms.
-var chainOps, inlineOps = true, true
+// chainOps lets ops run as one chained event, inlineOps lets a process
+// complete ops inline, and stretchOps lets it complete a stretch of them
+// at once; tests switch them off to compare against the other forms.
+var chainOps, inlineOps, stretchOps = true, true, true
 
 // Process is a simulated OS process.
 type Process struct {
@@ -190,7 +226,11 @@ type Process struct {
 	name   string
 	kernel *Kernel
 	prog   Program
-	state  State
+	// stretcher is prog if it is a StretchProgram, and st the buffer its
+	// Stretch fills.
+	stretcher StretchProgram
+	st        Stretch
+	state     State
 
 	phase            phase
 	timer            sim.Timer
@@ -310,17 +350,15 @@ type Kernel struct {
 	procs   map[memory.PID]*Process
 	nextPID memory.PID
 	// active lists processes in phaseCompute in insertion order; a slice
-	// keeps rebalance iteration deterministic and allocation-free.
+	// keeps rebalance iteration deterministic and allocation-free. While it
+	// holds no more processes than cores, every one runs at speed 1 with a
+	// pending completion timer, and membership changes need no rebalance
+	// walk: a leaver cannot raise anyone's share and an entrant that keeps
+	// the set within the cores only needs its own timer.
 	active []*Process
-	// fullSpeed is true while every active process runs at speed 1 with a
-	// pending completion timer — the common un-contended regime, where
-	// membership changes need no rebalance walk: a leaver cannot raise
-	// anyone's share and an entrant (while n stays within the cores) only
-	// needs its own timer.
-	fullSpeed bool
 	// chains counts processes in phaseChain. They exist only while the
-	// kernel runs at full speed with no more processes than cores, and a
-	// chain that has hopped is computing without being in active.
+	// kernel has no more processes than cores, and a chain that has hopped
+	// is computing without being in active.
 	chains int
 	// oomFn is the oomKill method value, bound once per kernel shell so
 	// re-installing the OOM handler on reuse does not allocate.
@@ -337,7 +375,6 @@ func NewKernel(eng *sim.Engine, name string, cores int, mem *memory.Manager) *Ke
 	k := kernelPool.Get().(*Kernel)
 	k.eng, k.name, k.cores, k.mem = eng, name, cores, mem
 	k.nextPID = 1
-	k.fullSpeed = true
 	if k.procs == nil {
 		k.procs = make(map[memory.PID]*Process)
 	}
@@ -404,6 +441,7 @@ func (k *Kernel) Spawn(name string, memBytes int64, prog Program, onExit func(*P
 		createdAt: k.eng.Now(),
 		speed:     1,
 	}
+	p.stretcher, _ = prog.(StretchProgram)
 	p.latencyDoneFn = func() { k.latencyDone(p) }
 	p.computeDoneFn = func() { k.computeDone(p) }
 	k.procs[pid] = p
@@ -590,9 +628,9 @@ func (k *Kernel) oomKill() {
 // nobody could watch may complete inline: if it would compute at full
 // speed and its end would be the next event dispatched, the clock moves
 // there (sim.Engine.Advance), its CPU time is banked and the next op
-// follows. A process thus runs back to back until something else is due.
-// A signal's caller goes on after runNextOp returns, so cont never passes
-// ahead.
+// follows, or a whole stretch of memory-only ops does (runStretch). A
+// process thus runs back to back until something else is due. A signal's
+// caller goes on after runNextOp returns, so cont never passes ahead.
 func (k *Kernel) runNextOp(p *Process, ahead bool) {
 	op := &p.op
 	for p.state == StateRunning {
@@ -600,6 +638,10 @@ func (k *Kernel) runNextOp(p *Process, ahead bool) {
 		if op.Done {
 			k.exit(p, op.ExitCode)
 			return
+		}
+		if ahead && inlineOps && stretchOps && p.stretcher != nil && op.Mem != nil && op.Sleep == 0 && op.IO == nil &&
+			k.runStretch(p, op) {
+			continue
 		}
 		latency := op.Sleep
 		if op.Mem != nil {
@@ -641,7 +683,7 @@ func (k *Kernel) runNextOp(p *Process, ahead bool) {
 			return
 		}
 		p.pendingCompute = compute
-		if compute > 0 && chainOps && k.fullSpeed && len(k.procs) <= k.cores {
+		if compute > 0 && chainOps && len(k.procs) <= k.cores {
 			// Nobody can share a core before this op ends, so its compute
 			// starts at the hop at full speed, as startCompute's fast
 			// path would start it.
@@ -662,7 +704,7 @@ func (k *Kernel) runNextOp(p *Process, ahead bool) {
 // and its compute would run at full speed without a rebalance, that is,
 // where startCompute's fast path would take it. It reports whether it did.
 func (k *Kernel) completeInline(latency, compute time.Duration) bool {
-	if compute > 0 && !(k.fullSpeed && len(k.active) < k.cores) {
+	if compute > 0 && len(k.active) >= k.cores {
 		return false
 	}
 	// The queued form takes a sequence number per event: the latency wait
@@ -675,6 +717,80 @@ func (k *Kernel) completeInline(latency, compute time.Duration) bool {
 		seqs++
 	}
 	return k.eng.Advance(k.eng.Now()+latency+compute, seqs)
+}
+
+// runStretch completes op, a memory-only op that Next has just returned on
+// the inline path, together with the ops p's program says come next, where
+// each of them would complete inline in turn without reaching the disk:
+// one Touch over their union, one Advance to the last one's end taking the
+// sequence numbers they would take one by one, and their CPU time banked.
+// The stretch is cut before the first op that would touch a swapped page,
+// fault more pages than were free when it began, or end past the bound
+// Advance accepts. It reports whether it ran a stretch; one of a single op
+// is left to the caller.
+func (k *Kernel) runStretch(p *Process, op *Op) bool {
+	st := &p.st
+	if !p.stretcher.Stretch(st) || st.Chunk <= 0 || op.Mem.Length <= 0 || len(k.active) >= k.cores {
+		return false
+	}
+	horizon, ok := k.eng.Horizon()
+	if !ok {
+		return false
+	}
+	cfg := k.mem.Config()
+	free := int(k.mem.FreeBytes() / cfg.PageSize)
+	var (
+		end       = k.eng.Now()
+		cpu       time.Duration
+		seqs      uint64
+		faults, n int
+		touched   int64 // end of the union so far
+	)
+	// The op in hand faults the pages of [lo, hi) that are untouched.
+	lo, hi, compute := op.Mem.Offset, op.Mem.Offset+op.Mem.Length, max(op.Compute, 0)
+	for end+compute <= horizon {
+		f, ok := k.mem.Untouched(p.pid, lo, hi-lo)
+		if !ok || faults+f > free {
+			break
+		}
+		latency := max(time.Duration(f)*cfg.MinorFaultCost, 0)
+		if end+latency+compute > horizon {
+			break
+		}
+		end += latency + compute
+		cpu += compute
+		faults += f
+		n++
+		touched = hi
+		if latency > 0 {
+			seqs++
+		}
+		if compute > 0 {
+			seqs++
+		}
+		if hi >= st.End {
+			break
+		}
+		chunk := min(st.Chunk, st.End-hi)
+		compute = max(st.Compute, 0)
+		if chunk < st.Chunk {
+			compute = max(st.LastCompute, 0)
+		}
+		// A first page shared with the op before was counted there.
+		lo = (hi + cfg.PageSize - 1) &^ (cfg.PageSize - 1)
+		hi += chunk
+	}
+	if n < 2 {
+		return false
+	}
+	d, err := k.mem.Touch(p.pid, op.Mem.Offset, touched-op.Mem.Offset, op.Mem.Write)
+	if err != nil || d != time.Duration(faults)*cfg.MinorFaultCost || !k.eng.Advance(end, seqs) {
+		panic(fmt.Sprintf("ossim: stretch of %d ops of %s to %v did not run as its ops would: latency %v, error %v",
+			n, p.name, end, d, err))
+	}
+	p.cpuTime += cpu
+	p.stretcher.Skip(n - 1)
+	return true
 }
 
 // unchain turns p's chained op, if it has one, into the state the
@@ -733,7 +849,7 @@ func (k *Kernel) startCompute(p *Process, d time.Duration) {
 	p.computeRemaining = d
 	p.speedSetAt = k.eng.Now()
 	k.active = append(k.active, p)
-	if k.fullSpeed && len(k.active) <= k.cores {
+	if len(k.active) <= k.cores {
 		// The share regime stays full-speed: only the entrant needs a
 		// timer; nobody else's speed changes.
 		p.speed = 1
@@ -748,9 +864,10 @@ func (k *Kernel) startCompute(p *Process, d time.Duration) {
 func (k *Kernel) leaveCompute(p *Process) {
 	k.settle(p)
 	k.removeActive(p)
-	if k.fullSpeed {
-		// Everyone left behind already runs at speed 1; a departure
-		// cannot raise shares any further.
+	if len(k.active) < k.cores {
+		// The set was within the cores before p left, so everyone left
+		// behind already runs at speed 1; a departure cannot raise shares
+		// any further.
 		return
 	}
 	k.rebalance()
@@ -815,7 +932,6 @@ func (k *Kernel) rebalance() {
 		remainingWall := time.Duration(float64(p.computeRemaining) / speed)
 		p.timer = k.eng.Schedule(remainingWall, p.computeDoneFn)
 	}
-	k.fullSpeed = speed == 1
 }
 
 // computeDone fires when a process finishes its compute phase, or its
@@ -839,7 +955,8 @@ func (k *Kernel) computeDone(p *Process) {
 	p.computeRemaining = 0
 	k.removeActive(p)
 	p.phase = phaseIdle
-	if !k.fullSpeed {
+	if len(k.active) >= k.cores {
+		// The set was past the cores before p left: shares rise.
 		k.rebalance()
 	}
 	k.runNextOp(p, true)

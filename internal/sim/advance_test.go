@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -23,6 +24,9 @@ type aheadRun struct {
 	labels int
 	// Floors, counted only in runs that advance.
 	inline, toDeadline, refusedTie, refusedPast, refusedAtDeadline, refusedCancelled, refusedHop int
+	// horizonWrong counts calls where Horizon foresaw Advance's answer
+	// wrongly; it must stay 0.
+	horizonWrong int
 }
 
 func (r *aheadRun) note(format string, args ...any) {
@@ -59,13 +63,21 @@ func (r *aheadRun) body(id int) {
 			n = 2
 		}
 		limit := r.e.limit
+		h, ok := r.e.Horizon()
+		foreseen := ok && max(end, r.e.Now()) <= h
 		if r.e.Advance(end, n) {
+			if !foreseen {
+				r.horizonWrong++
+			}
 			r.inline++
 			if end == limit {
 				r.toDeadline++
 			}
 			r.body(next)
 			return
+		}
+		if foreseen {
+			r.horizonWrong++
 		}
 		r.countRefusal(end, limit)
 	}
@@ -181,7 +193,7 @@ func (r *aheadRun) drive() {
 // successors' ends and between them. Floors make sure that Advance runs
 // ahead onto a deadline and refuses for each of its reasons: a tie, an
 // earlier cancelled entry, an earlier hop, an end past the deadline and a
-// clock already at it.
+// clock already at it. Before every call, Horizon must foresee its answer.
 func TestAdvanceMatchesQueuedEvent(t *testing.T) {
 	var floors aheadRun
 	for trial := range 1500 {
@@ -195,6 +207,9 @@ func TestAdvanceMatchesQueuedEvent(t *testing.T) {
 		got := run(true)
 		if !slices.Equal(got.log, want.log) {
 			t.Fatalf("trial %d: running ahead\n %v\nqueueing\n %v", trial, got.log, want.log)
+		}
+		if got.horizonWrong > 0 {
+			t.Fatalf("trial %d: Horizon foresaw %d of Advance's answers wrongly", trial, got.horizonWrong)
 		}
 		floors.inline += got.inline
 		floors.toDeadline += got.toDeadline
@@ -244,5 +259,36 @@ func TestAdvanceOutsideDispatch(t *testing.T) {
 	e.Run()
 	if !ran || e.Now() != 3*time.Second || e.seq != 3 || e.Fired() != 1 {
 		t.Fatalf("Advance in a dispatch: ran %v, now %v, seq %d, fired %d", ran, e.Now(), e.seq, e.Fired())
+	}
+}
+
+// TestHorizon checks Horizon's bound at the edges: none outside a
+// dispatch or with an entry due now, the deadline with nothing queued
+// before it, and the instant before the root otherwise.
+func TestHorizon(t *testing.T) {
+	e := New()
+	defer e.Release()
+	if _, ok := e.Horizon(); ok {
+		t.Fatal("Horizon reported a bound outside a dispatch")
+	}
+	type seen struct {
+		h  time.Duration
+		ok bool
+	}
+	var got []seen
+	look := func() {
+		h, ok := e.Horizon()
+		got = append(got, seen{h, ok})
+	}
+	e.Schedule(time.Second, look)
+	e.Schedule(3*time.Second, look)
+	e.Schedule(3*time.Second, look)
+	e.RunUntil(2 * time.Second)
+	e.RunUntil(5 * time.Second)
+	e.Schedule(0, look)
+	e.Run()
+	want := []seen{{2 * time.Second, true}, {0, false}, {5 * time.Second, true}, {math.MaxInt64, true}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Horizon read %v, want %v", got, want)
 	}
 }

@@ -22,7 +22,9 @@
 // deadline of the Step doing the dispatch, it moves the clock there and
 // runs that event's code itself. So one Step may run the code of several
 // events; a loop that steps until the queue empties or the clock reaches
-// its deadline still stops where it would have stopped.
+// its deadline still stops where it would have stopped. Horizon reports
+// how far ahead Advance would go, for a caller that runs several events'
+// code at once.
 package sim
 
 import (
@@ -311,6 +313,25 @@ func (e *Engine) Advance(t time.Duration, n uint64) bool {
 	e.now = t
 	e.seq += n
 	return true
+}
+
+// Horizon reports the latest time Advance would accept now: the deadline
+// of the StepUntil call dispatching, or the instant before the queue's root
+// if that comes first. It reports false where Advance would accept no time
+// at all: outside a dispatch, at the deadline, or with an entry due now.
+// A caller that runs several events ahead at once checks their last end
+// against it before it calls Advance.
+func (e *Engine) Horizon() (time.Duration, bool) {
+	if e.now >= e.limit {
+		return 0, false
+	}
+	h := e.limit
+	if len(e.heap) > 0 && e.heap[0].at <= h {
+		if h = e.heap[0].at - 1; h < e.now {
+			return 0, false
+		}
+	}
+	return h, true
 }
 
 // queue puts fn in the heap at time t with sequence number seq.
