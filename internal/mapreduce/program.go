@@ -48,8 +48,6 @@ type mapProgram struct {
 	stream disk.StreamID
 
 	stage        int // 0 spawn, 1 alloc, 2 process, 3 finalize, 4 commit, 5 done
-	allocDone    int64
-	finalDone    int64
 	bufCursor    int64
 	pendingChunk int64 // bytes of the chunk whose completion is unrecorded
 
@@ -59,11 +57,10 @@ type mapProgram struct {
 	memOp ossim.MemOp
 	ioOp  ossim.IOOp
 
-	// chunkParse/chunkTouch cache the compute cost of one full ChunkBytes
-	// chunk at the job's parse rate and the engine's memory-touch rate;
-	// only the final partial chunk of a stage recomputes the division.
+	// chunkParse caches the compute cost of one full ChunkBytes chunk at
+	// the job's parse rate; only the final partial chunk recomputes the
+	// division.
 	chunkParse time.Duration
-	chunkTouch time.Duration
 }
 
 // Program stages.
@@ -95,7 +92,6 @@ func initMapProgram(mp *mapProgram, eng *sim.Engine, cfg *EngineConfig, conf *Jo
 		eng: eng, cfg: cfg, conf: conf, in: in, nodeDV: dev,
 		block: block, rt: rt, stream: stream,
 		chunkParse: time.Duration(float64(cfg.ChunkBytes) / conf.MapParseRate * float64(time.Second)),
-		chunkTouch: touchCompute(cfg, cfg.ChunkBytes),
 	}
 }
 
@@ -104,55 +100,24 @@ func (mp *mapProgram) totalMemory() int64 {
 	return mp.conf.JVMBaseBytes + mp.conf.ExtraMemoryBytes
 }
 
-// touchTime is touchCompute of a chunk, cached for a full one.
-func (mp *mapProgram) touchTime(chunk int64) time.Duration {
-	if chunk == mp.cfg.ChunkBytes {
-		return mp.chunkTouch
+// touchOp returns the op that touches length bytes at offset, ChunkBytes
+// at a time at the engine's memory bandwidth, with mem as its MemOp. Page
+// faults add their own latency.
+func touchOp(cfg *EngineConfig, mem *ossim.MemOp, label string, offset, length int64, write bool) ossim.Op {
+	*mem = ossim.MemOp{Offset: offset, Length: length, Write: write}
+	return ossim.Op{
+		Label:       label,
+		Mem:         mem,
+		Chunk:       cfg.ChunkBytes,
+		Compute:     touchCompute(cfg, cfg.ChunkBytes),
+		LastCompute: touchCompute(cfg, length%cfg.ChunkBytes),
 	}
-	return touchCompute(mp.cfg, chunk)
 }
 
 // touchCompute is the compute of touching bytes of memory at the engine's
 // memory bandwidth.
 func touchCompute(cfg *EngineConfig, bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / cfg.MemTouchRate * float64(time.Second))
-}
-
-// Stretch implements ossim.StretchProgram: the alloc chunks after the one
-// Next has just returned, or the finalize chunks.
-func (mp *mapProgram) Stretch(st *ossim.Stretch) bool {
-	var rest int64
-	switch mp.stage {
-	case stageAlloc:
-		rest = mp.totalMemory() - mp.allocDone
-	case stageFinalize:
-		rest = mp.conf.ExtraMemoryBytes - mp.finalDone
-	}
-	if rest <= 0 {
-		return false
-	}
-	*st = memStretch(mp.cfg, mp.totalMemory(), rest)
-	return true
-}
-
-// Skip implements ossim.StretchProgram.
-func (mp *mapProgram) Skip(n int) {
-	bytes := int64(n) * mp.cfg.ChunkBytes
-	switch mp.stage {
-	case stageAlloc:
-		mp.allocDone = min(mp.allocDone+bytes, mp.totalMemory())
-	case stageFinalize:
-		mp.finalDone = min(mp.finalDone+bytes, mp.conf.ExtraMemoryBytes)
-	}
-}
-
-// memStretch describes the chunks that touch the rest bytes before end.
-func memStretch(cfg *EngineConfig, end, rest int64) ossim.Stretch {
-	st := ossim.Stretch{End: end, Chunk: cfg.ChunkBytes, Compute: touchCompute(cfg, cfg.ChunkBytes)}
-	if last := rest % cfg.ChunkBytes; last > 0 {
-		st.LastCompute = touchCompute(cfg, last)
-	}
-	return st
 }
 
 // Next implements ossim.Program as a resumable state machine. Each call
@@ -170,21 +135,12 @@ func (mp *mapProgram) Next(p *ossim.Process, op *ossim.Op) {
 		return
 
 	case stageAlloc:
-		// Write the engine heap and the extra state region, chunk by
-		// chunk, at memory bandwidth. Page faults add their own latency.
-		total := mp.totalMemory()
-		if mp.allocDone < total {
-			chunk := min(mp.cfg.ChunkBytes, total-mp.allocDone)
-			mp.memOp = ossim.MemOp{Offset: mp.allocDone, Length: chunk, Write: true}
-			*op = ossim.Op{
-				Label:   "alloc",
-				Mem:     &mp.memOp,
-				Compute: mp.touchTime(chunk),
-			}
-			mp.allocDone += chunk
+		// Write the engine heap and the extra state region.
+		mp.stage = stageProcess
+		if total := mp.totalMemory(); total > 0 {
+			*op = touchOp(mp.cfg, &mp.memOp, "alloc", 0, total, true)
 			return
 		}
-		mp.stage = stageProcess
 		fallthrough
 
 	case stageProcess:
@@ -250,18 +206,11 @@ func (mp *mapProgram) Next(p *ossim.Process, op *ossim.Op) {
 		// Read back the extra state region (the paper's worst-case tasks
 		// read their memory when finalizing), faulting in anything that
 		// was paged out.
-		if mp.conf.ExtraMemoryBytes > 0 && mp.finalDone < mp.conf.ExtraMemoryBytes {
-			chunk := min(mp.cfg.ChunkBytes, mp.conf.ExtraMemoryBytes-mp.finalDone)
-			mp.memOp = ossim.MemOp{Offset: mp.conf.JVMBaseBytes + mp.finalDone, Length: chunk, Write: false}
-			*op = ossim.Op{
-				Label:   "finalize",
-				Mem:     &mp.memOp,
-				Compute: mp.touchTime(chunk),
-			}
-			mp.finalDone += chunk
+		mp.stage = stageCommit
+		if extra := mp.conf.ExtraMemoryBytes; extra > 0 {
+			*op = touchOp(mp.cfg, &mp.memOp, "finalize", mp.conf.JVMBaseBytes, extra, false)
 			return
 		}
-		mp.stage = stageCommit
 		fallthrough
 
 	case stageCommit:
@@ -292,7 +241,6 @@ type reduceProgram struct {
 	netBandwidth float64
 
 	stage        int
-	allocDone    int64
 	shuffled     int64
 	reduced      int64
 	pendingChunk int64
@@ -335,19 +283,11 @@ func (rp *reduceProgram) Next(p *ossim.Process, op *ossim.Op) {
 		return
 
 	case stageAlloc:
-		total := rp.totalMemory()
-		if rp.allocDone < total {
-			chunk := min(rp.cfg.ChunkBytes, total-rp.allocDone)
-			rp.memOp = ossim.MemOp{Offset: rp.allocDone, Length: chunk, Write: true}
-			*op = ossim.Op{
-				Label:   "alloc",
-				Mem:     &rp.memOp,
-				Compute: touchCompute(rp.cfg, chunk),
-			}
-			rp.allocDone += chunk
+		rp.stage = stageProcess
+		if total := rp.conf.JVMBaseBytes + rp.conf.ExtraMemoryBytes; total > 0 {
+			*op = touchOp(rp.cfg, &rp.memOp, "alloc", 0, total, true)
 			return
 		}
-		rp.stage = stageProcess
 		fallthrough
 
 	case stageProcess: // shuffle + sort
@@ -400,27 +340,6 @@ func (rp *reduceProgram) Next(p *ossim.Process, op *ossim.Op) {
 	default:
 		*op = ossim.Op{Done: true, ExitCode: ossim.ExitOK}
 	}
-}
-
-// totalMemory returns the full address-space size.
-func (rp *reduceProgram) totalMemory() int64 {
-	return rp.conf.JVMBaseBytes + rp.conf.ExtraMemoryBytes
-}
-
-// Stretch implements ossim.StretchProgram: the alloc chunks after the one
-// Next has just returned.
-func (rp *reduceProgram) Stretch(st *ossim.Stretch) bool {
-	rest := rp.totalMemory() - rp.allocDone
-	if rp.stage != stageAlloc || rest <= 0 {
-		return false
-	}
-	*st = memStretch(rp.cfg, rp.totalMemory(), rest)
-	return true
-}
-
-// Skip implements ossim.StretchProgram.
-func (rp *reduceProgram) Skip(n int) {
-	rp.allocDone = min(rp.allocDone+int64(n)*rp.cfg.ChunkBytes, rp.totalMemory())
 }
 
 // cleanupProgram removes the temporary output of a killed attempt. It is

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"reflect"
 	"testing"
 
 	"hadooppreempt/internal/disk"
@@ -58,9 +57,14 @@ func TestMapProgramOpSequenceLightweight(t *testing.T) {
 	conf := &JobConf{Name: "j", InputPath: "/in", MapParseRate: 8e6, JVMBaseBytes: 64 << 20}
 	rt := &taskRuntime{}
 	mp := newMapProgram(h.eng, &cfg, conf, h.fs, "n1", h.dev, h.block, rt, 1)
+	var alloc ossim.Op
+	var allocMem ossim.MemOp
 	labels := runProgram(t, func() (string, bool) {
 		var op ossim.Op
 		mp.Next(nil, &op)
+		if op.Label == "alloc" {
+			alloc, allocMem = op, *op.Mem
+		}
 		return op.Label, op.Done
 	}, 1000)
 	if labels[0] != "jvm-start" {
@@ -70,10 +74,11 @@ func TestMapProgramOpSequenceLightweight(t *testing.T) {
 	for _, l := range labels {
 		counts[l]++
 	}
-	// 64 MB JVM base at 8 MB chunks = 8 alloc ops; 64 MB input = 8 map
+	// 64 MB JVM base = one alloc op in 8 MB chunks; 64 MB input = 8 map
 	// chunks; no finalize (no extra memory); one commit.
-	if counts["alloc"] != 8 {
-		t.Fatalf("alloc ops = %d, want 8", counts["alloc"])
+	if counts["alloc"] != 1 || allocMem.Length != 64<<20 || alloc.Chunk != 8<<20 {
+		t.Fatalf("%d alloc ops, the last of %d bytes in chunks of %d, want one of 64 MB in 8 MB chunks",
+			counts["alloc"], allocMem.Length, alloc.Chunk)
 	}
 	if counts["map-chunk"] != 8 {
 		t.Fatalf("map-chunk ops = %d, want 8", counts["map-chunk"])
@@ -226,84 +231,73 @@ func TestCleanupProgramSingleOp(t *testing.T) {
 	}
 }
 
-// checkStretches drives prog to its end op by op, as the kernel does
-// without stretches. After each memory-only op it asks for a stretch and
-// checks, on copies of the program taken there (fork), that the ops Next
-// returns next are the ones described and that Skip(n) leaves the program
-// where n calls of Next leave it, as state shows it. It returns how many
-// stretches were described.
-func checkStretches(t *testing.T, prog ossim.StretchProgram, fork func() ossim.StretchProgram, state func(ossim.StretchProgram) any) int {
+// checkTouchRegions drives a program to its end through next and checks
+// that it returns each region of want, by label, as exactly one chunked op
+// that touches just that region, ChunkBytes at a time, each chunk
+// computing touchCompute of its length.
+func checkTouchRegions(t *testing.T, name string, cfg *EngineConfig, next func(*ossim.Op), want map[string]ossim.MemOp) {
 	t.Helper()
-	described := 0
+	seen := map[string]int{}
 	for range 10000 {
 		var op ossim.Op
-		prog.Next(nil, &op)
+		next(&op)
 		if op.Done {
-			return described
+			for label := range want {
+				if seen[label] != 1 {
+					t.Fatalf("%s program returned %d %s ops, want 1", name, seen[label], label)
+				}
+			}
+			return
 		}
-		var st ossim.Stretch
-		if op.Mem == nil || op.Sleep != 0 || op.IO != nil || !prog.Stretch(&st) {
+		region, ok := want[op.Label]
+		if !ok {
+			if op.Chunk != 0 {
+				t.Fatalf("%s program: %s op is chunked", name, op.Label)
+			}
 			continue
 		}
-		described++
-		var want []ossim.Op
-		for off := op.Mem.Offset + op.Mem.Length; off < st.End; off += st.Chunk {
-			length, compute := min(st.Chunk, st.End-off), st.Compute
-			if length < st.Chunk {
-				compute = st.LastCompute
-			}
-			want = append(want, ossim.Op{Mem: &ossim.MemOp{Offset: off, Length: length, Write: op.Mem.Write}, Compute: compute})
+		seen[op.Label]++
+		if op.Mem == nil || *op.Mem != region || op.Chunk != cfg.ChunkBytes || op.Sleep != 0 || op.IO != nil {
+			t.Fatalf("%s program: %s op %+v (mem %+v), want a touch of %+v in chunks of %d",
+				name, op.Label, op, op.Mem, region, cfg.ChunkBytes)
 		}
-		if len(want) == 0 {
-			t.Fatalf("%s op at %d: a stretch of no ops", op.Label, op.Mem.Offset)
-		}
-		stepped := fork()
-		for i, w := range want {
-			var got ossim.Op
-			stepped.Next(nil, &got)
-			if got.Mem == nil || *got.Mem != *w.Mem || got.Compute != w.Compute || got.Sleep != 0 || got.IO != nil {
-				t.Fatalf("%s op at %d: op %d of the stretch is %+v (mem %+v), described %+v (mem %+v)",
-					op.Label, op.Mem.Offset, i, got, got.Mem, w, *w.Mem)
+		for off := int64(0); off < region.Length; off += op.Chunk {
+			n, compute := min(op.Chunk, region.Length-off), op.Compute
+			if n < op.Chunk {
+				compute = op.LastCompute
 			}
-			skipped := fork()
-			skipped.Skip(i + 1)
-			if a, b := state(skipped), state(stepped); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s op at %d: Skip(%d) leaves %+v, %d calls of Next %+v", op.Label, op.Mem.Offset, i+1, a, i+1, b)
+			if tc := touchCompute(cfg, n); compute != tc {
+				t.Fatalf("%s program: %s chunk at %d of %d bytes computes %v, want %v", name, op.Label, off, n, compute, tc)
 			}
 		}
 	}
-	t.Fatal("program did not finish")
-	return 0
+	t.Fatalf("%s program did not finish", name)
 }
 
-// TestProgramStretches checks that map and reduce programs describe their
-// alloc and finalize chunks as stretches exactly, regions that are no
-// whole number of chunks included.
-func TestProgramStretches(t *testing.T) {
+// TestProgramRegionsAreChunkedOps checks that map and reduce programs
+// return their alloc and finalize regions each as one chunked op, regions
+// that are no whole number of chunks, or shorter than one, included.
+func TestProgramRegionsAreChunkedOps(t *testing.T) {
 	h := newProgHarness(t, 16<<20)
 	cfg := DefaultEngineConfig()
-	conf := &JobConf{
-		Name: "j", InputPath: "/in", MapParseRate: 8e6, NumReduces: 1, ReduceRate: 8e6, ShuffleSortRate: 8e6,
-		JVMBaseBytes: 20<<20 + 4096, ExtraMemoryBytes: 27 << 20,
-	}
-	mp := newMapProgram(h.eng, &cfg, conf, h.fs, "n1", h.dev, h.block, &taskRuntime{}, 1)
-	n := checkStretches(t, mp, func() ossim.StretchProgram { c := *mp; return &c }, func(p ossim.StretchProgram) any {
-		c := *p.(*mapProgram)
-		c.memOp = ossim.MemOp{}
-		return c
-	})
-	// 47 MB of alloc chunks (6 ops) and 27 MB of finalize chunks (4):
-	// every op but the last of each stage starts a stretch.
-	if n != 5+3 {
-		t.Fatalf("map program described %d stretches, want 8", n)
-	}
-	rp := newReduceProgram(h.eng, &cfg, conf, h.dev, &taskRuntime{}, 1, 32<<20, 100e6)
-	n = checkStretches(t, rp, func() ossim.StretchProgram { c := *rp; return &c }, func(p ossim.StretchProgram) any {
-		c := *p.(*reduceProgram)
-		c.memOp = ossim.MemOp{}
-		return c
-	})
-	if n != 5 {
-		t.Fatalf("reduce program described %d stretches, want 5", n)
+	for _, c := range []struct{ base, extra int64 }{
+		{20<<20 + 4096, 27 << 20},
+		{64 << 20, 0},
+		{16 << 20, 32 << 20},
+		{4096, 5 << 20},
+	} {
+		conf := &JobConf{
+			Name: "j", InputPath: "/in", MapParseRate: 8e6, NumReduces: 1, ReduceRate: 8e6, ShuffleSortRate: 8e6,
+			JVMBaseBytes: c.base, ExtraMemoryBytes: c.extra,
+		}
+		alloc := ossim.MemOp{Length: c.base + c.extra, Write: true}
+		want := map[string]ossim.MemOp{"alloc": alloc}
+		if c.extra > 0 {
+			want["finalize"] = ossim.MemOp{Offset: c.base, Length: c.extra}
+		}
+		mp := newMapProgram(h.eng, &cfg, conf, h.fs, "n1", h.dev, h.block, &taskRuntime{}, 1)
+		checkTouchRegions(t, "map", &cfg, func(op *ossim.Op) { mp.Next(nil, op) }, want)
+		rp := newReduceProgram(h.eng, &cfg, conf, h.dev, &taskRuntime{}, 1, 32<<20, 100e6)
+		checkTouchRegions(t, "reduce", &cfg, func(op *ossim.Op) { rp.Next(nil, op) }, map[string]ossim.MemOp{"alloc": alloc})
 	}
 }

@@ -487,23 +487,29 @@ func TestChainedOpAllocatesNothing(t *testing.T) {
 
 	// A lone process reads back a resident 32 MB region, over and over, in
 	// 1 MB chunks of 1 ms compute. Each RunUntil dispatches the end of the
-	// op the last one queued, and the ops after it, up to the deadline,
-	// run as stretches, one per region.
+	// chunk the last one queued, and the chunks after it, up to the
+	// deadline, run as stretches, one per region.
+	stretches := 0
+	defer func(f func(*Process, int)) { stretchSeen = f }(stretchSeen)
+	stretchSeen = func(_ *Process, n int) {
+		if n >= 2 {
+			stretches++
+		}
+	}
 	eng, k, _ = testKernel(t, 4)
 	phases := []stretchPhase{{to: 32 << 20, chunk: 1 << 20, write: true, compute: time.Millisecond}}
 	for range 400 {
 		phases = append(phases, stretchPhase{to: 32 << 20, chunk: 1 << 20, compute: time.Millisecond})
 	}
-	region := &regionProgram{phases: phases}
-	w, _ = k.Spawn("w", 32<<20, region, nil)
+	w, _ = k.Spawn("w", 32<<20, &regionProgram{chunked: true, phases: phases}, nil)
 	eng.RunUntil(time.Second)
-	before, fired, skips := w.CPUTime(), eng.Fired(), region.skips
+	before, fired, seen := w.CPUTime(), eng.Fired(), stretches
 	if avg := testing.AllocsPerRun(100, func() { eng.RunUntil(eng.Now() + 100*time.Millisecond) }); avg > 0.01 {
 		t.Fatalf("a stretch allocates %.3f objects, want 0", avg)
 	}
-	if ran := w.CPUTime() - before; ran != 101*100*time.Millisecond || eng.Fired() != fired+101 || region.skips < skips+101 {
+	if ran := w.CPUTime() - before; ran != 101*100*time.Millisecond || eng.Fired() != fired+101 || stretches < seen+101 {
 		t.Fatalf("ran %v of compute in %d dispatches and %d stretches, want %v in %d and at least %d",
-			ran, eng.Fired()-fired, region.skips-skips, 101*100*time.Millisecond, 101, 101)
+			ran, eng.Fired()-fired, stretches-seen, 101*100*time.Millisecond, 101, 101)
 	}
 
 	eng, k, _ = testKernel(t, 4)

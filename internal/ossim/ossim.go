@@ -30,18 +30,19 @@
 // on its node thus runs back to back until something else is due. Signals
 // never run a process ahead, since their callers go on after them.
 //
-// A stretch of such ops costs no more than one: when Next returns a
-// memory-only op (a touch and a compute, no sleep, no I/O) on the inline
-// path and the program is a StretchProgram, the kernel asks it which
-// chunks come next and completes them together, with one Touch over their
-// union and one Advance to the last one's end. With no reclaim and no swap
-// read nothing reaches the disk: an op's latency is then its untouched
-// pages times the minor-fault cost, and one Touch leaves the memory
-// manager as the ops' touches would. So the stretch is cut before the
-// first op that would touch a swapped page, fault more pages than were
-// free when it began, or end past the bound Advance accepts
-// (sim.Engine.Horizon). The kernel never calls Next ahead: a program's
-// next op may read a file, filling the page cache.
+// A program states a region it touches chunk by chunk as one op (Op.Chunk),
+// which the kernel runs one chunk at a time. A stretch of those chunks
+// costs no more than one: on the inline path the kernel completes the
+// chunks of a memory-only op (a touch and a compute, no sleep, no I/O)
+// together, with one Touch over their union and one Advance to the last
+// one's end. With no reclaim and no swap read nothing reaches the disk: a
+// chunk's latency is then its untouched pages times the minor-fault cost,
+// and one Touch leaves the memory manager as the chunks' touches would. So
+// the stretch is cut before the first chunk that would touch a swapped
+// page, fault more pages than were free when it began, or end past the
+// bound Advance accepts (sim.Engine.Horizon). A stretch ends with its op,
+// since the kernel never calls Next ahead: a program's next op may read a
+// file, filling the page cache.
 package ossim
 
 import (
@@ -162,6 +163,12 @@ type Op struct {
 	IO *IOOp
 	// Compute is pure CPU work at full speed on one core.
 	Compute time.Duration
+	// Chunk, if positive and Mem is set, runs the op as a series of ops,
+	// one per Chunk bytes of Mem (and at least one), as if Next had
+	// returned each in turn with Mem narrowed to its bytes; the last, if
+	// shorter than Chunk, computes LastCompute in place of Compute.
+	Chunk       int64
+	LastCompute time.Duration
 	// Done marks program completion; remaining fields are ignored except
 	// ExitCode.
 	Done bool
@@ -175,29 +182,6 @@ type Op struct {
 // per-operation hot path free of struct copies and allocations.
 type Program interface {
 	Next(p *Process, op *Op)
-}
-
-// Stretch describes memory-only ops, each a touch and a compute with no
-// sleep and no I/O, that a program returns one after another right after
-// the one its Next has just returned: they touch the bytes from that op's
-// end up to End, Chunk bytes each (the last may touch fewer), with that
-// op's access, and each computes Compute, or LastCompute if it touches
-// fewer than Chunk bytes.
-type Stretch struct {
-	End, Chunk           int64
-	Compute, LastCompute time.Duration
-}
-
-// StretchProgram is a Program that can say which memory-only ops come
-// next, so that the kernel may run them as one stretch (see the package
-// comment). Right after Next has returned a memory-only op, the kernel may
-// call Stretch, which describes the ops that follow it and reports false
-// if none do, and then Skip(n), which moves the program past the first n
-// of them as n calls of Next would. The kernel never calls Next ahead.
-type StretchProgram interface {
-	Program
-	Stretch(st *Stretch) bool
-	Skip(n int)
 }
 
 // ProgramFunc adapts a function to the Program interface.
@@ -216,9 +200,13 @@ const (
 )
 
 // chainOps lets ops run as one chained event, inlineOps lets a process
-// complete ops inline, and stretchOps lets it complete a stretch of them
+// complete ops inline, and stretchOps lets it complete a stretch of chunks
 // at once; tests switch them off to compare against the other forms.
 var chainOps, inlineOps, stretchOps = true, true, true
+
+// stretchSeen, if set, is told of every stretch the kernel weighs, before
+// it runs it: how many chunks it holds (fewer than two run as single ops).
+var stretchSeen func(p *Process, n int)
 
 // Process is a simulated OS process.
 type Process struct {
@@ -226,11 +214,7 @@ type Process struct {
 	name   string
 	kernel *Kernel
 	prog   Program
-	// stretcher is prog if it is a StretchProgram, and st the buffer its
-	// Stretch fills.
-	stretcher StretchProgram
-	st        Stretch
-	state     State
+	state  State
 
 	phase            phase
 	timer            sim.Timer
@@ -253,8 +237,10 @@ type Process struct {
 	latencyDoneFn func()
 	computeDoneFn func()
 
-	// op is the reusable buffer the program fills on each step.
-	op Op
+	// op is the reusable buffer the program fills on each step, and done
+	// the bytes of a chunked op's Mem run so far.
+	op   Op
+	done int64
 
 	createdAt   time.Duration
 	exitedAt    time.Duration
@@ -441,7 +427,6 @@ func (k *Kernel) Spawn(name string, memBytes int64, prog Program, onExit func(*P
 		createdAt: k.eng.Now(),
 		speed:     1,
 	}
-	p.stretcher, _ = prog.(StretchProgram)
 	p.latencyDoneFn = func() { k.latencyDone(p) }
 	p.computeDoneFn = func() { k.computeDone(p) }
 	k.procs[pid] = p
@@ -622,30 +607,42 @@ func (k *Kernel) oomKill() {
 	}
 }
 
-// runNextOp pulls and executes the next operations of p. With ahead set,
-// the caller is one of p's own events (the start event, an op's latency
-// or compute completion) and returns right after this call, so an op that
-// nobody could watch may complete inline: if it would compute at full
-// speed and its end would be the next event dispatched, the clock moves
-// there (sim.Engine.Advance), its CPU time is banked and the next op
-// follows, or a whole stretch of memory-only ops does (runStretch). A
-// process thus runs back to back until something else is due. A signal's
-// caller goes on after runNextOp returns, so cont never passes ahead.
+// runNextOp pulls and executes the next operations of p, and walks a
+// chunked op one chunk at a time. With ahead set, the caller is one of p's
+// own events (the start event, an op's latency or compute completion) and
+// returns right after this call, so an op that nobody could watch may
+// complete inline: if it would compute at full speed and its end would be
+// the next event dispatched, the clock moves there (sim.Engine.Advance),
+// its CPU time is banked and the next op follows, or a whole stretch of a
+// memory-only op's chunks does (runStretch). A process thus runs back to
+// back until something else is due. A signal's caller goes on after
+// runNextOp returns, so cont never passes ahead.
 func (k *Kernel) runNextOp(p *Process, ahead bool) {
 	op := &p.op
 	for p.state == StateRunning {
-		p.prog.Next(p, op)
-		if op.Done {
-			k.exit(p, op.ExitCode)
-			return
+		if op.Chunk <= 0 || op.Mem == nil || p.done >= op.Mem.Length {
+			p.prog.Next(p, op)
+			p.done = 0
+			if op.Done {
+				k.exit(p, op.ExitCode)
+				return
+			}
 		}
-		if ahead && inlineOps && stretchOps && p.stretcher != nil && op.Mem != nil && op.Sleep == 0 && op.IO == nil &&
+		if ahead && inlineOps && stretchOps && op.Chunk > 0 && op.Mem != nil && op.Sleep == 0 && op.IO == nil &&
 			k.runStretch(p, op) {
 			continue
 		}
-		latency := op.Sleep
+		latency, compute := op.Sleep, op.Compute
 		if op.Mem != nil {
-			d, err := k.mem.Touch(p.pid, op.Mem.Offset, op.Mem.Length, op.Mem.Write)
+			offset, length := op.Mem.Offset, op.Mem.Length
+			if op.Chunk > 0 {
+				offset, length = offset+p.done, min(op.Chunk, length-p.done)
+				p.done += length
+				if length < op.Chunk {
+					compute = op.LastCompute
+				}
+			}
+			d, err := k.mem.Touch(p.pid, offset, length, op.Mem.Write)
 			latency += d
 			if err != nil {
 				if errors.Is(err, memory.ErrOutOfMemory) {
@@ -670,7 +667,7 @@ func (k *Kernel) runNextOp(p *Process, ahead bool) {
 			}
 		}
 		latency = max(latency, 0)
-		compute := max(op.Compute, 0)
+		compute = max(compute, 0)
 		if latency == 0 && compute == 0 {
 			continue
 		}
@@ -707,36 +704,39 @@ func (k *Kernel) completeInline(latency, compute time.Duration) bool {
 	if compute > 0 && len(k.active) >= k.cores {
 		return false
 	}
-	// The queued form takes a sequence number per event: the latency wait
-	// (or a chain's creation) and the compute (or the chain's hop).
-	var seqs uint64
-	if latency > 0 {
-		seqs++
-	}
-	if compute > 0 {
-		seqs++
-	}
-	return k.eng.Advance(k.eng.Now()+latency+compute, seqs)
+	return k.eng.Advance(k.eng.Now()+latency+compute, opSeqs(latency, compute))
 }
 
-// runStretch completes op, a memory-only op that Next has just returned on
-// the inline path, together with the ops p's program says come next, where
-// each of them would complete inline in turn without reaching the disk:
-// one Touch over their union, one Advance to the last one's end taking the
-// sequence numbers they would take one by one, and their CPU time banked.
-// The stretch is cut before the first op that would touch a swapped page,
-// fault more pages than were free when it began, or end past the bound
-// Advance accepts. It reports whether it ran a stretch; one of a single op
-// is left to the caller.
+// opSeqs is the number of sequence numbers an op of latency and compute
+// takes in the queued form: one for the latency wait (or a chain's
+// creation) and one for the compute (or the chain's hop).
+func opSeqs(latency, compute time.Duration) uint64 {
+	var n uint64
+	if latency > 0 {
+		n++
+	}
+	if compute > 0 {
+		n++
+	}
+	return n
+}
+
+// runStretch completes the next chunks of op, a memory-only chunked op in
+// hand on the inline path, where each of them would complete inline in
+// turn without reaching the disk: one Touch over their union, one Advance
+// to the last one's end taking the sequence numbers they would take one by
+// one, their CPU time banked and p's cursor moved past them. The stretch
+// is cut before the first chunk that would touch a swapped page, fault
+// more pages than were free when it began, or end past the bound Advance
+// accepts; a full compute set runs none. It reports whether it ran a
+// stretch; one of a single chunk is left to the caller.
 func (k *Kernel) runStretch(p *Process, op *Op) bool {
-	st := &p.st
-	if !p.stretcher.Stretch(st) || st.Chunk <= 0 || op.Mem.Length <= 0 || len(k.active) >= k.cores {
+	start, stop := op.Mem.Offset+p.done, op.Mem.Offset+op.Mem.Length
+	if stop-start <= op.Chunk {
 		return false
 	}
 	horizon, ok := k.eng.Horizon()
-	if !ok {
-		return false
-	}
+	ok = ok && len(k.active) < k.cores
 	cfg := k.mem.Config()
 	free := int(k.mem.FreeBytes() / cfg.PageSize)
 	var (
@@ -744,13 +744,20 @@ func (k *Kernel) runStretch(p *Process, op *Op) bool {
 		cpu       time.Duration
 		seqs      uint64
 		faults, n int
-		touched   int64 // end of the union so far
 	)
-	// The op in hand faults the pages of [lo, hi) that are untouched.
-	lo, hi, compute := op.Mem.Offset, op.Mem.Offset+op.Mem.Length, max(op.Compute, 0)
-	for end+compute <= horizon {
-		f, ok := k.mem.Untouched(p.pid, lo, hi-lo)
-		if !ok || faults+f > free {
+	// Each chunk faults the untouched pages of [lo, hi).
+	lo, hi := start, start
+	for ok && hi < stop {
+		chunk, compute := min(op.Chunk, stop-hi), op.Compute
+		if chunk < op.Chunk {
+			compute = op.LastCompute
+		}
+		compute = max(compute, 0)
+		if end+compute > horizon {
+			break // past the horizon, whatever it faults
+		}
+		f, clean := k.mem.Untouched(p.pid, lo, hi+chunk-lo)
+		if !clean || faults+f > free {
 			break
 		}
 		latency := max(time.Duration(f)*cfg.MinorFaultCost, 0)
@@ -760,36 +767,25 @@ func (k *Kernel) runStretch(p *Process, op *Op) bool {
 		end += latency + compute
 		cpu += compute
 		faults += f
+		seqs += opSeqs(latency, compute)
 		n++
-		touched = hi
-		if latency > 0 {
-			seqs++
-		}
-		if compute > 0 {
-			seqs++
-		}
-		if hi >= st.End {
-			break
-		}
-		chunk := min(st.Chunk, st.End-hi)
-		compute = max(st.Compute, 0)
-		if chunk < st.Chunk {
-			compute = max(st.LastCompute, 0)
-		}
-		// A first page shared with the op before was counted there.
-		lo = (hi + cfg.PageSize - 1) &^ (cfg.PageSize - 1)
 		hi += chunk
+		// A first page shared with the chunk before was counted there.
+		lo = (hi + cfg.PageSize - 1) &^ (cfg.PageSize - 1)
+	}
+	if stretchSeen != nil {
+		stretchSeen(p, n)
 	}
 	if n < 2 {
 		return false
 	}
-	d, err := k.mem.Touch(p.pid, op.Mem.Offset, touched-op.Mem.Offset, op.Mem.Write)
+	d, err := k.mem.Touch(p.pid, start, hi-start, op.Mem.Write)
 	if err != nil || d != time.Duration(faults)*cfg.MinorFaultCost || !k.eng.Advance(end, seqs) {
-		panic(fmt.Sprintf("ossim: stretch of %d ops of %s to %v did not run as its ops would: latency %v, error %v",
+		panic(fmt.Sprintf("ossim: stretch of %d chunks of %s to %v did not run as its chunks would: latency %v, error %v",
 			n, p.name, end, d, err))
 	}
 	p.cpuTime += cpu
-	p.stretcher.Skip(n - 1)
+	p.done = hi - op.Mem.Offset
 	return true
 }
 

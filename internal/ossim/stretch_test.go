@@ -16,10 +16,10 @@ import (
 const stretchPage = 4096
 
 // stretchScript is a random workload for one kernel whose processes touch
-// regions of their address spaces chunk by chunk, reporting the chunks as
-// stretches, between plain ops of sleep, memory, disk and compute. Times
-// lie on a 1 ms grid, and so do the minor-fault cost and every compute, so
-// op ends tie with spawns, signals, cache fills and deadlines.
+// regions of their address spaces chunk by chunk between plain ops of
+// sleep, memory, disk and compute. Times lie on a 1 ms grid, and so do the
+// minor-fault cost and every compute, so op ends tie with spawns, signals,
+// cache fills and deadlines.
 type stretchScript struct {
 	cores                           int
 	ramPages, swapPages, cachePages int
@@ -136,7 +136,7 @@ func randomPhase(d intner, mem int64) stretchPhase {
 }
 
 // stretchRun is one run of a script: its log and, with stretches on, what
-// the programs foresaw and saw of them.
+// it foresaw and saw of them.
 type stretchRun struct {
 	eng      *sim.Engine
 	m        *memory.Manager
@@ -147,9 +147,9 @@ type stretchRun struct {
 	probe    func()
 	log      []string
 	final    string
-	// Stretches run and the ops they held; stretches foreseen wrongly
+	// Stretches run and the chunks they held; stretches foreseen wrongly
 	// (must stay 0); and why stretches were cut before their end: the
-	// compute set full, an op past the deadline or the queue's root, a
+	// compute set full, a chunk past the deadline or the queue's root, a
 	// swapped page, too few free frames.
 	stretches, batched, mispredicted                int
 	cutBusy, cutDeadline, cutHeap, cutSwap, cutFree int
@@ -164,10 +164,22 @@ func (r *stretchRun) note(format string, args ...any) {
 	probe.Cancel()
 }
 
-// foresee predicts, from outside the kernel, how many ops the kernel runs
-// as one stretch from the op in hand (mem, compute), and counts why it
+// seen checks a stretch the kernel weighs (stretchSeen) against what run
+// foresees of it, and counts it.
+func (r *stretchRun) seen(p *Process, n int) {
+	if r.foresee(p) != n {
+		r.mispredicted++
+	}
+	if n >= 2 {
+		r.stretches++
+		r.batched += n
+	}
+}
+
+// foresee predicts, from outside the kernel, how many chunks of p's op in
+// hand the kernel runs as one stretch from p's cursor, and counts why it
 // cuts the stretch there.
-func (r *stretchRun) foresee(p *Process, mem MemOp, compute time.Duration, st Stretch) int {
+func (r *stretchRun) foresee(p *Process) int {
 	if len(r.k.active) >= r.k.cores {
 		r.cutBusy++
 		return 0
@@ -185,9 +197,16 @@ func (r *stretchRun) foresee(p *Process, mem MemOp, compute time.Duration, st St
 		return 0
 	}
 	free := int(r.m.FreeBytes() / stretchPage)
+	op := &p.op
 	end, faults, n := r.eng.Now(), 0, 0
-	lo, hi, c := mem.Offset, mem.Offset+mem.Length, max(compute, 0)
-	for {
+	from, to := op.Mem.Offset+p.done, op.Mem.Offset+op.Mem.Length
+	lo := from
+	for from < to {
+		hi := min(from+op.Chunk, to)
+		c := max(op.Compute, 0)
+		if hi-from < op.Chunk {
+			c = max(op.LastCompute, 0)
+		}
 		if end+c > h {
 			past(end + c)
 			return n
@@ -207,44 +226,27 @@ func (r *stretchRun) foresee(p *Process, mem MemOp, compute time.Duration, st St
 			return n
 		}
 		end, faults, n = e, faults+f, n+1
-		if hi >= st.End {
-			return n
-		}
-		chunk := min(st.Chunk, st.End-hi)
-		c = max(st.Compute, 0)
-		if chunk < st.Chunk {
-			c = max(st.LastCompute, 0)
-		}
-		lo, hi = (hi+stretchPage-1)&^(stretchPage-1), hi+chunk
+		from, lo = hi, (hi+stretchPage-1)&^(stretchPage-1)
 	}
+	return n
 }
 
-// regionProgram runs a list of phases and reports each region's chunks as
-// a stretch. With run set it logs every phase's start and checks the
-// stretches the kernel runs against what run foresees; plain phases with
-// disk I/O need run, for its device.
+// regionProgram runs a list of phases. With chunked set it returns each
+// region as one chunked op; otherwise it returns the region's chunks one
+// op at a time, as plain ops. With run set it logs every phase's start;
+// plain phases with disk I/O need run, for its device.
 type regionProgram struct {
-	run    *stretchRun
-	p      *Process
-	id     int
-	phases []stretchPhase
-	i, rep int   // the phase in hand and, in a plain one, ops returned
-	cur    int64 // next chunk's offset in a region
-	mem    MemOp
-	io     IOOp
-	skips  int // calls of Skip
-	// forecast is the stretch length run foresaw when the kernel last
-	// called Stretch; pending is set until Skip or the next Next.
-	forecast int
-	pending  bool
+	run     *stretchRun
+	chunked bool
+	id      int
+	phases  []stretchPhase
+	i, rep  int   // the phase in hand and, in a plain one, ops returned
+	cur     int64 // next chunk's offset in a region
+	mem     MemOp
+	io      IOOp
 }
 
 func (g *regionProgram) Next(p *Process, op *Op) {
-	g.p = p
-	if g.pending && g.forecast >= 2 {
-		g.run.mispredicted++
-	}
-	g.pending = false
 	for g.i < len(g.phases) {
 		ph := &g.phases[g.i]
 		switch {
@@ -261,6 +263,12 @@ func (g *regionProgram) Next(p *Process, op *Op) {
 				g.io.Device = g.run.dev
 				op.IO = &g.io
 			}
+			return
+		case ph.chunk > 0 && g.cur < ph.to && g.chunked:
+			g.start(p, true)
+			g.mem = MemOp{Offset: g.cur, Length: ph.to - g.cur, Write: ph.write}
+			*op = Op{Mem: &g.mem, Chunk: ph.chunk, Compute: ph.compute, LastCompute: ph.lastCompute}
+			g.cur = ph.to
 			return
 		case ph.chunk > 0 && g.cur < ph.to:
 			g.start(p, g.cur == ph.from)
@@ -288,43 +296,14 @@ func (g *regionProgram) start(p *Process, first bool) {
 	}
 }
 
-func (g *regionProgram) Stretch(st *Stretch) bool {
-	if g.i >= len(g.phases) {
-		return false
-	}
-	ph := &g.phases[g.i]
-	if ph.chunk == 0 || g.cur >= ph.to {
-		return false
-	}
-	*st = Stretch{End: ph.to, Chunk: ph.chunk, Compute: ph.compute, LastCompute: ph.lastCompute}
-	if g.run != nil {
-		// Only a region's last chunk is short, and none follows it.
-		g.forecast, g.pending = g.run.foresee(g.p, g.mem, ph.compute, *st), true
-	}
-	return true
-}
-
-func (g *regionProgram) Skip(n int) {
-	g.skips++
-	g.cur = min(g.cur+int64(n)*g.phases[g.i].chunk, g.phases[g.i].to)
-	if g.run != nil {
-		g.run.stretches++
-		g.run.batched += n + 1
-		if !g.pending || g.forecast != n+1 {
-			g.run.mispredicted++
-		}
-		g.pending = false
-	}
-}
-
-// run runs the script with stretches on or off, stepping the engine
-// event by event to each deadline and then dry. It logs the clock and the
-// sequence counter after every dispatch, every phase start (with the CPU
-// time), signal, cache fill and exit, and at every deadline each process's
-// CPU time and paging counters, the manager's counters and its layout.
-func (s stretchScript) run(stretched bool) *stretchRun {
-	defer func(v bool) { stretchOps = v }(stretchOps)
-	stretchOps = stretched
+// run runs the script, its regions as chunked ops or one plain op a chunk,
+// with stretches on or off, stepping the engine event by event to each
+// deadline and then dry. It logs the clock and the sequence counter after
+// every dispatch, every phase start (with the CPU time), signal, cache
+// fill and exit, and at every deadline each process's CPU time and paging
+// counters, the manager's counters and its layout.
+func (s stretchScript) run(chunked, stretched bool) *stretchRun {
+	defer func(v bool, f func(*Process, int)) { stretchOps, stretchSeen = v, f }(stretchOps, stretchSeen)
 	eng := sim.New()
 	dev := disk.New(eng, "sda", disk.Config{
 		SeekTime: time.Millisecond, ReadBandwidth: 100 << 20, WriteBandwidth: 100 << 20,
@@ -339,12 +318,11 @@ func (s stretchScript) run(stretched bool) *stretchRun {
 	}
 	k := NewKernel(eng, "node1", s.cores, m)
 	r := &stretchRun{eng: eng, m: m, k: k, dev: dev, cost: s.faultCost, probe: func() {}}
+	stretchOps, stretchSeen = stretched, r.seen
 	procs := make([]*Process, len(s.procs))
 	for i, sp := range s.procs {
 		eng.At(sp.at, func() {
-			// With stretches off the kernel never calls Stretch, so the
-			// program foresees nothing.
-			prog := &regionProgram{run: r, id: i, phases: sp.phases, cur: sp.phases[0].from}
+			prog := &regionProgram{run: r, chunked: chunked, id: i, phases: sp.phases, cur: sp.phases[0].from}
 			p, err := k.Spawn(fmt.Sprintf("p%d", i), sp.mem, prog, func(p *Process, code int) {
 				r.note("p%d exit %d %+v", i, code, p.MemoryStats())
 			})
@@ -401,11 +379,28 @@ func (s stretchScript) run(stretched bool) *stretchRun {
 	return r
 }
 
-// compareStretchRuns runs s with stretches on and off and reports how they
-// differ, if they do, and the run with stretches on.
+// compareStretchRuns runs s three ways: every chunk of a region returned
+// by Next as a plain op, the reference; each region as one chunked op,
+// with stretches off; and so with stretches on. It reports how the latter
+// two differ from the reference, if they do, and the run with stretches.
 func compareStretchRuns(s stretchScript) (*stretchRun, string) {
-	want := s.run(false)
-	got := s.run(true)
+	want := s.run(false, false)
+	got := s.run(true, true)
+	if diff := diffStretchRuns(s.run(true, false), want, "chunked"); diff != "" {
+		return got, diff
+	}
+	if diff := diffStretchRuns(got, want, "stretches"); diff != "" {
+		return got, diff
+	}
+	if got.mispredicted > 0 {
+		return got, fmt.Sprintf("%d stretches were not the ones foreseen", got.mispredicted)
+	}
+	return got, ""
+}
+
+// diffStretchRuns reports how run got, named name, differs from want, the
+// run of plain ops one at a time, if it does.
+func diffStretchRuns(got, want *stretchRun, name string) string {
 	for i := range max(len(got.log), len(want.log)) {
 		if i >= len(got.log) || i >= len(want.log) || got.log[i] != want.log[i] {
 			at := func(log []string) string {
@@ -414,22 +409,20 @@ func compareStretchRuns(s stretchScript) (*stretchRun, string) {
 				}
 				return "(end)"
 			}
-			return got, fmt.Sprintf("entry %d of the log differs:\nstretches %s\none by one %s\n(%d entries before agree; last: %v)",
-				i, at(got.log), at(want.log), i, got.log[max(i-3, 0):i])
+			return fmt.Sprintf("entry %d of the log differs:\n%s %s\none by one %s\n(%d entries before agree; last: %v)",
+				i, name, at(got.log), at(want.log), i, got.log[max(i-3, 0):i])
 		}
 	}
 	if got.final != want.final {
-		return got, fmt.Sprintf("final state differs:\nstretches\n%s\none by one\n%s", got.final, want.final)
+		return fmt.Sprintf("final state differs:\n%s\n%s\none by one\n%s", name, got.final, want.final)
 	}
-	if got.mispredicted > 0 {
-		return got, fmt.Sprintf("%d stretches were not the ones foreseen", got.mispredicted)
-	}
-	return got, ""
+	return ""
 }
 
-// TestStretchesMatchOneOpAtATime runs random kernel scripts with stretches
-// on and off and requires the same run: the clock and the sequence counter
-// after every event; every phase start, with the CPU time then; signals,
+// TestStretchesMatchOneOpAtATime runs random kernel scripts with each
+// region returned as one chunked op, with stretches on and off, and
+// requires the same run as with its chunks returned one plain op at a
+// time: the clock and the sequence counter after every event; every phase start, with the CPU time then; signals,
 // cache fills and exits; at every deadline each process's CPU time and
 // paging counters, the manager's counters and its layout, the runs and
 // stacks that Manager.Layout checks and describes; and the final
@@ -438,7 +431,7 @@ func compareStretchRuns(s stretchScript) (*stretchRun, string) {
 // stopped when a region runs; cache fills and competing processes run
 // free frames down; ops end on instants where other events are due; and
 // RunUntil deadlines fall among the ops. Floors make sure stretches run
-// and that each of the kernel's cuts happens: an op past the deadline or
+// and that each of the kernel's cuts happens: a chunk past the deadline or
 // the queue's root, a swapped page, too few free frames.
 func TestStretchesMatchOneOpAtATime(t *testing.T) {
 	rng := sim.NewRNG(47)
@@ -457,7 +450,7 @@ func TestStretchesMatchOneOpAtATime(t *testing.T) {
 		floors.cutSwap += got.cutSwap
 		floors.cutFree += got.cutFree
 	}
-	t.Logf("%d ops in %d stretches; stretches cut by %d deadlines, %d queued entries, %d swapped pages, %d free-frame shortfalls (%d compute sets full)",
+	t.Logf("%d chunks in %d stretches; stretches cut by %d deadlines, %d queued entries, %d swapped pages, %d free-frame shortfalls (%d compute sets full)",
 		floors.batched, floors.stretches, floors.cutDeadline, floors.cutHeap, floors.cutSwap, floors.cutFree, floors.cutBusy)
 	if floors.stretches < 10000 || floors.batched < 50000 || floors.cutDeadline < 800 || floors.cutHeap < 20000 ||
 		floors.cutSwap < 2500 || floors.cutFree < 4000 {
@@ -466,8 +459,8 @@ func TestStretchesMatchOneOpAtATime(t *testing.T) {
 }
 
 // FuzzBatchedOps draws stretch scripts from the fuzzer's bytes and requires
-// the same run with stretches on and off, as TestStretchesMatchOneOpAtATime
-// does for seeded ones.
+// the same run of chunked ops, with stretches on and off, as of plain ops
+// one at a time, as TestStretchesMatchOneOpAtATime does for seeded ones.
 func FuzzBatchedOps(f *testing.F) {
 	rng := sim.NewRNG(53)
 	for range 8 {
@@ -486,10 +479,17 @@ func FuzzBatchedOps(f *testing.F) {
 }
 
 // BenchmarkOpBatch runs a lone process that allocates 2 GB in 8 MB chunks
-// and reads them back, through a program that reports each pass as a
-// stretch: 512 ops, run as two stretches.
+// and reads them back, each pass one chunked op: 512 chunks, run as two
+// stretches.
 func BenchmarkOpBatch(b *testing.B) {
 	b.ReportAllocs()
+	stretches := 0
+	defer func(f func(*Process, int)) { stretchSeen = f }(stretchSeen)
+	stretchSeen = func(_ *Process, n int) {
+		if n >= 2 {
+			stretches++
+		}
+	}
 	const size, chunk = 2 << 30, 8 << 20
 	touch := chunk * time.Second / (2 << 30)
 	phases := []stretchPhase{
@@ -504,13 +504,13 @@ func BenchmarkOpBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		k := NewKernel(eng, "node1", 4, m)
-		prog := &regionProgram{phases: phases}
-		if _, err := k.Spawn("w", size, prog, nil); err != nil {
+		stretches = 0
+		if _, err := k.Spawn("w", size, &regionProgram{chunked: true, phases: phases}, nil); err != nil {
 			b.Fatal(err)
 		}
 		eng.Run()
-		if prog.skips != 2 {
-			b.Fatalf("%d stretches, want 2", prog.skips)
+		if stretches != 2 {
+			b.Fatalf("%d stretches, want 2", stretches)
 		}
 		k.Release()
 		m.Release()

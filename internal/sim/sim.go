@@ -293,35 +293,33 @@ func (e *Engine) AtEach(n int, at func(i int) time.Duration, fn func(i int)) {
 // queue next: one due at t, which reaches t after taking n sequence
 // numbers (an event queued now takes one; a chain takes two, at its
 // creation and at its hop, and the hop must lie before t). If that event
-// would be the next one dispatched, because t is before every queued entry
-// (cancelled ones and chains' hops included; on a tie the entry already
-// queued goes first) and no later than the deadline of the StepUntil call
-// dispatching, which the clock has not reached yet, Advance moves the
-// clock to t, takes the n sequence numbers
-// and reports true: the caller then runs the event's code itself, as the
-// last thing it does, since nothing may run between the two. Otherwise,
-// and outside a dispatch, it does nothing and reports false. A time before
-// now is clamped to now. The event run ahead is not a dispatch: Fired does
-// not count it.
+// would be the next one dispatched, because t is no later than Horizon,
+// Advance moves the clock to t, takes the n sequence numbers and reports
+// true: the caller then runs the event's code itself, as the last thing
+// it does, since nothing may run between the two. Otherwise, and outside a
+// dispatch, it does nothing and reports false. A time before now is
+// clamped to now. The event run ahead is not a dispatch: Fired does not
+// count it.
 func (e *Engine) Advance(t time.Duration, n uint64) bool {
-	t = max(t, e.now)
-	// At the deadline itself a loop that stops once the clock reaches it
-	// would not dispatch anything more.
-	if t > e.limit || e.now >= e.limit || (len(e.heap) > 0 && e.heap[0].at <= t) {
+	if h, ok := e.Horizon(); !ok || t > h {
 		return false
 	}
-	e.now = t
+	e.now = max(t, e.now)
 	e.seq += n
 	return true
 }
 
 // Horizon reports the latest time Advance would accept now: the deadline
-// of the StepUntil call dispatching, or the instant before the queue's root
-// if that comes first. It reports false where Advance would accept no time
-// at all: outside a dispatch, at the deadline, or with an entry due now.
-// A caller that runs several events ahead at once checks their last end
+// of the StepUntil call dispatching, which the clock has not reached yet,
+// or the instant before the queue's root if that comes first (cancelled
+// entries and chains' hops included; on a tie the entry already queued
+// goes first). It reports false where Advance would accept no time at
+// all: outside a dispatch, at the deadline, or with an entry due now. A
+// caller that runs several events ahead at once checks their last end
 // against it before it calls Advance.
 func (e *Engine) Horizon() (time.Duration, bool) {
+	// At the deadline itself a loop that stops once the clock reaches it
+	// would not dispatch anything more.
 	if e.now >= e.limit {
 		return 0, false
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"time"
 
 	"hadooppreempt/internal/core"
@@ -40,7 +41,7 @@ type ReplayConfig struct {
 	Scheduler string
 	// MapParseRate is the synthetic mapper throughput applied to
 	// replayed jobs (bytes/s; default 8e6, matching the SWIM-style
-	// generator's classes).
+	// generator's classes). Non-finite values are rejected.
 	MapParseRate float64
 	// MaxInputBytes caps a replayed job's input size (0 = no cap):
 	// public traces contain multi-TB outliers that would swamp a
@@ -51,7 +52,8 @@ type ReplayConfig struct {
 	// cells (e.g. 24 turns a day of arrivals into an hour of virtual
 	// time). It is a pure function of the trace, so replay output stays
 	// deterministic across -parallel, -shard and distributed workers.
-	// 0 means 1 (no compression); negative values are rejected.
+	// 0 means 1 (no compression); negative and non-finite values are
+	// rejected.
 	TimeScale float64
 	// Deadline bounds each cell's virtual time (default 24h).
 	Deadline time.Duration
@@ -103,11 +105,14 @@ func NewReplayBackend(cfg ReplayConfig) (*ReplayBackend, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown replay scheduler %q (want fifo, fair or hfsp)", cfg.Scheduler)
 	}
+	if math.IsNaN(cfg.MapParseRate) || math.IsInf(cfg.MapParseRate, 0) {
+		return nil, fmt.Errorf("workload: replay map parse rate %g is not finite", cfg.MapParseRate)
+	}
 	if cfg.MapParseRate <= 0 {
 		cfg.MapParseRate = 8e6
 	}
-	if cfg.TimeScale < 0 {
-		return nil, fmt.Errorf("workload: negative replay time scale %g", cfg.TimeScale)
+	if !(cfg.TimeScale >= 0) || math.IsInf(cfg.TimeScale, 1) {
+		return nil, fmt.Errorf("workload: replay time scale %g is negative or not finite", cfg.TimeScale)
 	}
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1

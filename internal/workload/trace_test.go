@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -166,6 +167,14 @@ func TestReplayBackendValidation(t *testing.T) {
 	}
 	if _, err := NewReplayBackend(ReplayConfig{Jobs: one, Scheduler: "random"}); err == nil {
 		t.Error("unknown scheduler should fail")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewReplayBackend(ReplayConfig{Jobs: one, TimeScale: v}); err == nil {
+			t.Errorf("time scale %g should fail", v)
+		}
+		if _, err := NewReplayBackend(ReplayConfig{Jobs: one, MapParseRate: v}); err == nil {
+			t.Errorf("map parse rate %g should fail", v)
+		}
 	}
 }
 

@@ -37,14 +37,13 @@ BASE_REF=${1:-HEAD}
 
 GO=${GO:-go}
 tmp=$(mktemp -d)
-cleanup() {
-    git worktree remove --force "$tmp/base" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== building '$PKG' test binaries: base=$BASE_REF vs working tree"
-git worktree add --force --detach "$tmp/base" "$BASE_REF" >/dev/null
+# git archive writes nothing in the repository, so a killed run leaves
+# nothing behind there.
+mkdir "$tmp/base"
+git archive "$BASE_REF" | tar -x -C "$tmp/base"
 (cd "$tmp/base" && $GO test -c -o "$tmp/bench-base" "$PKG")
 $GO test -c -o "$tmp/bench-new" "$PKG"
 
@@ -70,6 +69,6 @@ done
 awk -v b="$base_min" -v n="$new_min" -v bench="$BENCH" -v ref="$BASE_REF" 'BEGIN {
     printf "\n%s (min of interleaved runs)\n", bench
     printf "  base (%s): %.3f ms/op\n", ref, b / 1e6
-    printf "  new  (worktree): %.3f ms/op\n", n / 1e6
+    printf "  new  (working tree): %.3f ms/op\n", n / 1e6
     printf "  ratio: %.2fx %s\n", (n < b ? b / n : n / b), (n < b ? "faster" : "slower")
 }'
