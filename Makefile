@@ -37,11 +37,17 @@ bench:
 
 # Interleaved old-vs-new benchmark comparison per the EXPERIMENTS.md
 # methodology (min-of-N per binary). BASE picks the git ref to compare
-# the working tree against; BENCH narrows the benchmark regex.
+# the working tree against; BENCH narrows the benchmark regex and PKG
+# names the package that holds it (e.g. PKG=./internal/ossim). BENCHTIME
+# is each run's -test.benchtime: a benchmark of a few microseconds an op
+# needs thousands of iterations a run (e.g. BENCHTIME=2000x) to measure
+# more than the timer.
 BASE ?= HEAD
 BENCH ?= ^BenchmarkFullGrid20Reps$$
+PKG ?= .
+BENCHTIME ?= 3x
 bench-diff:
-	scripts/benchdiff.sh -b '$(BENCH)' $(BASE)
+	scripts/benchdiff.sh -b '$(BENCH)' -p '$(PKG)' -t '$(BENCHTIME)' $(BASE)
 
 # Regenerate BENCH_sweep.json and fail if figure or grid metrics
 # drifted from goldens/bench_metrics.json (run with UPDATE=1 to rewrite

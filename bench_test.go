@@ -306,6 +306,25 @@ func BenchmarkFullGrid20Reps(b *testing.B) {
 	}
 }
 
+// BenchmarkPressureGrid20Reps runs the pressure grid (a tl with 2 GB of
+// state against a th of 0, 1024 or 2048 MB: the stateful half of the
+// paper grids, where tasks write and read back state in long stretches)
+// at its 20 repetitions (540 cells) through the streaming-collapse
+// engine. make backend-check and nightly-grid gate its output against
+// goldens/grid_pressure_reps20.csv, so it reports no metric of its own.
+func BenchmarkPressureGrid20Reps(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		backend, err := experiments.SimBackend("pressure", 0, 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sweep.RunBackend(backend,
+			sweep.Options{Parallel: runtime.GOMAXPROCS(0), Seed: benchSeed}, "rep"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLargeTraceReplay drives a synthesized 1200-job Facebook-like
 // SWIM trace (hp.SynthesizeSWIMTrace, deterministic in the job count)
 // through the full cluster engine as one replay cell, streaming inputs

@@ -151,3 +151,62 @@ func TestTwoJobIdentitiesFollowTheirParameters(t *testing.T) {
 		t.Fatalf("with a %v cleanup, kill's makespan exceeds wait's by %v, want %v", cfg.Engine.CleanupCost, got, want)
 	}
 }
+
+// TestPagingCellBooksWhatItsNodePaged checks the paging grids' books
+// against their node's counters, over 2 GB tl and th of 0, 1024, 2048 or
+// 2560 MB, r = 25, 50 and 75%, seeds 1-3, each under wait, susp and kill:
+// 108 runs, 18 of which page.
+//
+//   - tl's and th's booked swap-out bytes sum to the bytes the node's
+//     memory manager paged out, their swap-in bytes to those it paged in,
+//     and no task swaps in more than it swapped out.
+//   - The disk wrote exactly the paged-out bytes: these map-only jobs
+//     write no output.
+//   - Under wait and susp, which read each input once, the disk read both
+//     inputs and the paged-in bytes.
+//   - susp's makespan exceeds wait's by at least the time the disk takes
+//     to read the paged-in bytes.
+func TestPagingCellBooksWhatItsNodePaged(t *testing.T) {
+	bw := mapreduce.DefaultClusterConfig().Node.Disk.ReadBandwidth
+	paging := 0
+	for _, thMB := range []int64{0, 1024, 2048, 2560} {
+		for _, r := range []float64{25, 50, 75} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				p := DefaultTwoJobParams()
+				p.PreemptAt, p.Seed, p.TLExtraMemory, p.THExtraMemory = r/100, seed, WorstCaseMemory, thMB<<20
+				o := runPaired(t, p)
+				at := fmt.Sprintf("th %d MB r=%v seed %d", thMB, r, seed)
+				for prim, out := range map[string]*TwoJobResult{"wait": o.wait, "susp": o.susp, "kill": o.kill} {
+					m, d := out.Memory, out.Disk
+					if out.SwapOutTL+out.SwapOutTH != m.PagedOutBytes || out.SwapInTL+out.SwapInTH != m.PagedInBytes {
+						t.Fatalf("%s %s: tasks booked %d + %d bytes out and %d + %d in, the node paged %d out and %d in",
+							at, prim, out.SwapOutTL, out.SwapOutTH, out.SwapInTL, out.SwapInTH, m.PagedOutBytes, m.PagedInBytes)
+					}
+					if out.SwapInTL > out.SwapOutTL || out.SwapInTH > out.SwapOutTH {
+						t.Fatalf("%s %s: swapped in more than out: tl %d > %d or th %d > %d",
+							at, prim, out.SwapInTL, out.SwapOutTL, out.SwapInTH, out.SwapOutTH)
+					}
+					if d.BytesWritten != m.PagedOutBytes {
+						t.Fatalf("%s %s: the disk wrote %d bytes, the node paged out %d", at, prim, d.BytesWritten, m.PagedOutBytes)
+					}
+					if prim != "kill" && d.BytesRead != 2*p.InputBytes+m.PagedInBytes {
+						t.Fatalf("%s %s: the disk read %d bytes, want two %d-byte inputs and %d paged in",
+							at, prim, d.BytesRead, p.InputBytes, m.PagedInBytes)
+					}
+					if m.PagedOutBytes > 0 {
+						paging++
+					}
+				}
+				in := o.susp.Memory.PagedInBytes
+				if extra, bound := o.susp.Makespan-o.wait.Makespan, time.Duration(float64(in)/bw*float64(time.Second)); extra < bound {
+					t.Fatalf("%s: susp's makespan exceeds wait's by %v, less than the %v its %d paged-in bytes take to read",
+						at, extra, bound, in)
+				}
+			}
+		}
+	}
+	t.Logf("%d of 108 runs paged", paging)
+	if paging < 18 {
+		t.Fatalf("%d runs paged, want at least 18", paging)
+	}
+}

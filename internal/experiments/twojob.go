@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"hadooppreempt/internal/core"
+	"hadooppreempt/internal/disk"
 	"hadooppreempt/internal/mapreduce"
+	"hadooppreempt/internal/memory"
 	"hadooppreempt/internal/scheduler"
 	"hadooppreempt/internal/trace"
 )
@@ -72,6 +74,11 @@ type TwoJobResult struct {
 	TLAttempts int
 	// WastedWork is CPU time discarded by kills.
 	WastedWork time.Duration
+	// Memory and Disk are the end-of-run counters of the cluster's first
+	// node, the only one in the paper's setup: what it paged, and what
+	// its disk read and wrote for inputs and swap alike.
+	Memory memory.Stats
+	Disk   disk.Stats
 	// Trace holds the execution schedule (Figure 1).
 	Trace *trace.Recorder
 }
@@ -183,6 +190,8 @@ func RunTwoJob(p TwoJobParams) (*TwoJobResult, error) {
 		TLSuspensions: tl.Suspensions(),
 		TLAttempts:    tl.Attempts(),
 		WastedWork:    tl.WastedWork(),
+		Memory:        cluster.Node(0).Memory.Stats(),
+		Disk:          cluster.Node(0).Device.Stats(),
 		Trace:         rec,
 	}
 	end := tlJob.CompletedAt()

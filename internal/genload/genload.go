@@ -20,6 +20,7 @@ package genload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hadooppreempt/internal/mapreduce"
@@ -102,13 +103,18 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("genload: BurstGap must be non-negative (got %v)", s.BurstGap)
 	case s.MeanJitter <= 0:
 		return fmt.Errorf("genload: MeanJitter must be positive (got %v)", s.MeanJitter)
-	case s.SizeSigma < 0:
-		return fmt.Errorf("genload: SizeSigma must be non-negative (got %v)", s.SizeSigma)
+	// NaN fails every comparison, so each test states what is valid: a
+	// NaN size would floor every job to MinInputBytes, a NaN HeavyFrac turn
+	// the skew off.
+	case math.IsNaN(s.SizeMu) || math.IsInf(s.SizeMu, 0):
+		return fmt.Errorf("genload: SizeMu must be finite (got %v)", s.SizeMu)
+	case !(s.SizeSigma >= 0) || math.IsInf(s.SizeSigma, 1):
+		return fmt.Errorf("genload: SizeSigma must be finite and non-negative (got %v)", s.SizeSigma)
 	case s.MinInputBytes <= 0:
 		return fmt.Errorf("genload: MinInputBytes must be positive (got %d)", s.MinInputBytes)
-	case s.MapParseRate <= 0:
-		return fmt.Errorf("genload: MapParseRate must be positive (got %v)", s.MapParseRate)
-	case s.HeavyFrac < 0 || s.HeavyFrac > 1:
+	case !(s.MapParseRate > 0) || math.IsInf(s.MapParseRate, 1):
+		return fmt.Errorf("genload: MapParseRate must be positive and finite (got %v)", s.MapParseRate)
+	case !(s.HeavyFrac >= 0 && s.HeavyFrac <= 1):
 		return fmt.Errorf("genload: HeavyFrac must be in [0,1] (got %v)", s.HeavyFrac)
 	case s.HeavyFrac > 0 && s.HeavyMemBytes <= 0:
 		return fmt.Errorf("genload: HeavyFrac > 0 needs positive HeavyMemBytes")

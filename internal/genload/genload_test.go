@@ -1,6 +1,7 @@
 package genload_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -158,6 +159,13 @@ func TestValidateRejects(t *testing.T) {
 		func(s *genload.Scenario) { s.HeavyFrac = 1.5 },
 		func(s *genload.Scenario) { s.HeavyFrac = 0.5; s.HeavyMemBytes = 0 },
 		func(s *genload.Scenario) { s.StarvationTimeout = 0 },
+		func(s *genload.Scenario) { s.MapParseRate = math.NaN() },
+		func(s *genload.Scenario) { s.MapParseRate = math.Inf(1) },
+		func(s *genload.Scenario) { s.SizeMu = math.NaN() },
+		func(s *genload.Scenario) { s.SizeMu = math.Inf(1) },
+		func(s *genload.Scenario) { s.SizeSigma = math.NaN() },
+		func(s *genload.Scenario) { s.SizeSigma = math.Inf(1) },
+		func(s *genload.Scenario) { s.HeavyFrac = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		s := genload.Default()

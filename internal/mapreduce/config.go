@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -67,17 +68,19 @@ func (c *JobConf) Validate() error {
 	if c.InputPath == "" {
 		return fmt.Errorf("mapreduce: job %s needs an input path", c.Name)
 	}
-	if c.MapParseRate <= 0 {
-		return fmt.Errorf("mapreduce: job %s needs a positive map parse rate", c.Name)
+	// A NaN or infinite rate would parse, shuffle or reduce a chunk in no
+	// time, and a NaN fails every comparison: test for what is valid.
+	if !validRate(c.MapParseRate) {
+		return fmt.Errorf("mapreduce: job %s needs a positive finite map parse rate (got %v)", c.Name, c.MapParseRate)
 	}
 	if c.NumReduces < 0 {
 		return fmt.Errorf("mapreduce: job %s has negative reduce count", c.Name)
 	}
-	if c.NumReduces > 0 && (c.ReduceRate <= 0 || c.ShuffleSortRate <= 0) {
-		return fmt.Errorf("mapreduce: job %s with reduces needs reduce and shuffle rates", c.Name)
+	if c.NumReduces > 0 && !(validRate(c.ReduceRate) && validRate(c.ShuffleSortRate)) {
+		return fmt.Errorf("mapreduce: job %s with reduces needs positive finite reduce and shuffle rates", c.Name)
 	}
-	if c.MapOutputRatio < 0 {
-		return fmt.Errorf("mapreduce: job %s has negative output ratio", c.Name)
+	if !(c.MapOutputRatio >= 0) || math.IsInf(c.MapOutputRatio, 1) {
+		return fmt.Errorf("mapreduce: job %s needs a finite non-negative output ratio (got %v)", c.Name, c.MapOutputRatio)
 	}
 	if c.JVMBaseBytes < 0 || c.ExtraMemoryBytes < 0 {
 		return fmt.Errorf("mapreduce: job %s has negative memory size", c.Name)
@@ -87,6 +90,9 @@ func (c *JobConf) Validate() error {
 	}
 	return nil
 }
+
+// validRate reports whether x is a usable throughput: positive and finite.
+func validRate(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // EngineConfig holds cluster-wide engine parameters.
 type EngineConfig struct {
@@ -167,8 +173,8 @@ func (c *EngineConfig) Validate() error {
 	if c.ChunkBytes <= 0 {
 		return fmt.Errorf("mapreduce: chunk size must be positive")
 	}
-	if c.MemTouchRate <= 0 {
-		return fmt.Errorf("mapreduce: memory touch rate must be positive")
+	if !validRate(c.MemTouchRate) {
+		return fmt.Errorf("mapreduce: memory touch rate must be positive and finite (got %v)", c.MemTouchRate)
 	}
 	if c.MaxTaskAttempts <= 0 {
 		return fmt.Errorf("mapreduce: max task attempts must be positive")

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -119,11 +120,46 @@ func TestMultiBlockJobCreatesOneMapPerBlock(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	c := newCluster(t, 1, 1)
-	if _, err := c.JobTracker().Submit(JobConf{Name: "x", InputPath: "/missing", MapParseRate: 1e6}); err == nil {
-		t.Fatal("submit with missing input should fail")
+	if err := c.CreateInput("/in", 512<<20); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.JobTracker().Submit(JobConf{Name: "", InputPath: "/in", MapParseRate: 1e6}); err == nil {
-		t.Fatal("submit without name should fail")
+	withReduces := func(reduce, shuffle float64) JobConf {
+		return JobConf{Name: "x", InputPath: "/in", MapParseRate: 1e6, NumReduces: 1, ReduceRate: reduce, ShuffleSortRate: shuffle}
+	}
+	for _, tc := range []struct {
+		name string
+		conf JobConf
+	}{
+		{"missing input", JobConf{Name: "x", InputPath: "/missing", MapParseRate: 1e6}},
+		{"no name", JobConf{Name: "", InputPath: "/in", MapParseRate: 1e6}},
+		{"zero parse rate", JobConf{Name: "x", InputPath: "/in"}},
+		{"NaN parse rate", JobConf{Name: "x", InputPath: "/in", MapParseRate: math.NaN()}},
+		{"infinite parse rate", JobConf{Name: "x", InputPath: "/in", MapParseRate: math.Inf(1)}},
+		{"NaN reduce rate", withReduces(math.NaN(), 1e6)},
+		{"infinite shuffle rate", withReduces(1e6, math.Inf(1))},
+		{"negative output ratio", JobConf{Name: "x", InputPath: "/in", MapParseRate: 1e6, MapOutputRatio: -1}},
+		{"NaN output ratio", JobConf{Name: "x", InputPath: "/in", MapParseRate: 1e6, MapOutputRatio: math.NaN()}},
+		{"infinite output ratio", JobConf{Name: "x", InputPath: "/in", MapParseRate: 1e6, MapOutputRatio: math.Inf(1)}},
+	} {
+		if _, err := c.JobTracker().Submit(tc.conf); err == nil {
+			t.Errorf("%s: submit accepted %+v", tc.name, tc.conf)
+		}
+	}
+	if len(c.JobTracker().Jobs()) != 0 {
+		t.Fatalf("%d jobs submitted, want 0", len(c.JobTracker().Jobs()))
+	}
+}
+
+// TestEngineRejectsNonFiniteTouchRate: a NaN or infinite memory touch
+// rate would touch a task's memory in no time.
+func TestEngineRejectsNonFiniteTouchRate(t *testing.T) {
+	for _, r := range []float64{0, math.NaN(), math.Inf(1)} {
+		cfg := DefaultClusterConfig()
+		cfg.Engine.MemTouchRate = r
+		if c, err := NewCluster(cfg); err == nil {
+			c.Close()
+			t.Errorf("NewCluster accepted a memory touch rate of %v", r)
+		}
 	}
 }
 

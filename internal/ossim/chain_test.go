@@ -488,12 +488,15 @@ func TestChainedOpAllocatesNothing(t *testing.T) {
 	// A lone process reads back a resident 32 MB region, over and over, in
 	// 1 MB chunks of 1 ms compute. Each RunUntil dispatches the end of the
 	// chunk the last one queued, and the chunks after it, up to the
-	// deadline, run as stretches, one per region.
-	stretches := 0
-	defer func(f func(*Process, int)) { stretchSeen = f }(stretchSeen)
-	stretchSeen = func(_ *Process, n int) {
+	// deadline, run as stretches, one per region, each counted at once.
+	stretches, uncounted := 0, 0
+	defer func(f func(*Process, int, int)) { stretchSeen = f }(stretchSeen)
+	stretchSeen = func(_ *Process, n, counted int) {
 		if n >= 2 {
 			stretches++
+			if counted != n {
+				uncounted++
+			}
 		}
 	}
 	eng, k, _ = testKernel(t, 4)
@@ -507,9 +510,9 @@ func TestChainedOpAllocatesNothing(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { eng.RunUntil(eng.Now() + 100*time.Millisecond) }); avg > 0.01 {
 		t.Fatalf("a stretch allocates %.3f objects, want 0", avg)
 	}
-	if ran := w.CPUTime() - before; ran != 101*100*time.Millisecond || eng.Fired() != fired+101 || stretches < seen+101 {
-		t.Fatalf("ran %v of compute in %d dispatches and %d stretches, want %v in %d and at least %d",
-			ran, eng.Fired()-fired, stretches-seen, 101*100*time.Millisecond, 101, 101)
+	if ran := w.CPUTime() - before; ran != 101*100*time.Millisecond || eng.Fired() != fired+101 || stretches < seen+101 || uncounted > 0 {
+		t.Fatalf("ran %v of compute in %d dispatches and %d stretches (%d not counted at once), want %v in %d and at least %d (0)",
+			ran, eng.Fired()-fired, stretches-seen, uncounted, 101*100*time.Millisecond, 101, 101)
 	}
 
 	eng, k, _ = testKernel(t, 4)

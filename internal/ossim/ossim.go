@@ -42,7 +42,11 @@
 // page, fault more pages than were free when it began, or end past the
 // bound Advance accepts (sim.Engine.Horizon). A stretch ends with its op,
 // since the kernel never calls Next ahead: a program's next op may read a
-// file, filling the page cache.
+// file, filling the page cache. Weighing a stretch costs the memory
+// manager one query where its pages are all untouched or all resident and
+// its chunks whole pages from a page boundary, as a task's heap and state
+// are: every chunk then faults alike, and the kernel counts how many fit.
+// Elsewhere it asks chunk by chunk.
 package ossim
 
 import (
@@ -153,7 +157,8 @@ type IOOp struct {
 // latencies (Sleep, memory faults, disk I/O), then performs Compute worth
 // of CPU work at the process's share of the node's cores.
 type Op struct {
-	// Label is carried to traces for debugging.
+	// Label names the op for a reader of the program, such as a test that
+	// steps through it; the kernel ignores it.
 	Label string
 	// Sleep is a fixed latency (e.g. process startup, RPC wait).
 	Sleep time.Duration
@@ -205,8 +210,9 @@ const (
 var chainOps, inlineOps, stretchOps = true, true, true
 
 // stretchSeen, if set, is told of every stretch the kernel weighs, before
-// it runs it: how many chunks it holds (fewer than two run as single ops).
-var stretchSeen func(p *Process, n int)
+// it runs it: how many chunks it holds (fewer than two run as single ops)
+// and how many of them it counted at once, without a query each.
+var stretchSeen func(p *Process, n, counted int)
 
 // Process is a simulated OS process.
 type Process struct {
@@ -728,8 +734,12 @@ func opSeqs(latency, compute time.Duration) uint64 {
 // one, their CPU time banked and p's cursor moved past them. The stretch
 // is cut before the first chunk that would touch a swapped page, fault
 // more pages than were free when it began, or end past the bound Advance
-// accepts; a full compute set runs none. It reports whether it ran a
-// stretch; one of a single chunk is left to the caller.
+// accepts; a full compute set runs none. Over pages all untouched or all
+// resident, in whole-page chunks from a page boundary, one Untouched query
+// finds the whole chunks alike and they are counted by arithmetic; the
+// chunk a bound cuts, a shorter last chunk and every chunk elsewhere are
+// asked about one at a time. It reports whether it ran a stretch; one of
+// a single chunk is left to the caller.
 func (k *Kernel) runStretch(p *Process, op *Op) bool {
 	start, stop := op.Mem.Offset+p.done, op.Mem.Offset+op.Mem.Length
 	if stop-start <= op.Chunk {
@@ -747,6 +757,32 @@ func (k *Kernel) runStretch(p *Process, op *Op) bool {
 	)
 	// Each chunk faults the untouched pages of [lo, hi).
 	lo, hi := start, start
+	// Whole chunks over uniform pages all fault alike (none, or all their
+	// pages): count those that fit before the horizon, the free frames
+	// and the last whole chunk. The loop goes on from there.
+	if ok && (start|op.Chunk)&(cfg.PageSize-1) == 0 {
+		f, clean := k.mem.Untouched(p.pid, start, stop-start)
+		if pages := (stop - start + cfg.PageSize - 1) / cfg.PageSize; clean && (f == 0 || int64(f) == pages) {
+			per := 0 // pages each chunk faults
+			if f > 0 {
+				per = int(op.Chunk / cfg.PageSize)
+			}
+			latency, compute := max(time.Duration(per)*cfg.MinorFaultCost, 0), max(op.Compute, 0)
+			n = int((stop - start) / op.Chunk)
+			if step := latency + compute; step > 0 {
+				n = min(n, int((horizon-end)/step))
+			}
+			if per > 0 {
+				n = min(n, free/per)
+			}
+			end += time.Duration(n) * (latency + compute)
+			cpu, faults = time.Duration(n)*compute, n*per
+			seqs = uint64(n) * opSeqs(latency, compute)
+			hi += int64(n) * op.Chunk
+			lo = hi
+		}
+	}
+	counted := n
 	for ok && hi < stop {
 		chunk, compute := min(op.Chunk, stop-hi), op.Compute
 		if chunk < op.Chunk {
@@ -774,7 +810,7 @@ func (k *Kernel) runStretch(p *Process, op *Op) bool {
 		lo = (hi + cfg.PageSize - 1) &^ (cfg.PageSize - 1)
 	}
 	if stretchSeen != nil {
-		stretchSeen(p, n)
+		stretchSeen(p, n, counted)
 	}
 	if n < 2 {
 		return false

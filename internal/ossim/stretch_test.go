@@ -153,6 +153,10 @@ type stretchRun struct {
 	// swapped page, too few free frames.
 	stretches, batched, mispredicted                int
 	cutBusy, cutDeadline, cutHeap, cutSwap, cutFree int
+	// Chunks the kernel counted at once, over uniform pages, and the bound
+	// that ended each such count: the horizon, the free frames, the op's
+	// last whole chunk.
+	counted, byHorizon, byFree, byEnd int
 }
 
 // note logs an entry with the clock and the sequence counter, which it
@@ -166,69 +170,101 @@ func (r *stretchRun) note(format string, args ...any) {
 
 // seen checks a stretch the kernel weighs (stretchSeen) against what run
 // foresees of it, and counts it.
-func (r *stretchRun) seen(p *Process, n int) {
-	if r.foresee(p) != n {
+func (r *stretchRun) seen(p *Process, n, counted int) {
+	if wn, wc := r.foresee(p); wn != n || wc != counted {
 		r.mispredicted++
 	}
 	if n >= 2 {
 		r.stretches++
 		r.batched += n
 	}
+	r.counted += counted
 }
 
 // foresee predicts, from outside the kernel, how many chunks of p's op in
-// hand the kernel runs as one stretch from p's cursor, and counts why it
-// cuts the stretch there.
-func (r *stretchRun) foresee(p *Process) int {
+// hand the kernel runs as one stretch from p's cursor, walking them chunk
+// by chunk, and counts why it cuts the stretch there. It also predicts
+// how many of them the kernel counts at once: the whole chunks, where the
+// rest of the op starts on a page boundary, its chunks are whole pages and
+// its pages, asked one by one, are all untouched or all resident. It
+// counts the bound that ends those: the op's last whole chunk, or the cut.
+func (r *stretchRun) foresee(p *Process) (n, counted int) {
 	if len(r.k.active) >= r.k.cores {
 		r.cutBusy++
-		return 0
-	}
-	past := func(end time.Duration) {
-		if end > r.deadline || r.eng.Now() >= r.deadline {
-			r.cutDeadline++
-		} else {
-			r.cutHeap++
-		}
+		return 0, 0
 	}
 	h, ok := r.eng.Horizon()
 	if !ok {
-		past(r.eng.Now())
-		return 0
+		*r.past(r.eng.Now())++
+		return 0, 0
 	}
 	free := int(r.m.FreeBytes() / stretchPage)
 	op := &p.op
-	end, faults, n := r.eng.Now(), 0, 0
+	end, faults := r.eng.Now(), 0
 	from, to := op.Mem.Offset+p.done, op.Mem.Offset+op.Mem.Length
-	lo := from
-	for from < to {
-		hi := min(from+op.Chunk, to)
+	var cut *int // the count of the reason the stretch stops short of to
+	for lo, at := from, from; at < to && cut == nil; {
+		hi := min(at+op.Chunk, to)
 		c := max(op.Compute, 0)
-		if hi-from < op.Chunk {
+		if hi-at < op.Chunk {
 			c = max(op.LastCompute, 0)
 		}
-		if end+c > h {
-			past(end + c)
-			return n
-		}
 		f, ok := r.m.Untouched(p.PID(), lo, hi-lo)
-		if !ok {
-			r.cutSwap++
-			return n
-		}
-		if faults+f > free {
-			r.cutFree++
-			return n
-		}
 		e := end + max(time.Duration(f)*r.cost, 0) + c
-		if e > h {
-			past(e)
-			return n
+		switch {
+		case end+c > h:
+			cut = r.past(end + c)
+		case !ok:
+			cut = &r.cutSwap
+		case faults+f > free:
+			cut = &r.cutFree
+		case e > h:
+			cut = r.past(e)
+		default:
+			end, faults, n = e, faults+f, n+1
+			at, lo = hi, (hi+stretchPage-1)&^(stretchPage-1)
 		}
-		end, faults, n = e, faults+f, n+1
-		from, lo = hi, (hi+stretchPage-1)&^(stretchPage-1)
 	}
-	return n
+	if cut != nil {
+		*cut++
+	}
+	if (from|op.Chunk)%stretchPage != 0 || !r.uniform(p, from, to) {
+		return n, 0
+	}
+	whole := int((to - from) / op.Chunk)
+	counted = min(n, whole)
+	switch {
+	case counted == whole:
+		r.byEnd++
+	case cut == &r.cutFree:
+		r.byFree++
+	default:
+		r.byHorizon++
+	}
+	return n, counted
+}
+
+// past is the count of the cut of a chunk that would end at end, past the
+// horizon: the StepUntil deadline, or the queue's root.
+func (r *stretchRun) past(end time.Duration) *int {
+	if end > r.deadline || r.eng.Now() >= r.deadline {
+		return &r.cutDeadline
+	}
+	return &r.cutHeap
+}
+
+// uniform reports whether the pages of p's [from, to), from a page
+// boundary, are all untouched or all resident, asking page by page.
+func (r *stretchRun) uniform(p *Process, from, to int64) bool {
+	first := -1
+	for pg := from; pg < to; pg += stretchPage {
+		f, ok := r.m.Untouched(p.PID(), pg, min(stretchPage, to-pg))
+		if !ok || first >= 0 && f != first {
+			return false
+		}
+		first = f
+	}
+	return true
 }
 
 // regionProgram runs a list of phases. With chunked set it returns each
@@ -303,7 +339,7 @@ func (g *regionProgram) start(p *Process, first bool) {
 // fill and exit, and at every deadline each process's CPU time and paging
 // counters, the manager's counters and its layout.
 func (s stretchScript) run(chunked, stretched bool) *stretchRun {
-	defer func(v bool, f func(*Process, int)) { stretchOps, stretchSeen = v, f }(stretchOps, stretchSeen)
+	defer func(v bool, f func(*Process, int, int)) { stretchOps, stretchSeen = v, f }(stretchOps, stretchSeen)
 	eng := sim.New()
 	dev := disk.New(eng, "sda", disk.Config{
 		SeekTime: time.Millisecond, ReadBandwidth: 100 << 20, WriteBandwidth: 100 << 20,
@@ -449,11 +485,18 @@ func TestStretchesMatchOneOpAtATime(t *testing.T) {
 		floors.cutHeap += got.cutHeap
 		floors.cutSwap += got.cutSwap
 		floors.cutFree += got.cutFree
+		floors.counted += got.counted
+		floors.byHorizon += got.byHorizon
+		floors.byFree += got.byFree
+		floors.byEnd += got.byEnd
 	}
 	t.Logf("%d chunks in %d stretches; stretches cut by %d deadlines, %d queued entries, %d swapped pages, %d free-frame shortfalls (%d compute sets full)",
 		floors.batched, floors.stretches, floors.cutDeadline, floors.cutHeap, floors.cutSwap, floors.cutFree, floors.cutBusy)
+	t.Logf("%d chunks counted at once; counts ended by %d horizons, %d free-frame shortfalls, %d last whole chunks",
+		floors.counted, floors.byHorizon, floors.byFree, floors.byEnd)
 	if floors.stretches < 10000 || floors.batched < 50000 || floors.cutDeadline < 800 || floors.cutHeap < 20000 ||
-		floors.cutSwap < 2500 || floors.cutFree < 4000 {
+		floors.cutSwap < 2500 || floors.cutFree < 4000 ||
+		floors.counted < 6000 || floors.byHorizon < 3000 || floors.byFree < 600 || floors.byEnd < 1200 {
 		t.Fatal("too few cases exercised")
 	}
 }
@@ -484,8 +527,8 @@ func FuzzBatchedOps(f *testing.F) {
 func BenchmarkOpBatch(b *testing.B) {
 	b.ReportAllocs()
 	stretches := 0
-	defer func(f func(*Process, int)) { stretchSeen = f }(stretchSeen)
-	stretchSeen = func(_ *Process, n int) {
+	defer func(f func(*Process, int, int)) { stretchSeen = f }(stretchSeen)
+	stretchSeen = func(_ *Process, n, _ int) {
 		if n >= 2 {
 			stretches++
 		}
